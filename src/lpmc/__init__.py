@@ -35,8 +35,8 @@ from .parameterization import (LinearParam, WitnessCertificate, adjoint_x,
                                adjoint_y, balanced_witness, certify,
                                pack_blocks, psd_param, rectangular_param,
                                skew_param, subspace_param, theta_blocks,
-                               witness_psd, witness_rectangular, witness_skew,
-                               witness_subspace, x_of, y_of)
+                               witness_psd, witness_skew, witness_subspace,
+                               x_of, y_of)
 from .sampling import (ObservationMask, RngState, bernoulli_mask,
                        gaussian_noise, observed_fraction, project_observed,
                        read_observations, skew_gaussian_noise,

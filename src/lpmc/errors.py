@@ -2,7 +2,8 @@
 
 
 class NumericError(RuntimeError):
-    """An iterative routine failed to converge.
+    """A numerical routine failed: SVD non-convergence, a non-finite
+    objective or a rotation that lost unitarity.
 
     Carries the best available estimate so callers can inspect it.
     """

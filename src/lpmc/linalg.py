@@ -1,5 +1,6 @@
 """Dense linear-algebra kernels: reduced SVD, Youla pairing for skew-symmetric
-matrices, power-iteration spectral norm, row-norm maximum."""
+matrices by one Hermitian eigenproblem, LAPACK spectral norm, row-norm
+maximum."""
 
 from dataclasses import dataclass
 
@@ -77,148 +78,48 @@ class YoulaDecomposition:
         return p @ self.psi.T - self.psi @ p.T
 
 
-def youla_decompose(s, cutoff=None, skew_tol=1e-10):
-    """Youla pairing of a skew-symmetric matrix via its reduced SVD.
+def youla_decompose(s, cutoff=None):
+    """Youla pairing of a skew-symmetric matrix via the Hermitian
+    eigenproblem of 1j * s.
 
-    For skew s the singular triplets satisfy s v_i = sigma_i u_i and
-    s u_i = -sigma_i v_i, so each triplet spans an invariant 2-plane on which
-    s acts as the canonical block. Triplets are grouped into clusters of equal
-    singular values; within a cluster each block is extracted as
-    phi = (basis vector), psi = -s phi / ||s phi||, and the pair is deflated
-    from the cluster basis. The sign convention phi^T s psi > 0 holds by
-    construction. Clusters merging distinct lambdas closer than ~1e-8
-    relative would mix blocks; inputs are assumed to not straddle that gap.
+    The eigenvalues of 1j * s come in pairs +-lambda. An eigenvector z of
+    +lambda satisfies z^T z = 0 (its conjugate belongs to -lambda), so
+    phi = sqrt2 Re z and psi = -sqrt2 Im z are orthonormal, with
+    s psi = lambda phi and s phi = -lambda psi; phi^T s psi = lambda > 0.
+    Each pair is free up to rotation in its plane. The gauge multiplies z by
+    the phase that makes its largest-magnitude entry real and positive: on
+    the best-represented coordinate axis psi is zero and phi positive, so
+    canonical inputs come out on canonical axes.
 
-    Raises DegeneracyError when the numerical rank is odd or a cluster cannot
-    be paired.
+    Blocks are those with lambda above cutoff, which defaults to
+    1e-10 * lambda_1, in descending order; a numerically zero matrix yields
+    no blocks. Raises DegeneracyError when the numerical rank is odd.
     """
     m = as_matrix(s, "s")
     n1, n2 = m.shape
     if n1 != n2:
         raise ValueError(f"skew input must be square, got {m.shape}")
-    scale = np.linalg.norm(m)
-    if np.linalg.norm(m + m.T) > skew_tol * max(1.0, scale):
+    if np.linalg.norm(m + m.T) > 1e-10 * max(1.0, np.linalg.norm(m)):
         raise ValueError("input is not skew-symmetric within tolerance")
 
-    dec = reduced_svd(m, cutoff=cutoff)
-    k = dec.rank
-    if k == 0:
-        z = np.zeros((n1, 0))
-        return YoulaDecomposition(np.zeros(0), z, z.copy())
+    w, z = np.linalg.eigh(1j * m)
+    if cutoff is None:
+        cutoff = 1e-10 * (w[-1] if w.size else 0.0)
+    k = int(np.sum(np.abs(w) > cutoff))
     if k % 2:
         raise DegeneracyError(f"numerical rank {k} is odd; cannot pair blocks")
-
-    # cluster boundaries at relative gaps; equal pairs stay together
-    sig = dec.sigma
-    gaps = sig[:-1] - sig[1:]
-    bounds = [0] + [i + 1 for i in range(k - 1) if gaps[i] > 1e-8 * sig[0]] + [k]
-
-    lambdas, phis, psis = [], [], []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        width = hi - lo
-        if width % 2:
-            raise DegeneracyError(
-                f"singular-value cluster of odd size {width} near {sig[lo]:.3e}")
-        basis = dec.u[:, lo:hi].copy()
-        for _ in range(width // 2):
-            phi = basis[:, 0]
-            w = m @ phi
-            lam = np.linalg.norm(w)
-            if lam <= (cutoff or 0.0) or lam == 0.0:
-                raise DegeneracyError("cluster basis vector maps to zero")
-            psi = -w / lam
-            # the pair is free up to rotation in its plane; fix the gauge by
-            # rotating phi onto the projection of the best-represented
-            # coordinate axis, so canonical inputs come out on canonical axes
-            weight = phi * phi + psi * psi
-            j = int(np.argmax(weight))
-            phi = (phi * phi[j] + psi * psi[j]) / np.sqrt(weight[j])
-            phi /= np.linalg.norm(phi)
-            psi = -(m @ phi) / lam
-            psi /= np.linalg.norm(psi)
-            lambdas.append(lam)
-            phis.append(phi)
-            psis.append(psi)
-            basis = basis - np.outer(phi, phi @ basis) - np.outer(psi, psi @ basis)
-            # orthonormal basis of what is left of the cluster; the deflated
-            # matrix is a projector applied to orthonormal columns, so its
-            # singular values sit at 1 and 0 and the cut is unambiguous
-            q, sv, _ = np.linalg.svd(basis, full_matrices=False)
-            basis = q[:, sv > 0.5].copy()
-        if basis.shape[1]:
-            raise DegeneracyError("cluster deflation left unpaired directions")
-
-    order = np.argsort(-np.asarray(lambdas), kind="stable")
-    lam = np.asarray(lambdas)[order]
-    phi = np.stack(phis, axis=1)[:, order]
-    psi = np.stack(psis, axis=1)[:, order]
-    return YoulaDecomposition(lam, phi, psi)
+    if k == 0:
+        return YoulaDecomposition(np.zeros(0), np.zeros((n1, 0)), np.zeros((n1, 0)))
+    half = k // 2
+    lam, z = w[::-1][:half], z[:, ::-1][:, :half]
+    top = z[np.argmax(np.abs(z), axis=0), np.arange(half)]
+    z = z * (top.conj() / np.abs(top))
+    return YoulaDecomposition(lam, np.sqrt(2.0) * z.real, -np.sqrt(2.0) * z.imag)
 
 
-def spectral_norm(a, tol=1e-10, max_iter=5000, seed=0):
-    """Largest singular value by power iteration on a^T a.
-
-    Runs the iteration on a block of two orthonormalized columns with a
-    Rayleigh-Ritz step. A single vector never settles when the top two
-    singular values nearly coincide (routine for centered sampling
-    indicators); the two column block captures their invariant subspace at
-    the rate of the third singular value and the Ritz value converges
-    regardless. Deterministic for a fixed seed. Stops when the top Ritz
-    pair residual is below tol relative to the Ritz value, or when the
-    geometric tail of the (monotone) Ritz value sequence certifies the same
-    relative accuracy, which covers triple and worse degeneracies. Raises
-    NumericError (carrying the best estimate) if neither rule fires within
-    max_iter.
-    """
+def spectral_norm(a):
+    """Largest singular value of a; 0.0 for an empty matrix."""
     m = as_matrix(a)
     if m.size == 0:
         return 0.0
-    rng = np.random.default_rng(seed)
-    width = min(2, m.shape[1])
-    v = np.linalg.qr(rng.standard_normal((m.shape[1], width)))[0]
-    est = 0.0
-    prev_top = 0.0
-    prev_inc = 0.0
-    prev_ratio = 0.0
-    stalled = 0
-    for _ in range(max_iter):
-        w = m.T @ (m @ v)
-        h = v.T @ w
-        evals, evecs = np.linalg.eigh(0.5 * (h + h.T))
-        top = float(evals[-1])       # top Ritz value for a^T a
-        if top <= 0.0:
-            # the block landed in the null space; redraw if a is nonzero
-            if not m.any():
-                return 0.0
-            v = np.linalg.qr(rng.standard_normal((m.shape[1], width)))[0]
-            continue
-        resid = np.linalg.norm(w @ evecs[:, -1] - top * (v @ evecs[:, -1]))
-        est = np.sqrt(top)
-        if resid <= tol * top:
-            return float(est)
-        inc = top - prev_top
-        if prev_top > 0.0:
-            if abs(inc) <= 4.0 * np.finfo(float).eps * top:
-                # flat to rounding; counts toward the tail rule
-                stalled += 1
-            elif 0.0 < inc < prev_inc:
-                # increments decay geometrically, so the remaining tail is
-                # bounded through the larger of the last two decay ratios
-                ratio = max(inc / prev_inc, prev_ratio)
-                if inc * ratio <= tol * top * (1.0 - ratio):
-                    stalled += 1
-                else:
-                    stalled = 0
-                prev_ratio = inc / prev_inc
-                prev_inc = inc
-            else:
-                stalled = 0
-                prev_inc = abs(inc)
-                prev_ratio = 0.0
-            if stalled >= 3:
-                return float(est)
-        else:
-            prev_inc = inc
-        prev_top = top
-        v = np.linalg.qr(w)[0]
-    raise NumericError("power iteration did not converge", best_estimate=float(est))
+    return float(np.linalg.norm(m, 2))

@@ -301,10 +301,6 @@ def witness_subspace(param, theta, m_star):
     return certify(param, theta, xi, m)
 
 
-def witness_rectangular(param, theta, m_star):
-    return witness_subspace(param, theta, m_star)
-
-
 def witness_psd(param, theta, m_star):
     """Witness for the psd kind: symmetric eigendecomposition root, rotated.
 
@@ -373,7 +369,7 @@ def witness_skew(param, theta, m_star):
 
 
 _WITNESS = {
-    "rectangular": witness_rectangular,
+    "rectangular": witness_subspace,
     "subspace": witness_subspace,
     "psd": witness_psd,
     "skew": witness_skew,

@@ -214,6 +214,21 @@ def test_witness_skew_orthonormal_pairs():
     assert relative_fit(param, cert.xi, m_star) <= 1e-8
 
 
+def test_witness_skew_near_repeated_blocks():
+    # block magnitudes 2e-8 apart, relative; the Youla pairing must still
+    # reproduce the target to the certificate tolerance
+    gen = np.random.default_rng(44)
+    param = skew_param(10, 4)
+    for _ in range(20):
+        q = np.linalg.qr(gen.standard_normal((10, 4)))[0]
+        u, v = q[:, 0::2] * [1.0, 1.0 - 2e-8], q[:, 1::2]
+        m_star = u @ v.T - v @ u.T
+        theta = gen.standard_normal(param.d)
+        cert = balanced_witness(param, theta, m_star)
+        assert cert.passes
+        assert relative_fit(param, cert.xi, m_star) <= 1e-8
+
+
 def test_witness_psd_random_instance():
     rng = RngState(19).derive("ps")
     param, m_star = psd_instance(15, 3, rng)
