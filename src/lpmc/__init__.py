@@ -31,12 +31,10 @@ from .objective import (ObjectiveSpec, default_tuning, factor_curvature,
                         row_hinge_penalty_grad, skew_objective_value,
                         subspace_objective_value)
 from .optimizer import SolveConfig, SolveResult, halving_line_search, solve
-from .parameterization import (LinearParam, WitnessCertificate, adjoint_x,
-                               adjoint_y, balanced_witness, certify,
-                               pack_blocks, psd_param, rectangular_param,
-                               skew_param, subspace_param, theta_blocks,
-                               witness_psd, witness_skew, witness_subspace,
-                               x_of, y_of)
+from .parameterization import (LinearParam, WitnessCertificate, adjoint,
+                               balanced_witness, certify, factors, pack_blocks,
+                               psd_param, rectangular_param, skew_param,
+                               subspace_param, theta_blocks, x_of, y_of)
 from .sampling import (ObservationMask, RngState, bernoulli_mask,
                        gaussian_noise, observed_fraction, project_observed,
                        read_observations, skew_gaussian_noise,

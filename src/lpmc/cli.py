@@ -11,6 +11,7 @@ import sys
 from .errors import NumericError
 from .experiments import (EXPERIMENTS, default_config, run_diagnostics,
                           run_experiment, render_csv, write_csv)
+from .parameterization import KINDS
 
 
 class _Parser(argparse.ArgumentParser):
@@ -111,9 +112,7 @@ def main(argv=None):
         sub = subs.add_parser(name)
         _add_common(sub)
         if name == "single-solve":
-            sub.add_argument("--kind",
-                             choices=("rectangular", "psd", "subspace",
-                                      "skew"),
+            sub.add_argument("--kind", choices=KINDS,
                              help="parameterization to solve with")
     args = parser.parse_args(argv)
 
@@ -135,7 +134,7 @@ def main(argv=None):
     except NumericError as exc:
         print(f"lpmc: numeric failure: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         print(f"lpmc: {exc}", file=sys.stderr)
         return 1
 

@@ -1,13 +1,24 @@
 """Experiment sweeps, CSV emission, and the diagnostics battery.
 
-Every sweep is reproducible from its master seed: trial t of a cell draws
-from the stream derived as (master_seed, experiment, "p", p, "t", t), with
-the sweep value (subspace width or skew rank) kept out of the derivation so
-cells at the same (p, t) share masks and noise and comparisons are paired.
-Ground truths come from their own derived stream and are fixed across the
-sweep. Reruns with the same master seed write byte-identical CSV; per-trial
-wall times therefore stay off the CSV (they live on the in-memory records
-and in the run log).
+run_experiment is the one sweep loop: p, then trial, then sweep value, then
+solver. A per-experiment plan gives the ground truth of each sweep value
+(subspace width s, skew rank r) and its solvers, each a (label, init-stream
+tags, parameterization) triple. Streams derive from the master seed:
+
+  cell     (experiment, "p", repr(p), "t", t); its "mask" and "noise"
+           children draw the data of every sweep value and solver of (p, t)
+  init     the cell's ("init", s), ("init", "skew", r) / ("init", "rect", r),
+           or ("init", kind) for single-solve
+  truths   (experiment, "truth"), one stream for every s (the bases for
+           different s nest, so the truth is the same matrix for every s),
+           or (experiment, "truth", r) per skew rank
+
+The sweep value stays out of the cell's path, so cells at the same (p, t)
+share masks and noise and comparisons are paired. Masks and noise follow the
+truth's kind (pairs mirrored for skew truths), whatever the solver; in
+skew-compare the free-factor solver gets the skew solver's observations.
+Reruns with the same master seed write byte-identical CSV; per-trial wall
+times therefore stay off the CSV (they live on the in-memory records).
 
 CSV layout: one header line naming the serialized TrialRecord fields, one
 row per trial, then a summary section whose lines are prefixed '#summary'
@@ -28,7 +39,8 @@ from .landscape import (concentration_report, curvature_gap_decomposition,
                         tuning_conditions)
 from .objective import make_spec
 from .optimizer import SolveConfig, solve
-from .parameterization import balanced_witness, rectangular_param, x_of, y_of
+from .parameterization import (KINDS, balanced_witness, rectangular_param,
+                               x_of, y_of)
 from .sampling import (RngState, bernoulli_mask, gaussian_noise,
                        skew_gaussian_noise, symmetric_offdiag_mask)
 
@@ -64,6 +76,11 @@ class ExperimentConfig:
             raise ValueError("trials must be positive")
         if not self.sweep:
             raise ValueError("sweep must be nonempty")
+        if self.kind not in KINDS:
+            raise ValueError(f"unknown kind {self.kind!r}")
+        if self.experiment == "single-solve" and len(self.sweep) > 1:
+            raise ValueError("single-solve takes one sweep value; more would "
+                             "repeat identical solves")
 
 
 def default_config(experiment, **overrides):
@@ -208,158 +225,98 @@ def summarize(records):
     return out
 
 
-def _solve_trial(experiment, trial, p, s_or_r, solver, spec, m_star,
-                 init_rng, max_iters):
-    config = SolveConfig(seed=init_rng, max_iters=max_iters)
-    result = solve(spec, config)
-    num = float(np.linalg.norm(result.m_hat - m_star)) ** 2
-    den = float(np.linalg.norm(m_star)) ** 2
-    err = num / den
+def _trial(config, t, p, value, label, init, param, data, m_star):
+    """One solve of a sweep cell with the given parameterization; data is
+    the cell's spec for the truth, None when the mask is empty."""
+    if data is None:
+        # nothing observed: the objective is undefined, the estimate is 0,
+        # and the trial counts as a failure at full relative error
+        err, iterations, termination, wall = 1.0, 0, "empty-mask", 0.0
+    else:
+        spec = data if param is data.param else make_spec(
+            param, data.mask, data.observed, config.lam, config.alpha)
+        result = solve(spec, SolveConfig(seed=init,
+                                         max_iters=config.max_iters))
+        num = float(np.linalg.norm(result.m_hat - m_star)) ** 2
+        err = num / float(np.linalg.norm(m_star)) ** 2
+        iterations, termination = result.iterations, result.termination
+        wall = result.wall_time
     return TrialRecord(
-        experiment=experiment, trial=trial, p=p, s_or_r=s_or_r,
-        solver=solver, seed=init_rng.token, relative_error=err,
+        experiment=config.experiment, trial=t, p=p, s_or_r=value,
+        solver=label, seed=init.token, relative_error=err,
         success=int(math.sqrt(err) <= SUCCESS_REL_ERR),
-        iterations=result.iterations, termination=result.termination,
-        wall_time=result.wall_time), result
+        iterations=iterations, termination=termination, wall_time=wall)
 
 
-def _empty_trial(experiment, trial, p, s_or_r, solver, init_rng):
-    # nothing observed: the objective is undefined, the estimate is 0,
-    # and the trial counts as a failure at full relative error
-    return TrialRecord(
-        experiment=experiment, trial=trial, p=p, s_or_r=s_or_r,
-        solver=solver, seed=init_rng.token, relative_error=1.0,
-        success=0, iterations=0, termination="empty-mask", wall_time=0.0)
+def _mask(param, p, rng):
+    """The data's observation model: skew truths are observed by unordered
+    pairs, every other kind entry by entry."""
+    if param.kind == "skew":
+        return symmetric_offdiag_mask(param.n1, p, rng)
+    return bernoulli_mask(param.n1, param.n2, p, rng)
 
 
-def run_subspace_sweep(config):
-    """Shared body of the noisy error sweep and the noiseless phase sweep:
-    solve the subspace formulation over (s, p) cells."""
-    master = RngState(config.master_seed)
-    exp = config.experiment
-    truth_rng = master.derive(exp, "truth")
-    # bases for different s nest (same seeded matrix), so the truth built
-    # from the first r basis vectors is the same matrix for every s
-    per_s = {s: subspace_instance(config.n1, config.n2, config.r, s, s,
-                                  truth_rng) for s in config.sweep}
-    records = []
-    for p in config.p_grid:
-        for t in range(config.trials):
-            cell = master.derive(exp, "p", repr(p), "t", t)
-            mask = bernoulli_mask(config.n1, config.n2, p,
-                                  cell.derive("mask"))
-            noise = None
-            if config.sigma > 0.0:
-                noise = gaussian_noise(config.n1, config.n2, config.sigma,
-                                       cell.derive("noise"))
-            for s in config.sweep:
-                param, m_star = per_s[s]
-                init = cell.derive("init", s)
-                if mask.count == 0:
-                    records.append(_empty_trial(exp, t, p, s, "subspace",
-                                                init))
-                    continue
-                spec = assemble(param, m_star, mask, noise,
-                                config.lam, config.alpha)
-                rec, _ = _solve_trial(exp, t, p, s, "subspace", spec, m_star,
-                                      init, config.max_iters)
-                records.append(rec)
-    return records, summarize(records)
+def _noise(param, sigma, rng):
+    """The data's noise model, skew-symmetric for skew truths."""
+    if param.kind == "skew":
+        return skew_gaussian_noise(param.n1, sigma, rng)
+    return gaussian_noise(param.n1, param.n2, sigma, rng)
 
 
-def run_skew_compare(config):
-    """Skew-aware solver against the free-factor solver on identical
-    symmetric-model observations of skew truths, over (r, p) cells."""
-    master = RngState(config.master_seed)
-    exp = config.experiment
-    per_r = {r: skew_instance(config.n1, r, master.derive(exp, "truth", r),
-                              unit_blocks=True) for r in config.sweep}
-    records = []
-    for p in config.p_grid:
-        for t in range(config.trials):
-            cell = master.derive(exp, "p", repr(p), "t", t)
-            mask = symmetric_offdiag_mask(config.n1, p, cell.derive("mask"))
-            noise = None
-            if config.sigma > 0.0:
-                noise = skew_gaussian_noise(config.n1, config.sigma,
-                                            cell.derive("noise"))
-            for r in config.sweep:
-                param, m_star = per_r[r]
-                init_s = cell.derive("init", "skew", r)
-                init_r = cell.derive("init", "rect", r)
-                if mask.count == 0:
-                    records.append(_empty_trial(exp, t, p, r, "skew", init_s))
-                    records.append(_empty_trial(exp, t, p, r, "rectangular",
-                                                init_r))
-                    continue
-                spec = assemble(param, m_star, mask, noise,
-                                config.lam, config.alpha)
-                rec, _ = _solve_trial(exp, t, p, r, "skew", spec, m_star,
-                                      init_s, config.max_iters)
-                records.append(rec)
-                flat = rectangular_param(config.n1, config.n2, r)
-                spec_rect = make_spec(flat, mask, spec.observed,
-                                      config.lam, config.alpha)
-                rec, _ = _solve_trial(exp, t, p, r, "rectangular", spec_rect,
-                                      m_star, init_r, config.max_iters)
-                records.append(rec)
-    return records, summarize(records)
-
-
-def _single_instance(config, rng):
-    kind = config.kind
-    if kind == "subspace":
-        s = config.sweep[0]
-        return subspace_instance(config.n1, config.n2, config.r, s, s, rng)
-    if kind == "rectangular":
-        return rectangular_instance(config.n1, config.n2, config.r, rng)
-    if kind == "psd":
-        return psd_instance(config.n1, config.r, rng)
-    if kind == "skew":
-        return skew_instance(config.n1, config.r, rng)
-    raise ValueError(f"unknown kind {kind!r}")
-
-
-def run_single_solve(config):
-    """One end-to-end solve of a fresh instance of the configured kind."""
-    master = RngState(config.master_seed)
-    exp = config.experiment
-    param, m_star = _single_instance(config, master.derive(exp, "truth"))
-    p = config.p_grid[0]
-    records = []
-    for t in range(config.trials):
-        cell = master.derive(exp, "p", repr(p), "t", t)
-        if config.kind == "skew":
-            mask = symmetric_offdiag_mask(config.n1, p, cell.derive("mask"))
-            noise = (skew_gaussian_noise(config.n1, config.sigma,
-                                         cell.derive("noise"))
-                     if config.sigma > 0.0 else None)
+def _plan(config, master):
+    """Per sweep value: (value, truth param, m_star, solvers), each solver a
+    (label, init-stream tags, parameterization) triple."""
+    exp, n1, n2, r = config.experiment, config.n1, config.n2, config.r
+    rng = master.derive(exp, "truth")
+    plan = []
+    for v in config.sweep:
+        if exp == "skew-compare":
+            param, m_star = skew_instance(n1, v, rng.derive(v),
+                                          unit_blocks=True)
+            solvers = [("skew", ("init", "skew", v), param),
+                       ("rectangular", ("init", "rect", v),
+                        rectangular_param(n1, n2, v))]
+        elif exp == "single-solve":
+            param, m_star = {
+                "subspace": lambda: subspace_instance(n1, n2, r, v, v, rng),
+                "rectangular": lambda: rectangular_instance(n1, n2, r, rng),
+                "psd": lambda: psd_instance(n1, r, rng),
+                "skew": lambda: skew_instance(n1, r, rng)}[config.kind]()
+            solvers = [(config.kind, ("init", config.kind), param)]
         else:
-            mask = bernoulli_mask(config.n1, config.n2, p,
-                                  cell.derive("mask"))
-            noise = (gaussian_noise(config.n1, config.n2, config.sigma,
-                                    cell.derive("noise"))
-                     if config.sigma > 0.0 else None)
-        init = cell.derive("init", config.kind)
-        if mask.count == 0:
-            records.append(_empty_trial(exp, t, p, config.sweep[0],
-                                        config.kind, init))
-            continue
-        spec = assemble(param, m_star, mask, noise, config.lam, config.alpha)
-        rec, _ = _solve_trial(exp, t, p, config.sweep[0], config.kind, spec,
-                              m_star, init, config.max_iters)
-        records.append(rec)
-    return records, summarize(records)
+            param, m_star = subspace_instance(n1, n2, r, v, v, rng)
+            solvers = [("subspace", ("init", v), param)]
+        plan.append((v, param, m_star, solvers))
+    return plan
 
 
 def run_experiment(config):
-    if config.experiment in ("subspace-noisy", "subspace-phase"):
-        return run_subspace_sweep(config)
-    if config.experiment == "skew-compare":
-        return run_skew_compare(config)
-    if config.experiment == "single-solve":
-        return run_single_solve(config)
-    raise ValueError(f"{config.experiment!r} does not produce trial records")
+    """The sweep loop (see the module docstring); returns (records,
+    summaries)."""
+    if config.experiment == "diagnostics":
+        raise ValueError("diagnostics does not produce trial records")
+    master = RngState(config.master_seed)
+    exp = config.experiment
+    plan = _plan(config, master)
+    model = plan[0][1]       # every truth of a sweep has one kind and size
+    records = []
+    for p in config.p_grid:
+        for t in range(config.trials):
+            cell = master.derive(exp, "p", repr(p), "t", t)
+            mask = _mask(model, p, cell.derive("mask"))
+            noise = None
+            if config.sigma > 0.0:
+                noise = _noise(model, config.sigma, cell.derive("noise"))
+            for value, truth, m_star, solvers in plan:
+                data = None
+                if mask.count:
+                    data = assemble(truth, m_star, mask, noise, config.lam,
+                                    config.alpha)
+                for label, tags, param in solvers:
+                    records.append(_trial(config, t, p, value, label,
+                                          cell.derive(*tags), param, data,
+                                          m_star))
+    return records, summarize(records)
 
 
 # ---------------------------------------------------------------------------
@@ -367,18 +324,14 @@ def run_experiment(config):
 
 
 def _diag_instances(config, master):
-    rng = RngState(config.master_seed).derive("diagnostics", "instances")
-    n = config.n1
-    s = config.sweep[0]
-    out = []
-    out.append(subspace_instance(n, n, config.r, s, s, rng.derive("sub")))
-    out.append(rectangular_instance(n, n, config.r, rng.derive("rect")))
-    out.append(psd_instance(max(n // 2, config.r + 2), config.r,
-                            rng.derive("psd")))
-    r_skew = config.r + (config.r % 2)
-    out.append(skew_instance(max(n // 2, r_skew + 2), max(r_skew, 2),
-                             rng.derive("skew")))
-    return out
+    rng = master.derive("diagnostics", "instances")
+    n, r, s = config.n1, config.r, config.sweep[0]
+    r_skew = r + r % 2
+    return [subspace_instance(n, n, r, s, s, rng.derive("sub")),
+            rectangular_instance(n, n, r, rng.derive("rect")),
+            psd_instance(max(n // 2, r + 2), r, rng.derive("psd")),
+            skew_instance(max(n // 2, r_skew + 2), r_skew,
+                          rng.derive("skew"))]
 
 
 def run_diagnostics(config, stream=None):
@@ -406,16 +359,9 @@ def run_diagnostics(config, stream=None):
     for param, m_star in instances:
         tag = param.kind
         gen = master.derive("diagnostics", "theta", tag).generator()
-        worst_fit = worst_bal = worst_corr = 0.0
-        worst_id = 0.0
-        passes = 0
-        draws = 10
-        if param.kind == "skew":
-            mask = symmetric_offdiag_mask(param.n1, p, master.derive(
-                "diagnostics", "mask", tag))
-        else:
-            mask = bernoulli_mask(param.n1, param.n2, p, master.derive(
-                "diagnostics", "mask", tag))
+        worst_fit = worst_bal = worst_corr = worst_id = 0.0
+        passes, draws = 0, 10
+        mask = _mask(param, p, master.derive("diagnostics", "mask", tag))
         spec = assemble(param, m_star, mask)
         for _ in range(draws):
             theta = gen.standard_normal(param.d)
@@ -446,9 +392,8 @@ def run_diagnostics(config, stream=None):
     trials = 5
     for t in range(trials):
         cell = master.derive("diagnostics", "gap", t)
-        mask = bernoulli_mask(param.n1, param.n2, p, cell.derive("mask"))
-        noise = gaussian_noise(param.n1, param.n2, config.sigma,
-                               cell.derive("noise"))
+        mask = _mask(param, p, cell.derive("mask"))
+        noise = _noise(param, config.sigma, cell.derive("noise"))
         spec = assemble(param, m_star, mask, noise)
         theta = cell.generator().standard_normal(param.d)
         cert = balanced_witness(param, theta, m_star)

@@ -27,7 +27,7 @@ from .errors import RankError
 from .linalg import as_matrix, reduced_svd, spectral_norm, two_inf_norm
 from .objective import (factor_curvature, factor_grad, objective_value,
                         row_hinge_penalty_curvature, row_hinge_penalty_grad)
-from .parameterization import x_of, y_of
+from .parameterization import factors, x_of, y_of
 from .sampling import project_observed
 
 # constant from the sampling+penalty curvature bound; exposed for reports
@@ -81,9 +81,8 @@ def _hinge_nearby(spec, theta, delta, reach):
     """Whether any factor row norm can come within ~1e-3*max(alpha,1) of the
     penalty hinge along the stencil segment [-reach, reach]."""
     margin = 1e-3 * max(spec.alpha, 1.0)
-    for row_fn in (x_of, y_of):
-        base = row_fn(spec.param, theta)
-        step = row_fn(spec.param, delta)
+    for base, step in zip(factors(spec.param, theta),
+                          factors(spec.param, delta)):
         rn = np.sqrt(np.einsum("ij,ij->i", base, base))
         dn = np.sqrt(np.einsum("ij,ij->i", step, step))
         if np.any(np.abs(rn - spec.alpha) - reach * dn < margin):

@@ -11,7 +11,7 @@ observed fraction, and G the row hinge penalty
 
     G(X) = sum_i max(||x_i|| - alpha, 0)^4.
 
-The theta-level objective composes f with a LinearParam's factor maps. The
+The theta-level objective composes f with a LinearParam's factor map. The
 factor-level value/gradient/curvature live here so landscape diagnostics can
 use the same closed forms; everything is exact, including the penalty terms
 (G is C^2, its Hessian is continuous across the hinge).
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import as_matrix
-from .parameterization import adjoint_x, adjoint_y, theta_blocks, x_of, y_of
+from .parameterization import adjoint, factors, theta_blocks
 from .sampling import ObservationMask, observed_fraction, project_observed
 
 
@@ -152,14 +152,13 @@ def factor_curvature(x, y, dx, dy, spec):
 
 
 def objective_value(spec, theta):
-    """f composed with the parameterization's factor maps."""
-    return factor_value(x_of(spec.param, theta), y_of(spec.param, theta), spec)
+    """f composed with the parameterization's factor map."""
+    return factor_value(*factors(spec.param, theta), spec)
 
 
 def objective_grad(spec, theta):
-    """Gradient of the theta-level objective, via the factor adjoints."""
-    gx, gy = factor_grad(x_of(spec.param, theta), y_of(spec.param, theta), spec)
-    return adjoint_x(spec.param, gx) + adjoint_y(spec.param, gy)
+    """Gradient of the theta-level objective, via the map's adjoint."""
+    return adjoint(spec.param, *factor_grad(*factors(spec.param, theta), spec))
 
 
 # specialized closed forms, written directly in the parameter blocks; each

@@ -1,6 +1,10 @@
 """Tests for the command line front end: flag handling, config files,
 output modes, and exit codes."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 import lpmc.cli as cli
@@ -52,6 +56,48 @@ def test_numeric_failure_returns_two(monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_experiment", boom)
     assert cli.main(fast_args()) == 2
     assert "numeric failure" in capsys.readouterr().err
+
+
+def run_lpmc(*argv):
+    """Run the CLI in a fresh interpreter, so an escaping exception shows as
+    a traceback on stderr."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH"))
+                           if p)
+    return subprocess.run([sys.executable, "-m", "lpmc.cli", *argv],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
+
+
+def assert_one_line_error(proc):
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("lpmc: ")
+    assert len(proc.stderr.splitlines()) == 1
+
+
+def test_odd_skew_rank_single_solve_is_one_line_error():
+    assert_one_line_error(run_lpmc(*fast_args("--kind", "skew", "--r", "3")))
+
+
+def test_odd_skew_compare_rank_is_one_line_error():
+    assert_one_line_error(run_lpmc("skew-compare", "--n", "12", "--s", "3",
+                                   "--p-grid", "0.5", "--trials", "1"))
+
+
+def test_unknown_kind_in_config_file_is_one_line_error(tmp_path):
+    path = tmp_path / "bad.cfg"
+    path.write_text("kind = foo\n")
+    proc = run_lpmc(*fast_args("--config", str(path)))
+    assert_one_line_error(proc)
+    assert "foo" in proc.stderr
+
+
+def test_kind_flag_choices_are_the_kinds(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(fast_args("--kind", "foo"))
+    assert exc.value.code == 1
+    assert "rectangular" in capsys.readouterr().err
 
 
 def test_failing_diagnostics_return_two(monkeypatch, capsys):
@@ -110,6 +156,20 @@ def test_diagnostics_stdout_and_file(tmp_path, capsys):
     assert code == 0
     assert captured.out.endswith("result: PASS\n")
     assert out.read_text() == captured.out
+
+
+def test_single_solve_writes_every_grid_value(tmp_path, capsys):
+    out = tmp_path / "grid.csv"
+    assert cli.main(fast_args("--p-grid", "0.3,0.9", "--out", str(out))) == 0
+    assert "wrote 2 records" in capsys.readouterr().out
+    rows = [l.split(",") for l in out.read_text().splitlines()[1:]
+            if not l.startswith("#")]
+    assert [r[2] for r in rows] == ["0.3", "0.9"]
+
+
+def test_single_solve_rejects_several_widths(capsys):
+    assert cli.main(fast_args("--s", "4,6")) == 1
+    assert "single-solve" in capsys.readouterr().err
 
 
 def test_single_solve_kind_flag(tmp_path, capsys):

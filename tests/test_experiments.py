@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import lpmc.experiments as experiments
 from lpmc.experiments import (CellSummary, TrialRecord, default_config,
                               render_csv, run_diagnostics, run_experiment,
                               summarize, write_csv)
@@ -28,6 +29,10 @@ def test_config_validation():
         tiny_phase(trials=0)
     with pytest.raises(ValueError):
         tiny_phase(sweep=())
+    with pytest.raises(ValueError):
+        default_config("single-solve", kind="foo")
+    with pytest.raises(ValueError):
+        default_config("single-solve", sweep=(4, 6))
 
 
 def test_config_defaults_and_overrides():
@@ -67,6 +72,64 @@ def test_single_solve_full_observation_is_exact():
     assert records[0].success == 1
     assert records[0].relative_error <= 1e-12
     assert summaries[0].success_rate == 1.0
+
+
+def without_wall_time(rec):
+    return {k: v for k, v in vars(rec).items() if k != "wall_time"}
+
+
+def test_single_solve_runs_every_grid_value():
+    cfg = default_config("single-solve", n1=24, n2=24, sweep=(4,),
+                         p_grid=(0.3, 0.9), trials=2, master_seed=9)
+    records, summaries = run_experiment(cfg)
+    assert [(r.p, r.trial) for r in records] == [
+        (0.3, 0), (0.3, 1), (0.9, 0), (0.9, 1)]
+    assert [s.p for s in summaries] == [0.3, 0.9]
+    # streams are keyed by p: the first column is the one-p run's
+    alone, _ = run_experiment(default_config(
+        "single-solve", n1=24, n2=24, sweep=(4,), p_grid=(0.3,), trials=2,
+        master_seed=9))
+    assert [without_wall_time(r) for r in records[:2]] == [
+        without_wall_time(r) for r in alone]
+
+
+def test_phase_sweep_cells_are_paired():
+    # a record depends only on its (p, t, s) cell, not on the other values
+    # of the sweep, so cells at the same (p, t) see the same mask
+    grid = dict(n1=20, n2=20, r=2, trials=2, master_seed=13, max_iters=60)
+    records, _ = run_experiment(default_config(
+        "subspace-phase", sweep=(4, 6), p_grid=(0.3, 0.8), **grid))
+    assert len(records) == 8
+    for s in (4, 6):
+        for p in (0.3, 0.8):
+            alone, _ = run_experiment(default_config(
+                "subspace-phase", sweep=(s,), p_grid=(p,), **grid))
+            cell = [r for r in records if r.s_or_r == s and r.p == p]
+            assert [without_wall_time(r) for r in cell] == [
+                without_wall_time(r) for r in alone]
+
+
+def test_skew_compare_solvers_share_the_data(monkeypatch):
+    seen = []
+
+    def recording_solve(spec, config):
+        seen.append((spec.param.kind, spec.mask.matrix, spec.observed))
+        return solve(spec, config)
+
+    solve = experiments.solve
+    monkeypatch.setattr(experiments, "solve", recording_solve)
+    cfg = default_config("skew-compare", n1=16, n2=16, sweep=(2, 4),
+                         p_grid=(0.6,), trials=2, master_seed=5,
+                         max_iters=20)
+    run_experiment(cfg)
+    assert [k for k, _, _ in seen] == ["skew", "rectangular"] * 4
+    for (_, mask_a, obs_a), (_, mask_b, obs_b) in zip(seen[0::2],
+                                                      seen[1::2]):
+        assert np.array_equal(mask_a, mask_b)
+        assert np.array_equal(obs_a, obs_b)
+    # and both sweep values of a trial share one mask
+    assert np.array_equal(seen[0][1], seen[2][1])
+    assert not np.array_equal(seen[0][1], seen[4][1])
 
 
 def test_skew_compare_produces_paired_solvers():

@@ -8,8 +8,8 @@ import pytest
 from lpmc.errors import NotPsdError, RepresentabilityError
 from lpmc.instances import (psd_instance, rectangular_instance, skew_instance,
                             subspace_instance)
-from lpmc.parameterization import (KINDS, adjoint_x, adjoint_y, balanced_witness,
-                                   certify, pack_blocks, psd_param,
+from lpmc.parameterization import (KINDS, adjoint, balanced_witness, certify,
+                                   factors, pack_blocks, psd_param,
                                    rectangular_param, skew_param, subspace_param,
                                    theta_blocks, x_of, y_of)
 from lpmc.sampling import RngState
@@ -83,22 +83,34 @@ def test_skew_factor_product_is_skew():
 def test_adjoint_identity_all_kinds():
     gen = np.random.default_rng(5)
     for param in every_param():
+        zx, zy = np.zeros((param.n1, param.r)), np.zeros((param.n2, param.r))
         for trial in range(25):
             delta = gen.standard_normal(param.d)
             gx = gen.standard_normal((param.n1, param.r))
             gy = gen.standard_normal((param.n2, param.r))
             lhs = np.vdot(x_of(param, delta), gx)
-            rhs = float(delta @ adjoint_x(param, gx))
+            rhs = float(delta @ adjoint(param, gx, zy))
             assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
             lhs = np.vdot(y_of(param, delta), gy)
-            rhs = float(delta @ adjoint_y(param, gy))
+            rhs = float(delta @ adjoint(param, zx, gy))
             assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+
+
+def test_adjoint_is_sum_of_one_sided_adjoints():
+    gen = np.random.default_rng(9)
+    for param in every_param():
+        gx = gen.standard_normal((param.n1, param.r))
+        gy = gen.standard_normal((param.n2, param.r))
+        both = adjoint(param, gx, gy)
+        parts = (adjoint(param, gx, np.zeros_like(gy))
+                 + adjoint(param, np.zeros_like(gx), gy))
+        assert np.allclose(both, parts, rtol=0.0, atol=1e-14), param.kind
 
 
 def test_rectangular_adjoint_placement():
     param = rectangular_param(3, 2, 2)
     g = np.arange(6.0).reshape(3, 2)
-    out = adjoint_x(param, g)
+    out = adjoint(param, g, np.zeros((2, 2)))
     assert np.array_equal(out[:6], g.ravel())
     assert not out[6:].any()
 
@@ -109,7 +121,7 @@ def test_subspace_adjoint_placement():
     bv = np.linalg.qr(gen.standard_normal((6, 3)))[0]
     param = subspace_param(bu, bv, 2)
     g = gen.standard_normal((7, 2))
-    out = adjoint_x(param, g)
+    out = adjoint(param, g, np.zeros((6, 2)))
     assert np.allclose(out[: 3 * 2], (bu.T @ g).ravel(), atol=1e-14)
     assert not out[3 * 2:].any()
 
@@ -117,7 +129,22 @@ def test_subspace_adjoint_placement():
 def test_adjoint_shape_checked():
     param = psd_param(5, 2)
     with pytest.raises(ValueError):
-        adjoint_x(param, np.zeros((4, 2)))
+        adjoint(param, np.zeros((4, 2)), np.zeros((5, 2)))
+    with pytest.raises(ValueError):
+        adjoint(param, np.zeros((5, 2)), np.zeros((5, 3)))
+
+
+def test_factors_match_x_of_and_y_of():
+    gen = np.random.default_rng(10)
+    for param in every_param():
+        theta = gen.standard_normal(param.d)
+        x, y = factors(param, theta)
+        assert np.array_equal(x, x_of(param, theta))
+        assert np.array_equal(y, y_of(param, theta))
+        # fresh buffers: the psd pair is equal but not shared, and no
+        # factor aliases theta
+        assert not np.shares_memory(x, y)
+        assert not np.shares_memory(x, theta) and not np.shares_memory(y, theta)
 
 
 # ------------------------------------------------------- parameter validation
