@@ -81,6 +81,9 @@ def _build_config(args):
     values = {}
     if args.config:
         values.update(read_config_file(args.config))
+        if "kind" in values and args.command != "single-solve":
+            raise ValueError(f"{args.config}: key 'kind' applies to "
+                             "single-solve only")
     for key in _FIELD_PARSERS:
         attr = "lam" if key == "lambda" else key
         got = getattr(args, attr, None)

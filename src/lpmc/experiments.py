@@ -40,7 +40,7 @@ from .landscape import (concentration_report, curvature_gap_decomposition,
 from .objective import make_spec
 from .optimizer import SolveConfig, solve
 from .parameterization import (KINDS, balanced_witness, rectangular_param,
-                               x_of, y_of)
+                               subspace_param, x_of, y_of)
 from .sampling import (RngState, bernoulli_mask, gaussian_noise,
                        skew_gaussian_noise, symmetric_offdiag_mask)
 
@@ -74,6 +74,8 @@ class ExperimentConfig:
             raise ValueError("p_grid values must lie in (0, 1]")
         if self.trials < 1:
             raise ValueError("trials must be positive")
+        if not self.sigma >= 0.0:
+            raise ValueError(f"sigma must be nonnegative, got {self.sigma}")
         if not self.sweep:
             raise ValueError("sweep must be nonempty")
         if self.kind not in KINDS:
@@ -268,6 +270,11 @@ def _plan(config, master):
     (label, init-stream tags, parameterization) triple."""
     exp, n1, n2, r = config.experiment, config.n1, config.n2, config.r
     rng = master.derive(exp, "truth")
+    if exp in ("subspace-noisy", "subspace-phase"):
+        # every s draws its bases from the one truth stream, so the bases of
+        # each s are the leading columns of the widest ones
+        wide = max(config.sweep)
+        widest, m_star = subspace_instance(n1, n2, r, wide, wide, rng)
     plan = []
     for v in config.sweep:
         if exp == "skew-compare":
@@ -284,7 +291,8 @@ def _plan(config, master):
                 "skew": lambda: skew_instance(n1, r, rng)}[config.kind]()
             solvers = [(config.kind, ("init", config.kind), param)]
         else:
-            param, m_star = subspace_instance(n1, n2, r, v, v, rng)
+            param = subspace_param(widest.basis_u[:, :v],
+                                   widest.basis_v[:, :v], r)
             solvers = [("subspace", ("init", v), param)]
         plan.append((v, param, m_star, solvers))
     return plan

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import NumericError
 from .objective import objective_grad, objective_value
-from .parameterization import x_of, y_of
+from .parameterization import factors
 from .sampling import RngState
 
 
@@ -107,7 +107,8 @@ def solve(spec, config):
         if grad_sq <= config.grad_tol_sq:
             termination = "grad-tol"
 
-    m_hat = x_of(spec.param, theta) @ y_of(spec.param, theta).T
+    x, y = factors(spec.param, theta)
+    m_hat = x @ y.T
     return SolveResult(
         theta_hat=theta, m_hat=m_hat,
         objective_trace=np.asarray(trace),

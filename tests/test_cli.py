@@ -93,6 +93,22 @@ def test_unknown_kind_in_config_file_is_one_line_error(tmp_path):
     assert "foo" in proc.stderr
 
 
+def test_negative_sigma_is_one_line_error():
+    proc = run_lpmc("subspace-phase", "--n", "12", "--s", "4", "--p-grid",
+                    "0.5", "--trials", "1", "--sigma", "-1")
+    assert_one_line_error(proc)
+    assert "sigma" in proc.stderr
+
+
+def test_kind_key_outside_single_solve_is_one_line_error(tmp_path):
+    path = tmp_path / "kind.cfg"
+    path.write_text("kind = psd\n")
+    proc = run_lpmc("subspace-phase", "--n", "12", "--s", "4", "--p-grid",
+                    "0.5", "--trials", "1", "--config", str(path))
+    assert_one_line_error(proc)
+    assert "kind" in proc.stderr
+
+
 def test_kind_flag_choices_are_the_kinds(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(fast_args("--kind", "foo"))

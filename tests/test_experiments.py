@@ -33,6 +33,10 @@ def test_config_validation():
         default_config("single-solve", kind="foo")
     with pytest.raises(ValueError):
         default_config("single-solve", sweep=(4, 6))
+    with pytest.raises(ValueError):
+        tiny_phase(sigma=-0.5)
+    with pytest.raises(ValueError):
+        tiny_phase(sigma=float("nan"))
 
 
 def test_config_defaults_and_overrides():
@@ -107,6 +111,21 @@ def test_phase_sweep_cells_are_paired():
             cell = [r for r in records if r.s_or_r == s and r.p == p]
             assert [without_wall_time(r) for r in cell] == [
                 without_wall_time(r) for r in alone]
+
+
+def test_unsorted_phase_sweep_matches_one_value_runs():
+    # the bases of every width are sliced from the widest width's bases,
+    # wherever it sits in the sweep; each must equal its own build
+    grid = dict(n1=20, n2=20, r=2, p_grid=(0.4,), trials=2, master_seed=17,
+                max_iters=60)
+    records, _ = run_experiment(default_config(
+        "subspace-phase", sweep=(10, 4, 6), **grid))
+    for s in (10, 4, 6):
+        alone, _ = run_experiment(default_config(
+            "subspace-phase", sweep=(s,), **grid))
+        cell = [r for r in records if r.s_or_r == s]
+        assert [without_wall_time(r) for r in cell] == [
+            without_wall_time(r) for r in alone]
 
 
 def test_skew_compare_solvers_share_the_data(monkeypatch):

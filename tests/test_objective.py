@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+import lpmc.objective as objective
 from lpmc.instances import (observe, psd_instance, rectangular_instance,
                             skew_instance, subspace_instance)
+from lpmc.landscape import factor_curvature_gap, param_curvature_gap
 from lpmc.objective import (ObjectiveSpec, default_tuning, make_spec,
                             objective_grad, objective_value,
                             psd_objective_value, row_hinge_penalty,
@@ -14,16 +16,25 @@ from lpmc.parameterization import balanced_witness, theta_blocks, x_of, y_of
 from lpmc.sampling import RngState, bernoulli_mask, project_observed
 
 
-def noiseless_spec(kind, seed, p=0.7, lam=None, alpha=None):
+# the two densities the value and gradient tests run at: the default one
+# takes the dense kernel, the sparse one the observed-entry kernel, at sizes
+# that leave about a hundred entries observed
+DENSE = {}
+SPARSE = dict(p=0.01, scale=10)
+
+
+def noiseless_spec(kind, seed, p=0.7, lam=None, alpha=None, scale=1):
     rng = RngState(seed).derive("spec", kind)
     if kind == "subspace":
-        param, m_star = subspace_instance(15, 12, 2, 5, 4, rng.derive("i"))
+        param, m_star = subspace_instance(15 * scale, 12 * scale, 2, 5, 4,
+                                          rng.derive("i"))
     elif kind == "rectangular":
-        param, m_star = rectangular_instance(12, 10, 2, rng.derive("i"))
+        param, m_star = rectangular_instance(12 * scale, 10 * scale, 2,
+                                             rng.derive("i"))
     elif kind == "psd":
-        param, m_star = psd_instance(11, 2, rng.derive("i"))
+        param, m_star = psd_instance(11 * scale, 2, rng.derive("i"))
     else:
-        param, m_star = skew_instance(10, 4, rng.derive("i"))
+        param, m_star = skew_instance(10 * scale, 4, rng.derive("i"))
     mask = bernoulli_mask(m_star.shape[0], m_star.shape[1], p, rng.derive("o"))
     return make_spec(param, mask, observe(m_star, mask), lam, alpha), m_star
 
@@ -115,11 +126,12 @@ def test_value_at_origin():
 
 def test_value_matches_naive_evaluation():
     gen = np.random.default_rng(4)
-    for kind in ("subspace", "rectangular", "psd", "skew"):
-        spec, _ = noiseless_spec(kind, 9, lam=0.3, alpha=0.7)
-        theta = gen.standard_normal(spec.param.d)
-        assert objective_value(spec, theta) == pytest.approx(
-            naive_value(spec, theta), rel=1e-12), kind
+    for density in (DENSE, SPARSE):
+        for kind in ("subspace", "rectangular", "psd", "skew"):
+            spec, _ = noiseless_spec(kind, 9, lam=0.3, alpha=0.7, **density)
+            theta = gen.standard_normal(spec.param.d)
+            assert objective_value(spec, theta) == pytest.approx(
+                naive_value(spec, theta), rel=1e-12), (kind, density)
 
 
 def test_value_nonnegative():
@@ -132,11 +144,13 @@ def test_value_nonnegative():
 # --------------------------------------------------------------- the gradient
 
 def test_grad_zero_at_witness():
-    for kind in ("subspace", "psd", "skew"):
-        spec, m_star = noiseless_spec(kind, 13)
-        cert = balanced_witness(spec.param, np.zeros(spec.param.d), m_star)
-        g = objective_grad(spec, cert.xi)
-        assert np.linalg.norm(g) <= 1e-8, kind
+    for density in (DENSE, SPARSE):
+        for kind in ("subspace", "rectangular", "psd", "skew"):
+            spec, m_star = noiseless_spec(kind, 13, **density)
+            cert = balanced_witness(spec.param, np.zeros(spec.param.d),
+                                    m_star)
+            g = objective_grad(spec, cert.xi)
+            assert np.linalg.norm(g) <= 1e-8, (kind, density)
 
 
 def test_grad_zero_at_origin():
@@ -146,17 +160,53 @@ def test_grad_zero_at_origin():
 
 def test_grad_matches_finite_differences():
     gen = np.random.default_rng(6)
+    for density in (DENSE, SPARSE):
+        for kind in ("subspace", "rectangular", "psd", "skew"):
+            spec, _ = noiseless_spec(kind, 17, lam=0.5, alpha=0.6, **density)
+            theta = gen.standard_normal(spec.param.d)
+            grad = objective_grad(spec, theta)
+            h = 1e-5 * (1 + np.linalg.norm(theta))
+            for trial in range(15):
+                d = gen.standard_normal(spec.param.d)
+                d /= np.linalg.norm(d)
+                fd = (objective_value(spec, theta + h * d)
+                      - objective_value(spec, theta - h * d)) / (2 * h)
+                assert float(grad @ d) == pytest.approx(
+                    fd, rel=1e-6, abs=1e-8), (kind, density)
+
+
+def test_densities_take_both_kernels():
     for kind in ("subspace", "rectangular", "psd", "skew"):
-        spec, _ = noiseless_spec(kind, 17, lam=0.5, alpha=0.6)
-        theta = gen.standard_normal(spec.param.d)
-        grad = objective_grad(spec, theta)
-        h = 1e-5 * (1 + np.linalg.norm(theta))
-        for trial in range(15):
-            d = gen.standard_normal(spec.param.d)
-            d /= np.linalg.norm(d)
-            fd = (objective_value(spec, theta + h * d)
-                  - objective_value(spec, theta - h * d)) / (2 * h)
-            assert float(grad @ d) == pytest.approx(fd, rel=1e-6, abs=1e-8), kind
+        dense, _ = noiseless_spec(kind, 33, **DENSE)
+        sparse, _ = noiseless_spec(kind, 33, **SPARSE)
+        assert dense.p_hat >= objective._ENTRY_KERNEL_BELOW, kind
+        assert 0 < sparse.p_hat < objective._ENTRY_KERNEL_BELOW, kind
+
+
+def test_observed_entries_match_the_mask():
+    spec, _ = noiseless_spec("rectangular", 35, **SPARSE)
+    dense = np.zeros(spec.observed.shape)
+    dense[spec.rows, spec.cols] = spec.vals
+    assert np.array_equal(dense, spec.observed)
+    assert spec.rows.size == spec.mask.count
+
+
+def test_two_route_curvature_agrees_on_entry_kernel():
+    # the parameter route differences objective values and the factor route
+    # adds the gradient to the dense curvature form, so at a sparse density
+    # the two routes check the entry kernel against the dense arithmetic
+    gen = np.random.default_rng(10)
+    for kind in ("subspace", "rectangular", "psd", "skew"):
+        spec, _ = noiseless_spec(kind, 37, **SPARSE)
+        param = spec.param
+        for trial in range(10):
+            theta = gen.standard_normal(param.d)
+            delta = gen.standard_normal(param.d)
+            kf = factor_curvature_gap(x_of(param, theta), y_of(param, theta),
+                                      x_of(param, delta), y_of(param, delta),
+                                      spec)
+            kp = param_curvature_gap(spec, theta, delta)
+            assert abs(kp - kf) <= 1e-8 * (1 + abs(kf)), kind
 
 
 # ---------------------------------------------------------- specialized forms
@@ -166,13 +216,14 @@ def test_specialized_forms_match_general():
     cases = (("subspace", subspace_objective_value),
              ("skew", skew_objective_value),
              ("psd", psd_objective_value))
-    for kind, form in cases:
-        spec, _ = noiseless_spec(kind, 19, lam=0.4, alpha=0.9)
-        for trial in range(100):
-            theta = gen.standard_normal(spec.param.d)
-            a = objective_value(spec, theta)
-            b = form(spec, theta)
-            assert abs(a - b) <= 1e-12 * max(1.0, abs(a)), kind
+    for density in (DENSE, SPARSE):
+        for kind, form in cases:
+            spec, _ = noiseless_spec(kind, 19, lam=0.4, alpha=0.9, **density)
+            for trial in range(100):
+                theta = gen.standard_normal(spec.param.d)
+                a = objective_value(spec, theta)
+                b = form(spec, theta)
+                assert abs(a - b) <= 1e-12 * max(1.0, abs(a)), (kind, density)
 
 
 def test_specialized_forms_reject_wrong_kind():
