@@ -26,10 +26,8 @@ from .linalg import (ReducedSvd, YoulaDecomposition, reduced_svd,
                      spectral_norm, two_inf_norm, youla_decompose)
 from .objective import (ObjectiveSpec, default_tuning, factor_curvature,
                         factor_grad, factor_value, make_spec, objective_grad,
-                        objective_value, psd_objective_value,
-                        row_hinge_penalty, row_hinge_penalty_curvature,
-                        row_hinge_penalty_grad, skew_objective_value,
-                        subspace_objective_value)
+                        objective_value, row_hinge_penalty,
+                        row_hinge_penalty_curvature, row_hinge_penalty_grad)
 from .optimizer import SolveConfig, SolveResult, halving_line_search, solve
 from .parameterization import (LinearParam, WitnessCertificate, adjoint,
                                balanced_witness, certify, factors, pack_blocks,

@@ -15,10 +15,10 @@ from .parameterization import KINDS
 
 
 class _Parser(argparse.ArgumentParser):
-    # argparse exits 2 on bad flags; argument errors are exit 1 here
+    # argparse exits 2 on bad flags; argument errors are exit 1 here, with
+    # the one 'lpmc: <message>' line every other error prints
     def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
+        self.exit(1, f"lpmc: {message}\n")
 
 
 def _ints(text):
@@ -29,15 +29,43 @@ def _floats(text):
     return tuple(float(v) for v in text.split(",") if v)
 
 
-_FIELD_PARSERS = {
-    "n": int, "r": int, "s": _ints, "p_grid": _floats, "sigma": float,
-    "trials": int, "seed": int, "lambda": float, "alpha": float,
-    "max_iters": int, "out": str, "kind": str,
+_SOLVING = tuple(e for e in EXPERIMENTS if e != "diagnostics")
+
+# Every flag and config key, declared once: the ExperimentConfig fields it
+# sets, the experiments that read it, and its argparse settings. The flag is
+# --key with '_' written '-'; config files take either spelling.
+_KEYS = {
+    "n": (("n1", "n2"), EXPERIMENTS,
+          dict(type=int, help="side length (n1 = n2 = n)")),
+    "r": (("r",), tuple(e for e in EXPERIMENTS if e != "skew-compare"),
+          dict(type=int, help="target rank")),
+    "s": (("sweep",), EXPERIMENTS,
+          dict(type=_ints, help="subspace widths (or skew-compare ranks), "
+                                "comma separated")),
+    "p_grid": (("p_grid",), EXPERIMENTS,
+               dict(type=_floats, help="sampling rates, comma separated")),
+    "sigma": (("sigma",), EXPERIMENTS, dict(type=float, help="noise level")),
+    "trials": (("trials",), _SOLVING, dict(type=int, help="trials per cell")),
+    "seed": (("master_seed",), EXPERIMENTS,
+             dict(type=int, help="master seed")),
+    "lambda": (("lam",), _SOLVING,
+               dict(type=float,
+                    help="penalty weight (default: standard rule)")),
+    "alpha": (("alpha",), _SOLVING,
+              dict(type=float,
+                   help="row-norm threshold (default: standard rule)")),
+    "max_iters": (("max_iters",), _SOLVING,
+                  dict(type=int, help="gradient-step cap")),
+    "out": (("out",), EXPERIMENTS,
+            dict(help="output path (CSV, or text report for diagnostics)")),
+    "kind": (("kind",), ("single-solve",),
+             dict(choices=KINDS, help="parameterization to solve with")),
 }
 
 
-def read_config_file(path):
-    """Parse a 'key = value' config file; keys match the long flag names."""
+def read_config_file(path, experiment):
+    """Parse a 'key = value' config file for one experiment; keys match the
+    long flag names the experiment takes."""
     values = {}
     with open(path) as fh:
         for ln, line in enumerate(fh, 1):
@@ -48,62 +76,20 @@ def read_config_file(path):
                 raise ValueError(f"{path}:{ln}: expected 'key = value'")
             key, _, raw = body.partition("=")
             key = key.strip().replace("-", "_")
-            if key not in _FIELD_PARSERS:
-                raise ValueError(f"{path}:{ln}: unknown key {key!r}")
-            values[key] = _FIELD_PARSERS[key](raw.strip())
+            if key not in _KEYS or experiment not in _KEYS[key][1]:
+                raise ValueError(f"{path}:{ln}: {experiment} takes no key "
+                                 f"{key!r}")
+            values[key] = _KEYS[key][2].get("type", str)(raw.strip())
     return values
 
 
-def _add_common(sub):
-    sub.add_argument("--n", type=int, help="side length (n1 = n2 = n)")
-    sub.add_argument("--r", type=int, help="target rank")
-    sub.add_argument("--s", type=_ints,
-                     help="subspace widths (or skew-compare ranks), "
-                          "comma separated")
-    sub.add_argument("--p-grid", dest="p_grid", type=_floats,
-                     help="sampling rates, comma separated")
-    sub.add_argument("--sigma", type=float, help="noise level")
-    sub.add_argument("--trials", type=int, help="trials per cell")
-    sub.add_argument("--seed", type=int, help="master seed")
-    sub.add_argument("--lambda", dest="lam", type=float,
-                     help="penalty weight (default: standard rule)")
-    sub.add_argument("--alpha", type=float,
-                     help="row-norm threshold (default: standard rule)")
-    sub.add_argument("--max-iters", dest="max_iters", type=int,
-                     help="gradient-step cap")
-    sub.add_argument("--out", help="output path (CSV, or text report "
-                                   "for diagnostics)")
-    sub.add_argument("--config", help="key = value config file; explicit "
-                                      "flags override it")
-
-
 def _build_config(args):
-    values = {}
-    if args.config:
-        values.update(read_config_file(args.config))
-        if "kind" in values and args.command != "single-solve":
-            raise ValueError(f"{args.config}: key 'kind' applies to "
-                             "single-solve only")
-    for key in _FIELD_PARSERS:
-        attr = "lam" if key == "lambda" else key
-        got = getattr(args, attr, None)
-        if got is not None:
-            values[key] = got
-    overrides = {}
-    if "n" in values:
-        overrides["n1"] = overrides["n2"] = values["n"]
-    if "r" in values:
-        overrides["r"] = values["r"]
-    if "s" in values:
-        overrides["sweep"] = values["s"]
-    for src, dst in (("p_grid", "p_grid"), ("sigma", "sigma"),
-                     ("trials", "trials"), ("seed", "master_seed"),
-                     ("lambda", "lam"), ("alpha", "alpha"),
-                     ("max_iters", "max_iters"), ("out", "out"),
-                     ("kind", "kind")):
-        if src in values:
-            overrides[dst] = values[src]
-    return default_config(args.command, **overrides)
+    values = read_config_file(args.config, args.command) if args.config else {}
+    values.update((key, value) for key, value in vars(args).items()
+                  if key in _KEYS and value is not None)
+    return default_config(args.command, **{
+        field: value for key, value in values.items()
+        for field in _KEYS[key][0]})
 
 
 def main(argv=None):
@@ -113,10 +99,12 @@ def main(argv=None):
     subs = parser.add_subparsers(dest="command", required=True)
     for name in EXPERIMENTS:
         sub = subs.add_parser(name)
-        _add_common(sub)
-        if name == "single-solve":
-            sub.add_argument("--kind", choices=KINDS,
-                             help="parameterization to solve with")
+        for key, (_, readers, flag) in _KEYS.items():
+            if name in readers:
+                sub.add_argument("--" + key.replace("_", "-"), dest=key,
+                                 **flag)
+        sub.add_argument("--config", help="key = value config file; explicit "
+                                          "flags override it")
     args = parser.parse_args(argv)
 
     try:
@@ -127,7 +115,7 @@ def main(argv=None):
 
     try:
         if config.experiment == "diagnostics":
-            text, ok = run_diagnostics(config, stream=None)
+            text, ok = run_diagnostics(config)
             sys.stdout.write(text)
             if config.out:
                 with open(config.out, "w") as fh:

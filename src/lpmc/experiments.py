@@ -83,6 +83,10 @@ class ExperimentConfig:
         if self.experiment == "single-solve" and len(self.sweep) > 1:
             raise ValueError("single-solve takes one sweep value; more would "
                              "repeat identical solves")
+        if self.experiment == "diagnostics" and (len(self.sweep) > 1
+                                                 or len(self.p_grid) > 1):
+            raise ValueError("diagnostics takes one sweep value and one "
+                             "p_grid value")
 
 
 def default_config(experiment, **overrides):
@@ -342,13 +346,12 @@ def _diag_instances(config, master):
                           rng.derive("skew"))]
 
 
-def run_diagnostics(config, stream=None):
+def run_diagnostics(config):
     """Run the invariant battery at desk scale and emit a key: value report.
 
     Returns (report text, ok flag); ok is False when a hard invariant
     (witness certificate, two-route curvature agreement, gap inequality,
-    deviation inequality) fails. The text is also written to stream when one
-    is given.
+    deviation inequality) fails.
     """
     master = RngState(config.master_seed)
     lines = []
@@ -423,7 +426,7 @@ def run_diagnostics(config, stream=None):
     emit("profile.sigma_bottom", f"{prof.sigma_bottom:.6e}")
     emit("profile.cond", f"{prof.cond:.6e}")
     emit("profile.incoherence", f"{prof.incoherence:.6e}")
-    spec = assemble(param, m_star, mask, noise)
+    # the last gap instance's spec holds the standard-rule lam and alpha
     tuning = tuning_conditions(prof, p, spec.lam, spec.alpha)
     emit("tuning.p", f"{tuning.p!r} floor {tuning.p_floor:.3e} "
                      f"binding {tuning.p_binding} ok {tuning.p_ok}")
@@ -449,7 +452,4 @@ def run_diagnostics(config, stream=None):
         ok = False
 
     emit("result", "PASS" if ok else "FAIL")
-    text = "\n".join(lines) + "\n"
-    if stream is not None:
-        stream.write(text)
-    return text, ok
+    return "\n".join(lines) + "\n", ok

@@ -33,18 +33,18 @@ def subspace_instance(n1, n2, r, s1, s2, rng, singular_values=None):
     return subspace_param(basis_u, basis_v, r), m_star
 
 
-def rectangular_instance(n1, n2, r, rng, scale=1.0):
+def rectangular_instance(n1, n2, r, rng):
     """Free-factor ground truth A B^T with Gaussian A, B."""
     gen = rng.generator()
-    a = scale * gen.standard_normal((n1, r)) / np.sqrt(r)
-    b = scale * gen.standard_normal((n2, r)) / np.sqrt(r)
+    a = gen.standard_normal((n1, r)) / np.sqrt(r)
+    b = gen.standard_normal((n2, r)) / np.sqrt(r)
     return rectangular_param(n1, n2, r), a @ b.T
 
 
-def psd_instance(n, r, rng, scale=1.0):
+def psd_instance(n, r, rng):
     """PSD ground truth A A^T with Gaussian A."""
     gen = rng.generator()
-    a = scale * gen.standard_normal((n, r)) / np.sqrt(r)
+    a = gen.standard_normal((n, r)) / np.sqrt(r)
     return psd_param(n, r), a @ a.T
 
 

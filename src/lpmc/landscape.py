@@ -50,15 +50,15 @@ class GroundTruthProfile:
     v_star: np.ndarray   # (n2, r)
 
 
-def ground_truth_profile(m_star, r, rank_rel_tol=1e-10):
+def ground_truth_profile(m_star, r):
     """Profile m_star at rank r.
 
     Raises RankError when the numerical rank of m_star falls below r
-    (sigma_r <= rank_rel_tol * sigma_1).
+    (sigma_r <= 1e-10 * sigma_1).
     """
     m = as_matrix(m_star, "m_star")
     dec = reduced_svd(m)
-    if dec.rank < r or dec.sigma[r - 1] <= rank_rel_tol * dec.sigma[0]:
+    if dec.rank < r or dec.sigma[r - 1] <= 1e-10 * dec.sigma[0]:
         have = dec.sigma[r - 1] / dec.sigma[0] if dec.rank >= r else 0.0
         raise RankError(f"m_star has numerical rank below r={r} "
                         f"(sigma_r/sigma_1 = {have:.3e})")
@@ -123,7 +123,7 @@ def param_curvature_gap(spec, theta, delta, step=1e-2):
 class GapReport:
     """Curvature gap at theta against witness xi, with its upper bound split
     into the four terms of the decomposition. The inequality to check is
-    gap_theta <= bound_total (up to tolerance); gap_theta and gap_factor
+    gap_theta <= bound_total (up to 1e-8 * scale); gap_theta and gap_factor
     agree up to the stencil error of the parameter-level route."""
 
     gap_theta: float
@@ -144,8 +144,8 @@ class GapReport:
                          abs(self.term_sampling), abs(self.term_penalty),
                          abs(self.term_noise))
 
-    def holds(self, tol=1e-8):
-        return self.gap_theta <= self.bound_total + tol * self.scale
+    def holds(self):
+        return self.gap_theta <= self.bound_total + 1e-8 * self.scale
 
 
 def curvature_gap_decomposition(spec, theta, xi, noise=None):
@@ -288,14 +288,14 @@ def tuning_conditions(profile, p, lam, alpha, c1=1.0, c2=1.0):
         alpha_ok=alpha_lo <= alpha <= 10.0 * alpha_lo)
 
 
-def mask_gap_norm(mask, p=None):
+def mask_gap_norm(mask):
     """Spectral norm of the mean-centered sampling indicator.
 
-    Centers by the model mean: Omega - pJ for the rectangular model and
-    Omega - p(J - I) for the pairwise symmetric model, whose diagonal is
-    never sampled.
+    Centers by the model mean, p = mask.nominal_p: Omega - pJ for the
+    rectangular model and Omega - p(J - I) for the pairwise symmetric model,
+    whose diagonal is never sampled.
     """
-    p = mask.nominal_p if p is None else p
+    p = mask.nominal_p
     g = mask.matrix.astype(np.float64) - p
     if mask.model == "symmetric-offdiag":
         g[np.diag_indices_from(g)] += p
@@ -305,21 +305,23 @@ def mask_gap_norm(mask, p=None):
 @dataclass(frozen=True)
 class DeviationCheck:
     """One instance of the sampled-inner-product deviation inequality:
-    lhs <= factor_bound <= sum_bound, all computed from the realized mask."""
+    lhs <= factor_bound <= sum_bound (each up to 1e-9 * (1 + sum_bound)), all
+    computed from the realized mask."""
 
     lhs: float
     factor_bound: float
     sum_bound: float
     gap_norm: float
 
-    def holds(self, tol=1e-9):
-        slack = tol * (1.0 + self.sum_bound)
+    def holds(self):
+        slack = 1e-9 * (1.0 + self.sum_bound)
         return (self.lhs <= self.factor_bound + slack
                 and self.factor_bound <= self.sum_bound + slack)
 
 
-def sampled_deviation_check(mask, a, b, c, d, p=None, gap_norm=None):
-    """Evaluate |<P(AC^T), BD^T> - p <AC^T, BD^T>| against its two bounds.
+def sampled_deviation_check(mask, a, b, c, d, gap_norm=None):
+    """Evaluate |<P(AC^T), BD^T> - p <AC^T, BD^T>| against its two bounds,
+    with p = mask.nominal_p.
 
     A, B have n1 rows, C, D have n2 rows. The mean term is taken over the
     model support (diagonal excluded for the pairwise symmetric model). The
@@ -328,9 +330,9 @@ def sampled_deviation_check(mask, a, b, c, d, p=None, gap_norm=None):
     with rows i, j and the centered indicator of mask_gap_norm; the second
     replaces the product of roots by half their squared sum.
     """
-    p = mask.nominal_p if p is None else p
+    p = mask.nominal_p
     if gap_norm is None:
-        gap_norm = mask_gap_norm(mask, p)
+        gap_norm = mask_gap_norm(mask)
     ac, bd = a @ c.T, b @ d.T
     pac = project_observed(ac, mask)
     mean_ip = float(np.vdot(ac, bd))
@@ -398,13 +400,14 @@ class ConcentrationReport:
         return max(abs(q - 1.0) for q in self.energy_ratios)
 
 
-def concentration_report(mask, rng, tuples=10, r=3, p=None):
+def concentration_report(mask, rng, tuples=10, r=3):
     """Spot-check the deviation inequality on random factor tuples and
     report the mask spectral gap, count concentration, and sampled-energy
     ratios (1/p)||P_Omega(M)||^2 / ||M||^2 over random rank-2r tangent
-    matrices M = U G^T + H V^T of a random rank-r frame pair."""
-    p = mask.nominal_p if p is None else p
-    gap = mask_gap_norm(mask, p)
+    matrices M = U G^T + H V^T of a random rank-r frame pair, with
+    p = mask.nominal_p."""
+    p = mask.nominal_p
+    gap = mask_gap_norm(mask)
     gen = rng.generator()
     checks = []
     for _ in range(tuples):
@@ -412,7 +415,7 @@ def concentration_report(mask, rng, tuples=10, r=3, p=None):
         b = gen.standard_normal((mask.rows, r))
         c = gen.standard_normal((mask.cols, r))
         d = gen.standard_normal((mask.cols, r))
-        checks.append(sampled_deviation_check(mask, a, b, c, d, p, gap))
+        checks.append(sampled_deviation_check(mask, a, b, c, d, gap))
     ratios = []
     if p > 0.0:
         uf, _ = np.linalg.qr(gen.standard_normal((mask.rows, r)))

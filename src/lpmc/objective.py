@@ -19,7 +19,7 @@ use the same closed forms; everything is exact, including the penalty terms
 Below an observed fraction of _ENTRY_KERNEL_BELOW the value and gradient
 evaluate the fit term on the spec's observed entries (rows, cols, vals)
 alone; at or above it they use dense n1 x n2 mask arithmetic. The curvature
-and the specialized forms are always dense.
+is always dense.
 """
 
 from dataclasses import dataclass, field
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import as_matrix
-from .parameterization import adjoint, factors, theta_blocks
+from .parameterization import adjoint, factors
 from .sampling import ObservationMask, observed_fraction, project_observed
 
 
@@ -209,40 +209,3 @@ def objective_grad(spec, theta):
     """Gradient of the theta-level objective, via the map's adjoint."""
     return adjoint(spec.param, *factor_grad(*factors(spec.param, theta), spec))
 
-
-# specialized closed forms, written directly in the parameter blocks; each
-# must agree with objective_value to rounding
-
-
-def subspace_objective_value(spec, theta):
-    if spec.param.kind != "subspace":
-        raise ValueError("spec is not a subspace instance")
-    ta, tb = theta_blocks(spec.param, theta)
-    bu, bv = spec.param.basis_u, spec.param.basis_v
-    resid = _mask_mult(spec, bu @ (ta @ tb.T) @ bv.T - spec.observed)
-    b = ta.T @ ta - tb.T @ tb
-    return (0.5 / spec.p_hat * float(np.vdot(resid, resid))
-            + 0.125 * float(np.vdot(b, b))
-            + spec.lam * (row_hinge_penalty(bu @ ta, spec.alpha)
-                          + row_hinge_penalty(bv @ tb, spec.alpha)))
-
-
-def skew_objective_value(spec, theta):
-    if spec.param.kind != "skew":
-        raise ValueError("spec is not a skew instance")
-    ta, tb = theta_blocks(spec.param, theta)
-    resid = _mask_mult(spec, ta @ tb.T - tb @ ta.T - spec.observed)
-    b = ta.T @ ta - tb.T @ tb
-    c = ta.T @ tb + tb.T @ ta
-    return (0.5 / spec.p_hat * float(np.vdot(resid, resid))
-            + 0.25 * float(np.vdot(b, b)) + 0.25 * float(np.vdot(c, c))
-            + 2.0 * spec.lam * row_hinge_penalty(np.hstack([tb, ta]), spec.alpha))
-
-
-def psd_objective_value(spec, theta):
-    if spec.param.kind != "psd":
-        raise ValueError("spec is not a psd instance")
-    (t,) = theta_blocks(spec.param, theta)
-    resid = _mask_mult(spec, t @ t.T - spec.observed)
-    return (0.5 / spec.p_hat * float(np.vdot(resid, resid))
-            + 2.0 * spec.lam * row_hinge_penalty(t, spec.alpha))

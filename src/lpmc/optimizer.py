@@ -1,10 +1,10 @@
 """Gradient descent with halving line search.
 
-Each iteration takes the step max(2^-k, min_step) where k is the smallest
-t >= 0 with f(theta - 2^-t grad) <= f(theta). With min_step = 1e-10 the
+Each iteration takes the step max(2^-k, MIN_STEP) where k is the smallest
+t >= 0 with f(theta - 2^-t grad) <= f(theta). With MIN_STEP = 1e-10 the
 distinct candidates are t = 0..33 (2^-34 < 1e-10); if none of them gives
-non-increase the clamp step min_step is taken unconditionally, which may
-increase the objective.
+non-increase the clamp step MIN_STEP is taken unconditionally, which may
+increase the objective. A solve stops once ||grad||^2 <= GRAD_TOL_SQ.
 """
 
 import time
@@ -17,17 +17,18 @@ from .objective import objective_grad, objective_value
 from .parameterization import factors
 from .sampling import RngState
 
+GRAD_TOL_SQ = 1e-10
+MIN_STEP = 1e-10
+
 
 @dataclass(frozen=True)
 class SolveConfig:
     seed: object = 0          # RngState or plain int
     max_iters: int = 500
-    grad_tol_sq: float = 1e-10
-    min_step: float = 1e-10
     init_scale: float = 1.0
 
     def __post_init__(self):
-        if self.max_iters < 1 or self.grad_tol_sq <= 0 or self.min_step <= 0:
+        if self.max_iters < 1:
             raise ValueError("bad solver configuration")
 
 
@@ -43,7 +44,7 @@ class SolveResult:
     wall_time: float
 
 
-def halving_line_search(spec, theta, grad, value=None, min_step=1e-10):
+def halving_line_search(spec, theta, grad, value=None):
     """Pick the step for one descent iteration.
 
     Returns (step, new_theta, new_value, clamped). value is f(theta) and is
@@ -53,21 +54,21 @@ def halving_line_search(spec, theta, grad, value=None, min_step=1e-10):
         value = objective_value(spec, theta)
     t = 0
     step = 1.0
-    while step > min_step:
+    while step > MIN_STEP:
         cand = theta - step * grad
         f_cand = objective_value(spec, cand)
         if f_cand <= value:
             return step, cand, f_cand, False
         t += 1
         step = 2.0 ** -t
-    cand = theta - min_step * grad
-    return min_step, cand, objective_value(spec, cand), True
+    cand = theta - MIN_STEP * grad
+    return MIN_STEP, cand, objective_value(spec, cand), True
 
 
 def solve(spec, config):
     """Run gradient descent on the theta-level objective.
 
-    Stops when ||grad||^2 <= grad_tol_sq or after max_iters gradient steps.
+    Stops when ||grad||^2 <= GRAD_TOL_SQ or after max_iters gradient steps.
     Raises NumericError (trace attached) if the objective turns non-finite.
     """
     if isinstance(config.seed, RngState):
@@ -86,25 +87,24 @@ def solve(spec, config):
     clamped = 0
     termination = "iter-cap"
     iterations = 0
-    grad_sq = None
     for _ in range(config.max_iters):
         grad = objective_grad(spec, theta)
         grad_sq = float(grad @ grad)
-        if grad_sq <= config.grad_tol_sq:
+        if grad_sq <= GRAD_TOL_SQ:
             termination = "grad-tol"
             break
         step, theta, value, was_clamped = halving_line_search(
-            spec, theta, grad, value, config.min_step)
+            spec, theta, grad, value)
         if not np.isfinite(value):
             raise NumericError("objective became non-finite",
                                best_estimate=trace + [value])
         clamped += was_clamped
         iterations += 1
         trace.append(value)
-    if grad_sq is None or termination == "iter-cap":
+    if termination == "iter-cap":
         grad = objective_grad(spec, theta)
         grad_sq = float(grad @ grad)
-        if grad_sq <= config.grad_tol_sq:
+        if grad_sq <= GRAD_TOL_SQ:
             termination = "grad-tol"
 
     x, y = factors(spec.param, theta)

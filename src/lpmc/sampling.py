@@ -18,12 +18,10 @@ from .linalg import as_matrix
 class RngState:
     seed: int
     path: tuple = ()
-    algorithm: str = "philox"
 
     def derive(self, *tags):
         """Child state extending the derivation path by the given tags."""
-        return RngState(self.seed, self.path + tuple(str(t) for t in tags),
-                        self.algorithm)
+        return RngState(self.seed, self.path + tuple(str(t) for t in tags))
 
     def _key(self):
         raw = "|".join([str(int(self.seed))] + list(self.path)).encode()

@@ -15,13 +15,13 @@ from lpmc.instances import (assemble, psd_instance, rectangular_instance,
 from lpmc.landscape import (curvature_gap_decomposition, factor_curvature_gap,
                             mask_gap_norm, param_curvature_gap,
                             sampled_deviation_check, witness_factor_properties)
-from lpmc.objective import (objective_grad, objective_value,
-                            psd_objective_value, skew_objective_value,
-                            subspace_objective_value)
+from lpmc.objective import objective_grad, objective_value
 from lpmc.optimizer import SolveConfig, solve
 from lpmc.parameterization import balanced_witness, x_of, y_of
 from lpmc.sampling import (RngState, bernoulli_mask, gaussian_noise,
                            symmetric_offdiag_mask)
+from specialized_forms import (psd_objective_value, skew_objective_value,
+                               subspace_objective_value)
 
 KINDS = ("subspace", "rectangular", "psd", "skew")
 

@@ -100,13 +100,35 @@ def test_negative_sigma_is_one_line_error():
     assert "sigma" in proc.stderr
 
 
-def test_kind_key_outside_single_solve_is_one_line_error(tmp_path):
-    path = tmp_path / "kind.cfg"
-    path.write_text("kind = psd\n")
-    proc = run_lpmc("subspace-phase", "--n", "12", "--s", "4", "--p-grid",
-                    "0.5", "--trials", "1", "--config", str(path))
+# small enough that a run that wrongly accepts the key ends in a second
+SMALL = {"subspace-phase": ("--n", "12", "--s", "4", "--p-grid", "0.5",
+                            "--trials", "1"),
+         "skew-compare": ("--n", "12", "--s", "2", "--p-grid", "0.5",
+                          "--trials", "1"),
+         "diagnostics": ()}
+
+
+@pytest.mark.parametrize("experiment, key, value", [
+    ("subspace-phase", "kind", "psd"),
+    ("skew-compare", "r", "9"),
+    ("diagnostics", "trials", "7"),
+    ("diagnostics", "lambda", "5"),
+    ("diagnostics", "alpha", "0.1"),
+    ("diagnostics", "max_iters", "3"),
+])
+def test_kind_key_outside_single_solve_is_one_line_error(tmp_path, experiment,
+                                                         key, value):
+    # a key the experiment does not read is an error, as a config key and
+    # as a flag
+    path = tmp_path / "key.cfg"
+    path.write_text(f"{key} = {value}\n")
+    proc = run_lpmc(experiment, *SMALL[experiment], "--config", str(path))
     assert_one_line_error(proc)
-    assert "kind" in proc.stderr
+    assert key in proc.stderr
+    flag = "--" + key.replace("_", "-")
+    proc = run_lpmc(experiment, *SMALL[experiment], flag, value)
+    assert_one_line_error(proc)
+    assert flag in proc.stderr
 
 
 def test_kind_flag_choices_are_the_kinds(capsys):
@@ -118,7 +140,7 @@ def test_kind_flag_choices_are_the_kinds(capsys):
 
 def test_failing_diagnostics_return_two(monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_diagnostics",
-                        lambda config, stream=None: ("result: FAIL\n", False))
+                        lambda config: ("result: FAIL\n", False))
     assert cli.main(["diagnostics"]) == 2
     capsys.readouterr()
 

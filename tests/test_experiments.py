@@ -34,6 +34,10 @@ def test_config_validation():
     with pytest.raises(ValueError):
         default_config("single-solve", sweep=(4, 6))
     with pytest.raises(ValueError):
+        default_config("diagnostics", sweep=(8, 4))
+    with pytest.raises(ValueError):
+        default_config("diagnostics", p_grid=(0.6, 0.1))
+    with pytest.raises(ValueError):
         tiny_phase(sigma=-0.5)
     with pytest.raises(ValueError):
         tiny_phase(sigma=float("nan"))
@@ -280,11 +284,3 @@ def test_diagnostics_noiseless_noise_lines_vanish():
     fields = dict(l.split(": ", 1) for l in text.splitlines())
     assert all(float(v) == 0.0 for v in fields["gap.noise_terms"].split())
     assert fields["noise.surrogate"].startswith("0.000000e+00")
-
-
-def test_diagnostics_writes_stream(tmp_path):
-    cfg = default_config("diagnostics", master_seed=6)
-    path = tmp_path / "report.txt"
-    with open(path, "w") as fh:
-        text, _ = run_diagnostics(cfg, stream=fh)
-    assert path.read_text() == text

@@ -9,11 +9,11 @@ from lpmc.instances import (observe, psd_instance, rectangular_instance,
 from lpmc.landscape import factor_curvature_gap, param_curvature_gap
 from lpmc.objective import (ObjectiveSpec, default_tuning, make_spec,
                             objective_grad, objective_value,
-                            psd_objective_value, row_hinge_penalty,
-                            row_hinge_penalty_grad, skew_objective_value,
-                            subspace_objective_value)
+                            row_hinge_penalty, row_hinge_penalty_grad)
 from lpmc.parameterization import balanced_witness, theta_blocks, x_of, y_of
 from lpmc.sampling import RngState, bernoulli_mask, project_observed
+from specialized_forms import (psd_objective_value, skew_objective_value,
+                               subspace_objective_value)
 
 
 # the two densities the value and gradient tests run at: the default one

@@ -131,10 +131,6 @@ def test_solve_iter_cap_termination():
 def test_config_validation():
     with pytest.raises(ValueError):
         SolveConfig(max_iters=0)
-    with pytest.raises(ValueError):
-        SolveConfig(grad_tol_sq=0.0)
-    with pytest.raises(ValueError):
-        SolveConfig(min_step=-1.0)
 
 
 def test_solve_raises_on_nonfinite_start():
