@@ -9,8 +9,9 @@ import argparse
 import sys
 
 from .errors import NumericError
-from .experiments import (EXPERIMENTS, default_config, run_diagnostics,
-                          run_experiment, render_csv, write_csv)
+from .experiments import (EXPERIMENTS, SETTINGS, default_config,
+                          run_diagnostics, run_experiment, render_csv,
+                          write_csv)
 from .parameterization import KINDS
 
 
@@ -29,37 +30,24 @@ def _floats(text):
     return tuple(float(v) for v in text.split(",") if v)
 
 
-_SOLVING = tuple(e for e in EXPERIMENTS if e != "diagnostics")
-
-# Every flag and config key, declared once: the ExperimentConfig fields it
-# sets, the experiments that read it, and its argparse settings. The flag is
-# --key with '_' written '-'; config files take either spelling.
-_KEYS = {
-    "n": (("n1", "n2"), EXPERIMENTS,
-          dict(type=int, help="side length (n1 = n2 = n)")),
-    "r": (("r",), tuple(e for e in EXPERIMENTS if e != "skew-compare"),
-          dict(type=int, help="target rank")),
-    "s": (("sweep",), EXPERIMENTS,
-          dict(type=_ints, help="subspace widths (or skew-compare ranks), "
-                                "comma separated")),
-    "p_grid": (("p_grid",), EXPERIMENTS,
-               dict(type=_floats, help="sampling rates, comma separated")),
-    "sigma": (("sigma",), EXPERIMENTS, dict(type=float, help="noise level")),
-    "trials": (("trials",), _SOLVING, dict(type=int, help="trials per cell")),
-    "seed": (("master_seed",), EXPERIMENTS,
-             dict(type=int, help="master seed")),
-    "lambda": (("lam",), _SOLVING,
-               dict(type=float,
-                    help="penalty weight (default: standard rule)")),
-    "alpha": (("alpha",), _SOLVING,
-              dict(type=float,
-                   help="row-norm threshold (default: standard rule)")),
-    "max_iters": (("max_iters",), _SOLVING,
-                  dict(type=int, help="gradient-step cap")),
-    "out": (("out",), EXPERIMENTS,
-            dict(help="output path (CSV, or text report for diagnostics)")),
-    "kind": (("kind",), ("single-solve",),
-             dict(choices=KINDS, help="parameterization to solve with")),
+# argparse settings of every key in experiments.SETTINGS, which says what
+# fields each key sets and which experiments take it
+_FLAGS = {
+    "n": dict(type=int, help="side length (n1 = n2 = n)"),
+    "r": dict(type=int, help="target rank"),
+    "s": dict(type=_ints, help="subspace widths (or skew-compare ranks), "
+                               "comma separated"),
+    "p_grid": dict(type=_floats, help="sampling rates, comma separated"),
+    "sigma": dict(type=float, help="noise level"),
+    "trials": dict(type=int, help="trials per cell"),
+    "seed": dict(type=int, help="master seed"),
+    "lambda": dict(type=float,
+                   help="penalty weight (default: standard rule)"),
+    "alpha": dict(type=float,
+                  help="row-norm threshold (default: standard rule)"),
+    "max_iters": dict(type=int, help="gradient-step cap"),
+    "out": dict(help="output path (CSV, or text report for diagnostics)"),
+    "kind": dict(choices=KINDS, help="parameterization to solve with"),
 }
 
 
@@ -76,20 +64,20 @@ def read_config_file(path, experiment):
                 raise ValueError(f"{path}:{ln}: expected 'key = value'")
             key, _, raw = body.partition("=")
             key = key.strip().replace("-", "_")
-            if key not in _KEYS or experiment not in _KEYS[key][1]:
+            if key not in SETTINGS or experiment not in SETTINGS[key][1]:
                 raise ValueError(f"{path}:{ln}: {experiment} takes no key "
                                  f"{key!r}")
-            values[key] = _KEYS[key][2].get("type", str)(raw.strip())
+            values[key] = _FLAGS[key].get("type", str)(raw.strip())
     return values
 
 
 def _build_config(args):
     values = read_config_file(args.config, args.command) if args.config else {}
     values.update((key, value) for key, value in vars(args).items()
-                  if key in _KEYS and value is not None)
+                  if key in SETTINGS and value is not None)
     return default_config(args.command, **{
         field: value for key, value in values.items()
-        for field in _KEYS[key][0]})
+        for field in SETTINGS[key][0]})
 
 
 def main(argv=None):
@@ -99,10 +87,10 @@ def main(argv=None):
     subs = parser.add_subparsers(dest="command", required=True)
     for name in EXPERIMENTS:
         sub = subs.add_parser(name)
-        for key, (_, readers, flag) in _KEYS.items():
+        for key, (_, readers) in SETTINGS.items():
             if name in readers:
                 sub.add_argument("--" + key.replace("_", "-"), dest=key,
-                                 **flag)
+                                 **_FLAGS[key])
         sub.add_argument("--config", help="key = value config file; explicit "
                                           "flags override it")
     args = parser.parse_args(argv)

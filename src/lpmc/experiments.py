@@ -27,7 +27,7 @@ parsing them back is lossless.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -50,6 +50,46 @@ EXPERIMENTS = ("subspace-noisy", "subspace-phase", "skew-compare",
 SUCCESS_REL_ERR = 1e-3     # unsquared relative Frobenius error
 
 
+_SOLVING = tuple(e for e in EXPERIMENTS if e != "diagnostics")
+
+# Every setting, declared once: its key (the CLI flag is --key with '_'
+# written '-'; config files take either spelling), the ExperimentConfig
+# fields it sets, and the experiments that read them. An experiment that
+# does not read a field takes it only at that experiment's default.
+SETTINGS = {
+    "n": (("n1", "n2"), EXPERIMENTS),
+    "r": (("r",), tuple(e for e in EXPERIMENTS if e != "skew-compare")),
+    "s": (("sweep",), EXPERIMENTS),
+    "p_grid": (("p_grid",), EXPERIMENTS),
+    "sigma": (("sigma",), EXPERIMENTS),
+    "trials": (("trials",), _SOLVING),
+    "seed": (("master_seed",), EXPERIMENTS),
+    "lambda": (("lam",), _SOLVING),
+    "alpha": (("alpha",), _SOLVING),
+    "max_iters": (("max_iters",), _SOLVING),
+    "out": (("out",), EXPERIMENTS),
+    "kind": (("kind",), ("single-solve",)),
+}
+
+# Full-scale defaults of each experiment; fields left out take the
+# ExperimentConfig default.
+_DEFAULTS = {
+    "subspace-noisy": dict(n1=500, n2=500, r=2, sweep=(10, 20, 30, 40),
+                           p_grid=tuple(k * 0.005 for k in range(1, 21)),
+                           sigma=1.0 / 500.0, trials=10),
+    "subspace-phase": dict(n1=500, n2=500, r=2, sweep=(10, 20, 30, 40),
+                           p_grid=tuple(k * 1e-4 for k in range(1, 21)),
+                           sigma=0.0, trials=10),
+    "skew-compare": dict(n1=500, n2=500, r=4, sweep=(4, 10, 20),
+                         p_grid=tuple(k * 0.01 for k in range(1, 21)),
+                         sigma=0.0, trials=10),
+    "single-solve": dict(n1=60, n2=60, r=2, sweep=(6,), p_grid=(0.3,),
+                         sigma=0.0, trials=1),
+    "diagnostics": dict(n1=24, n2=24, r=2, sweep=(8,), p_grid=(0.6,),
+                        sigma=0.02, trials=1),
+}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     experiment: str
@@ -70,6 +110,12 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
+        defaults = {f.name: f.default for f in fields(self)}
+        defaults.update(_DEFAULTS[self.experiment])
+        for key, (names, readers) in SETTINGS.items():
+            if self.experiment not in readers and any(
+                    getattr(self, name) != defaults[name] for name in names):
+                raise ValueError(f"{self.experiment} takes no key {key!r}")
         if not self.p_grid or not all(0.0 < p <= 1.0 for p in self.p_grid):
             raise ValueError("p_grid values must lie in (0, 1]")
         if self.trials < 1:
@@ -91,32 +137,10 @@ class ExperimentConfig:
 
 def default_config(experiment, **overrides):
     """Full-scale defaults for each sweep; overrides replace fields."""
-    if experiment == "subspace-noisy":
-        base = ExperimentConfig(
-            experiment, 500, 500, 2, sweep=(10, 20, 30, 40),
-            p_grid=tuple(k * 0.005 for k in range(1, 21)),
-            sigma=1.0 / 500.0, trials=10)
-    elif experiment == "subspace-phase":
-        base = ExperimentConfig(
-            experiment, 500, 500, 2, sweep=(10, 20, 30, 40),
-            p_grid=tuple(k * 1e-4 for k in range(1, 21)),
-            sigma=0.0, trials=10)
-    elif experiment == "skew-compare":
-        base = ExperimentConfig(
-            experiment, 500, 500, 4, sweep=(4, 10, 20),
-            p_grid=tuple(k * 0.01 for k in range(1, 21)),
-            sigma=0.0, trials=10)
-    elif experiment == "single-solve":
-        base = ExperimentConfig(
-            experiment, 60, 60, 2, sweep=(6,), p_grid=(0.3,),
-            sigma=0.0, trials=1)
-    elif experiment == "diagnostics":
-        base = ExperimentConfig(
-            experiment, 24, 24, 2, sweep=(8,), p_grid=(0.6,),
-            sigma=0.02, trials=1)
-    else:
+    if experiment not in _DEFAULTS:
         raise ValueError(f"unknown experiment {experiment!r}")
-    return replace(base, **overrides) if overrides else base
+    return ExperimentConfig(experiment,
+                            **dict(_DEFAULTS[experiment], **overrides))
 
 
 @dataclass(frozen=True)

@@ -18,11 +18,19 @@ use the same closed forms; everything is exact, including the penalty terms
 
 Below an observed fraction of _ENTRY_KERNEL_BELOW the value and gradient
 evaluate the fit term on the spec's observed entries (rows, cols, vals)
-alone; at or above it they use dense n1 x n2 mask arithmetic. The curvature
-is always dense.
+alone; at or above it they use dense n1 x n2 mask arithmetic, with the
+masked residual built in one buffer. The curvature is always dense.
+
+A value can hand back its Evaluation (objective_value(..., keep=True)): the
+factors, the fit residual and the balance matrix at that point. The gradient
+at the same point takes it and only adds the products, so a descent that
+accepts a line-search candidate never builds its residual twice. The dense
+residual can also be written into a caller's buffer (out), which lets a
+descent allocate it once per solve.
 """
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,16 +45,19 @@ def default_tuning(n1, n2, p_hat):
 
 
 # Observed fraction below which the fit term runs on the observed entries.
-# Value / gradient in us at n1 = n2 = 500, one BLAS thread, 2-vCPU shared KVM
-# guest, best of 60, dense -> entry kernel:
-#   r = 2,  p = 0.001:  921 /  946  ->   64 /  120
-#   r = 2,  p = 0.03:   905 / 1014  ->  415 /  681
-#   r = 20, p = 0.03:   869 / 1503  ->  393 / 1944
-#   r = 20, p = 0.05:   868 / 2057  ->  860 / 3907
-#   r = 2,  p = 0.2:    875 /  971  -> 2520 / 4141
-# A descent iteration evaluates the value about three times per gradient, so
-# the entry kernel wins up to p = 0.03 at every rank up to 20 and loses at
-# p = 0.05 from r = 10 on.
+# Value / gradient from the value's Evaluation in us, then one descent
+# iteration (2.3 values and a gradient, as on the benchmark's sweeps), dense
+# -> entry kernel, at n1 = n2 = 500 (skew), one BLAS thread, 2-vCPU shared
+# KVM guest, best of 60 in two runs:
+#   r = 2,  p = 0.001:  555 /  149  ->   52 /   69    1426 ->  189
+#   r = 2,  p = 0.03:   545 /  148  ->  266 /  196    1402 ->  808
+#   r = 20, p = 0.03:   711 /  793  ->  434 / 1828    2428 -> 2826
+#   r = 20, p = 0.05:   863 / 1053  ->  911 / 3234    3038 -> 5329
+#   r = 2,  p = 0.2:    671 /  219  -> 1434 / 1301    1762 -> 4599
+# With the residual shared between value and gradient, the entry kernel's
+# scatter dominates its gradient, so it breaks even near p = 0.06 at r = 2
+# but near p = 0.027 at r = 20. The threshold stays at 0.03: moving it
+# changes which kernel, and so which rounding, a cell runs with.
 _ENTRY_KERNEL_BELOW = 0.03
 
 
@@ -133,8 +144,12 @@ def row_hinge_penalty_curvature(x, dx, alpha):
     return float(np.sum(12.0 * s ** 2 * radial + 4.0 * s ** 3 * (dsq - radial) / na))
 
 
-def _mask_mult(spec, a):
-    return a * spec.mask.matrix
+def _masked_residual(x, y, spec, out=None):
+    """P(X Y^T - M), built in one n1 x n2 buffer: out when given."""
+    t = np.matmul(x, y.T, out=out)
+    t -= spec.observed
+    np.multiply(t, spec.mask.matrix, out=t)
+    return t
 
 
 def _entry_residual(x, y, spec):
@@ -149,32 +164,52 @@ def _scatter(index, weights, n):
                             for w in weights.T])
 
 
-def factor_value(x, y, spec):
-    """f(X, Y) at explicit factors."""
+class Evaluation(NamedTuple):
+    """f at one point, with the terms its gradient reuses: the factors, the
+    fit residual (the dense masked matrix, or (resid, xr, yc) on the
+    observed entries) and the balance matrix X^T X - Y^T Y."""
+
+    value: float
+    x: np.ndarray
+    y: np.ndarray
+    resid: object
+    balance: np.ndarray
+
+
+def _fit_terms(x, y, spec, out=None):
+    """The fit residual and the balance matrix at (X, Y)."""
     if spec.p_hat < _ENTRY_KERNEL_BELOW:
-        resid = _entry_residual(x, y, spec)[0]
+        resid = _entry_residual(x, y, spec)
     else:
-        resid = _mask_mult(spec, x @ y.T - spec.observed)
-    fit = 0.5 / spec.p_hat * float(np.vdot(resid, resid))
-    b = x.T @ x - y.T @ y
+        resid = _masked_residual(x, y, spec, out)
+    return resid, x.T @ x - y.T @ y
+
+
+def _evaluate(x, y, spec, out=None):
+    """The Evaluation of f at explicit factors."""
+    resid, b = _fit_terms(x, y, spec, out)
+    r = resid[0] if spec.p_hat < _ENTRY_KERNEL_BELOW else resid
+    fit = 0.5 / spec.p_hat * float(np.vdot(r, r))
     bal = 0.125 * float(np.vdot(b, b))
     reg = 0.0
     if spec.lam:
         reg = spec.lam * (row_hinge_penalty(x, spec.alpha)
                           + row_hinge_penalty(y, spec.alpha))
-    return fit + bal + reg
+    return Evaluation(fit + bal + reg, x, y, resid, b)
 
 
-def factor_grad(x, y, spec):
-    """Gradients of f with respect to X and Y."""
+def factor_value(x, y, spec):
+    """f(X, Y) at explicit factors."""
+    return _evaluate(x, y, spec).value
+
+
+def _factor_grad(x, y, resid, b, spec):
     if spec.p_hat < _ENTRY_KERNEL_BELOW:
-        resid, xr, yc = _entry_residual(x, y, spec)
+        resid, xr, yc = resid
         fit_x = _scatter(spec.rows, resid[:, None] * yc, x.shape[0])
         fit_y = _scatter(spec.cols, resid[:, None] * xr, y.shape[0])
     else:
-        resid = _mask_mult(spec, x @ y.T - spec.observed)
         fit_x, fit_y = resid @ y, resid.T @ x
-    b = x.T @ x - y.T @ y
     gx = (1.0 / spec.p_hat) * fit_x + 0.5 * (x @ b)
     gy = (1.0 / spec.p_hat) * fit_y - 0.5 * (y @ b)
     if spec.lam:
@@ -183,10 +218,16 @@ def factor_grad(x, y, spec):
     return gx, gy
 
 
+def factor_grad(x, y, spec):
+    """Gradients of f with respect to X and Y."""
+    return _factor_grad(x, y, *_fit_terms(x, y, spec), spec)
+
+
 def factor_curvature(x, y, dx, dy, spec):
     """Hessian quadratic form of f at (X, Y) along (DX, DY), in closed form."""
-    resid = _mask_mult(spec, x @ y.T - spec.observed)
-    lin = _mask_mult(spec, dx @ y.T + x @ dy.T)
+    resid = _masked_residual(x, y, spec)
+    lin = dx @ y.T + x @ dy.T
+    np.multiply(lin, spec.mask.matrix, out=lin)
     fit = (1.0 / spec.p_hat) * (float(np.vdot(lin, lin))
                                 + 2.0 * float(np.vdot(resid, dx @ dy.T)))
     b = x.T @ x - y.T @ y
@@ -200,12 +241,21 @@ def factor_curvature(x, y, dx, dy, spec):
     return fit + bal + reg
 
 
-def objective_value(spec, theta):
-    """f composed with the parameterization's factor map."""
-    return factor_value(*factors(spec.param, theta), spec)
+def objective_value(spec, theta, keep=False, out=None):
+    """f composed with the parameterization's factor map; with keep=True the
+    whole Evaluation, which objective_grad at the same theta can reuse. out,
+    an n1 x n2 float array, takes the dense kernel's residual instead of a
+    new array."""
+    ev = _evaluate(*factors(spec.param, theta), spec, out)
+    return ev if keep else ev.value
 
 
-def objective_grad(spec, theta):
-    """Gradient of the theta-level objective, via the map's adjoint."""
-    return adjoint(spec.param, *factor_grad(*factors(spec.param, theta), spec))
-
+def objective_grad(spec, theta, ev=None):
+    """Gradient of the theta-level objective, via the map's adjoint. Given
+    ev, the Evaluation at theta, it reuses ev's factors, residual and
+    balance matrix instead of building them again."""
+    if ev is None:
+        grad = factor_grad(*factors(spec.param, theta), spec)
+    else:
+        grad = _factor_grad(ev.x, ev.y, ev.resid, ev.balance, spec)
+    return adjoint(spec.param, *grad)

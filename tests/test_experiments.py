@@ -43,6 +43,34 @@ def test_config_validation():
         tiny_phase(sigma=float("nan"))
 
 
+@pytest.mark.parametrize("experiment, key, fields", [
+    ("subspace-phase", "kind", dict(kind="psd")),
+    ("skew-compare", "kind", dict(kind="skew")),
+    ("diagnostics", "kind", dict(kind="rectangular")),
+    ("skew-compare", "r", dict(r=9)),
+    ("diagnostics", "trials", dict(trials=7)),
+    ("diagnostics", "lambda", dict(lam=5.0)),
+    ("diagnostics", "alpha", dict(alpha=0.1)),
+    ("diagnostics", "max_iters", dict(max_iters=3)),
+])
+def test_config_rejects_fields_the_experiment_ignores(experiment, key,
+                                                      fields):
+    # the library gives the error the CLI gives for the same key
+    with pytest.raises(ValueError) as exc:
+        default_config(experiment, **fields)
+    assert str(exc.value) == f"{experiment} takes no key {key!r}"
+
+
+def test_config_takes_ignored_fields_at_their_defaults():
+    # the benchmark's configs spell out default values of fields their
+    # experiment does not read
+    assert default_config("skew-compare", r=4).r == 4
+    assert default_config("diagnostics", n1=24, n2=24, r=2, sweep=(8,),
+                          p_grid=(0.6,), sigma=0.02, trials=1,
+                          max_iters=500, kind="subspace") == (
+        default_config("diagnostics"))
+
+
 def test_config_defaults_and_overrides():
     cfg = default_config("single-solve")
     assert cfg.n1 == cfg.n2 == 60 and cfg.trials == 1

@@ -4,39 +4,16 @@ import numpy as np
 import pytest
 
 import lpmc.objective as objective
-from lpmc.instances import (observe, psd_instance, rectangular_instance,
-                            skew_instance, subspace_instance)
+from lpmc.instances import rectangular_instance
 from lpmc.landscape import factor_curvature_gap, param_curvature_gap
 from lpmc.objective import (ObjectiveSpec, default_tuning, make_spec,
                             objective_grad, objective_value,
                             row_hinge_penalty, row_hinge_penalty_grad)
 from lpmc.parameterization import balanced_witness, theta_blocks, x_of, y_of
-from lpmc.sampling import RngState, bernoulli_mask, project_observed
-from specialized_forms import (psd_objective_value, skew_objective_value,
+from lpmc.sampling import RngState, bernoulli_mask
+from specialized_forms import (DENSE, SPARSE, noiseless_spec,
+                               psd_objective_value, skew_objective_value,
                                subspace_objective_value)
-
-
-# the two densities the value and gradient tests run at: the default one
-# takes the dense kernel, the sparse one the observed-entry kernel, at sizes
-# that leave about a hundred entries observed
-DENSE = {}
-SPARSE = dict(p=0.01, scale=10)
-
-
-def noiseless_spec(kind, seed, p=0.7, lam=None, alpha=None, scale=1):
-    rng = RngState(seed).derive("spec", kind)
-    if kind == "subspace":
-        param, m_star = subspace_instance(15 * scale, 12 * scale, 2, 5, 4,
-                                          rng.derive("i"))
-    elif kind == "rectangular":
-        param, m_star = rectangular_instance(12 * scale, 10 * scale, 2,
-                                             rng.derive("i"))
-    elif kind == "psd":
-        param, m_star = psd_instance(11 * scale, 2, rng.derive("i"))
-    else:
-        param, m_star = skew_instance(10 * scale, 4, rng.derive("i"))
-    mask = bernoulli_mask(m_star.shape[0], m_star.shape[1], p, rng.derive("o"))
-    return make_spec(param, mask, observe(m_star, mask), lam, alpha), m_star
 
 
 def naive_value(spec, theta):

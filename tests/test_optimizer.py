@@ -3,12 +3,16 @@
 import numpy as np
 import pytest
 
+import lpmc.objective as objective
+import lpmc.optimizer as optimizer
 from lpmc.errors import NumericError
 from lpmc.instances import (assemble, rectangular_instance, subspace_instance)
 from lpmc.objective import objective_grad, objective_value
-from lpmc.optimizer import (SolveConfig, halving_line_search, solve)
-from lpmc.parameterization import balanced_witness
+from lpmc.optimizer import (MIN_STEP, SolveConfig, halving_line_search,
+                            solve)
+from lpmc.parameterization import balanced_witness, factors
 from lpmc.sampling import RngState, bernoulli_mask
+from specialized_forms import DENSE, SPARSE, noiseless_spec, reference_solve
 
 
 def small_problem(seed, n1=12, n2=10, r=2, p=0.8, lam=0.1, alpha=2.0):
@@ -27,12 +31,14 @@ def test_line_search_picks_first_nonincreasing_halving():
         theta = gen.standard_normal(spec.param.d)
         value = objective_value(spec, theta)
         grad = objective_grad(spec, theta)
-        step, cand, f_cand, clamped = halving_line_search(spec, theta, grad, value)
+        step, cand, ev, clamped, candidates = halving_line_search(
+            spec, theta, grad, value)
         if clamped:
             assert step == 1e-10
             continue
-        assert f_cand <= value
+        assert ev.value <= value
         assert np.allclose(cand, theta - step * grad)
+        assert step == 2.0 ** (1 - candidates)
         if step < 1.0:
             # the next larger candidate must have been rejected
             assert objective_value(spec, theta - 2 * step * grad) > value
@@ -42,11 +48,11 @@ def test_line_search_zero_gradient_takes_full_step():
     spec, _ = small_problem(1)
     theta = np.zeros(spec.param.d)
     value = objective_value(spec, theta)
-    step, cand, f_cand, clamped = halving_line_search(
+    step, cand, ev, clamped, candidates = halving_line_search(
         spec, theta, np.zeros(spec.param.d), value)
-    assert step == 1.0 and not clamped
+    assert step == 1.0 and not clamped and candidates == 1
     assert np.array_equal(cand, theta)
-    assert f_cand == value
+    assert ev.value == value
 
 
 def test_line_search_clamps_at_global_minimum():
@@ -55,10 +61,50 @@ def test_line_search_clamps_at_global_minimum():
     spec, m_star = small_problem(2, lam=0.0, alpha=np.inf)
     cert = balanced_witness(spec.param, np.zeros(spec.param.d), m_star)
     fake = np.ones(spec.param.d)
-    step, cand, f_cand, clamped = halving_line_search(spec, cert.xi, fake)
+    step, cand, ev, clamped, candidates = halving_line_search(
+        spec, cert.xi, fake)
     assert clamped
     assert step == 1e-10
-    assert f_cand >= objective_value(spec, cert.xi)
+    assert candidates == 35     # t = 0..33, then the clamp step
+    assert ev.value >= objective_value(spec, cert.xi)
+
+
+def _same_evaluation(spec, ev, theta):
+    fresh = objective_value(spec, theta, keep=True)
+    assert ev.value == fresh.value
+    x, y = factors(spec.param, theta)
+    assert np.array_equal(ev.x, x) and np.array_equal(ev.y, y)
+    assert np.array_equal(ev.balance, fresh.balance)
+    if isinstance(ev.resid, tuple):     # (resid, xr, yc), entry kernel
+        assert all(map(np.array_equal, ev.resid, fresh.resid))
+    else:
+        assert np.array_equal(ev.resid, fresh.resid)
+    assert np.array_equal(objective_grad(spec, theta, ev),
+                          objective_grad(spec, theta))
+
+
+def test_line_search_returns_evaluation_at_candidate():
+    # the record the search hands back must be the one a fresh evaluation
+    # at the accepted point builds, on both kernels and both branches, also
+    # when the dense residuals go into a caller's buffer
+    gen = np.random.default_rng(11)
+    for density in (DENSE, SPARSE):
+        spec, m_star = noiseless_spec("rectangular", 41, lam=0.0,
+                                      alpha=np.inf, **density)
+        dense = spec.p_hat >= objective._ENTRY_KERNEL_BELOW
+        theta = gen.standard_normal(spec.param.d)
+        grad = objective_grad(spec, theta)
+        xi = balanced_witness(spec.param, theta, m_star).xi
+        for out in (None, np.empty(spec.observed.shape)):
+            _, cand, ev, clamped, _ = halving_line_search(spec, theta, grad,
+                                                          out=out)
+            assert not clamped
+            _same_evaluation(spec, ev, cand)
+            _, cand, ev, clamped, _ = halving_line_search(
+                spec, xi, np.ones(spec.param.d), out=out)
+            assert clamped and np.array_equal(cand, xi - MIN_STEP)
+            _same_evaluation(spec, ev, cand)
+            assert (ev.resid is out) == (dense and out is not None)
 
 
 # --------------------------------------------------------------------- solver
@@ -119,6 +165,57 @@ def test_solve_recovers_subspace_instances():
         rel = np.linalg.norm(result.m_hat - m_star) / np.linalg.norm(m_star)
         hits += rel <= 1e-3
     assert hits >= 8
+
+
+@pytest.mark.parametrize("density", [DENSE, SPARSE],
+                         ids=["dense", "entry"])
+@pytest.mark.parametrize("kind", ["skew", "rectangular"])
+def test_solve_matches_fresh_evaluation_reference(kind, density):
+    # reusing the accepted candidate's evaluation for the next gradient
+    # changes no arithmetic, so every output is bitwise the reference's
+    spec, _ = noiseless_spec(kind, 43, **density)
+    for seed, max_iters in ((1, 400), (2, 3)):
+        config = SolveConfig(seed=seed, max_iters=max_iters)
+        result = solve(spec, config)
+        trace, theta, iterations, termination, clamped = reference_solve(
+            spec, config)
+        assert result.objective_trace.tobytes() == trace.tobytes()
+        assert result.theta_hat.tobytes() == theta.tobytes()
+        assert (result.iterations, result.termination,
+                result.clamped_steps) == (iterations, termination, clamped)
+
+
+def test_solve_counts_its_evaluations(monkeypatch):
+    spec, _ = small_problem(12)
+    calls = {"value": 0, "grad": 0}
+    per_search = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def line_search(*args):
+        before = calls["value"]
+        out = search(*args)
+        per_search.append(calls["value"] - before)
+        return out
+
+    search = optimizer.halving_line_search
+    monkeypatch.setattr(optimizer, "objective_value",
+                        counted("value", optimizer.objective_value))
+    monkeypatch.setattr(optimizer, "objective_grad",
+                        counted("grad", optimizer.objective_grad))
+    monkeypatch.setattr(optimizer, "halving_line_search", line_search)
+    for max_iters in (5, 500):
+        calls.update(value=0, grad=0)
+        per_search.clear()
+        result = solve(spec, SolveConfig(seed=4, max_iters=max_iters))
+        assert len(per_search) == result.iterations
+        assert result.value_evals == 1 + sum(per_search) == calls["value"]
+        assert result.grad_evals == result.iterations + 1 == calls["grad"]
+    assert result.termination == "grad-tol"
 
 
 def test_solve_iter_cap_termination():
