@@ -126,6 +126,15 @@ class ExperimentConfig:
             raise ValueError("sweep must be nonempty")
         if self.kind not in KINDS:
             raise ValueError(f"unknown kind {self.kind!r}")
+        # these build only n1 x n1 matrices, so a different n2 would be
+        # ignored (kind is left at its default outside single-solve)
+        if self.n2 != self.n1 and (
+                self.experiment in ("diagnostics", "skew-compare")
+                or self.kind in ("psd", "skew")):
+            what = (f"kind {self.kind!r}" if self.kind in ("psd", "skew")
+                    else self.experiment)
+            raise ValueError(f"{what} builds square matrices: n2={self.n2} "
+                             f"must equal n1={self.n1}")
         if self.experiment == "single-solve" and len(self.sweep) > 1:
             raise ValueError("single-solve takes one sweep value; more would "
                              "repeat identical solves")

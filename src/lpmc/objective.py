@@ -21,12 +21,22 @@ evaluate the fit term on the spec's observed entries (rows, cols, vals)
 alone; at or above it they use dense n1 x n2 mask arithmetic, with the
 masked residual built in one buffer. The curvature is always dense.
 
+G needs at most one row-norm pass per factor and point. Every row norm is at
+most ||X||_F, so while ||X||_F^2 lies below alpha^2 by a relative margin of
+1e-8 (room for the rounding of both sums up to n r of about 1e7), G and its
+derivatives vanish and no row pass runs; at alpha = 100 that is almost every
+evaluation of the benchmark's sweeps. Otherwise one pass finds the rows
+beyond alpha and keeps their norms and excesses, which the gradient and the
+curvature read. The value, gradient and curvature, and the public
+row_hinge_penalty functions, all share that one implementation.
+
 A value can hand back its Evaluation (objective_value(..., keep=True)): the
-factors, the fit residual and the balance matrix at that point. The gradient
-at the same point takes it and only adds the products, so a descent that
-accepts a line-search candidate never builds its residual twice. The dense
-residual can also be written into a caller's buffer (out), which lets a
-descent allocate it once per solve.
+factors, the fit residual, the balance matrix and the row hinges of both
+factors at that point. The gradient at the same point takes it and only adds
+the products, and the penalty term only for a factor with a row beyond
+alpha, so a descent that accepts a line-search candidate never builds its
+residual or its row norms twice. The dense residual can also be written into
+a caller's buffer (out), which lets a descent allocate it once per solve.
 """
 
 from dataclasses import dataclass, field
@@ -47,17 +57,20 @@ def default_tuning(n1, n2, p_hat):
 # Observed fraction below which the fit term runs on the observed entries.
 # Value / gradient from the value's Evaluation in us, then one descent
 # iteration (2.3 values and a gradient, as on the benchmark's sweeps), dense
-# -> entry kernel, at n1 = n2 = 500 (skew), one BLAS thread, 2-vCPU shared
-# KVM guest, best of 60 in two runs:
-#   r = 2,  p = 0.001:  555 /  149  ->   52 /   69    1426 ->  189
-#   r = 2,  p = 0.03:   545 /  148  ->  266 /  196    1402 ->  808
-#   r = 20, p = 0.03:   711 /  793  ->  434 / 1828    2428 -> 2826
-#   r = 20, p = 0.05:   863 / 1053  ->  911 / 3234    3038 -> 5329
-#   r = 2,  p = 0.2:    671 /  219  -> 1434 / 1301    1762 -> 4599
+# -> entry kernel, at n1 = n2 = 500 (skew), at a standard normal theta (no
+# row near alpha = 100, so the Frobenius test skips the row hinge), one BLAS
+# thread, 2-vCPU shared KVM guest, best of 60 calls in each of six runs:
+#   r = 2,  p = 0.001:  578 /  131  ->   36 /   42    1460 ->  125
+#   r = 2,  p = 0.03:   556 /  121  ->  253 /  172    1400 ->  754
+#   r = 20, p = 0.03:   728 /  740  ->  405 / 1515    2414 -> 2446
+#   r = 20, p = 0.05:   707 /  739  ->  708 / 2663    2365 -> 4291
+#   r = 2,  p = 0.2:    522 /  118  -> 1487 / 1289    1319 -> 4709
 # With the residual shared between value and gradient, the entry kernel's
-# scatter dominates its gradient, so it breaks even near p = 0.06 at r = 2
-# but near p = 0.027 at r = 20. The threshold stays at 0.03: moving it
-# changes which kernel, and so which rounding, a cell runs with.
+# scatter dominates its gradient. Measured at p = 0.02-0.08, it breaks even
+# near p = 0.045 at r = 2 but near p = 0.028 at r = 20 (the hinge costs both
+# kernels alike, so skipping it moved neither point). The threshold stays at
+# 0.03: moving it changes which kernel, and so which rounding, a cell runs
+# with.
 _ENTRY_KERNEL_BELOW = 0.03
 
 
@@ -113,31 +126,60 @@ def make_spec(param, mask, observed, lam=None, alpha=None):
                          alpha_d if alpha is None else float(alpha))
 
 
+class _RowHinge(NamedTuple):
+    """G at one factor, with what its derivatives read: the rows with
+    ||x_i|| > alpha (a boolean mask, None when there are none), their norms
+    and their excesses ||x_i|| - alpha."""
+
+    value: float
+    rows: np.ndarray
+    norms: np.ndarray
+    excess: np.ndarray
+
+
+_NO_HINGE = _RowHinge(0.0, None, None, None)
+
+
+def _row_hinge(x, alpha):
+    """G at x, from one row-norm pass at most."""
+    # every row norm is at most ||x||_F; the margin covers the rounding of
+    # both sums for n r up to about 1e7 (a negative alpha reaches every row)
+    if alpha > 0.0 and np.vdot(x, x) < alpha ** 2 * (1.0 - 1e-8):
+        return _NO_HINGE
+    norms = np.sqrt(np.einsum("ij,ij->i", x, x))
+    rows = norms > alpha
+    if not rows.any():
+        return _NO_HINGE
+    norms = norms[rows]
+    excess = norms - alpha
+    return _RowHinge(float(np.sum(excess ** 4)), rows, norms, excess)
+
+
+def _hinge_grad(x, hinge):
+    """The gradient of G at x from its _RowHinge."""
+    coef = np.zeros(x.shape[0])
+    if hinge.rows is not None:
+        coef[hinge.rows] = 4.0 * hinge.excess ** 3 / hinge.norms
+    return x * coef[:, None]
+
+
 def row_hinge_penalty(x, alpha):
     """G(x) = sum_i max(||x_i|| - alpha, 0)^4."""
-    norms = np.sqrt(np.einsum("ij,ij->i", x, x))
-    excess = norms - alpha
-    excess = excess[excess > 0.0]
-    return float(np.sum(excess ** 4))
+    return _row_hinge(x, alpha).value
 
 
 def row_hinge_penalty_grad(x, alpha):
     """Row i of the gradient: 4 max(||x_i|| - alpha, 0)^3 x_i / ||x_i||."""
-    norms = np.sqrt(np.einsum("ij,ij->i", x, x))
-    act = norms > alpha
-    coef = np.zeros(x.shape[0])
-    coef[act] = 4.0 * (norms[act] - alpha) ** 3 / norms[act]
-    return x * coef[:, None]
+    return _hinge_grad(x, _row_hinge(x, alpha))
 
 
 def row_hinge_penalty_curvature(x, dx, alpha):
     """Hessian quadratic form of G at x along dx (exact; G is C^2)."""
-    norms = np.sqrt(np.einsum("ij,ij->i", x, x))
-    act = norms > alpha
-    if not np.any(act):
+    hinge = _row_hinge(x, alpha)
+    if hinge.rows is None:
         return 0.0
-    xa, da, na = x[act], dx[act], norms[act]
-    s = na - alpha
+    xa, da = x[hinge.rows], dx[hinge.rows]
+    na, s = hinge.norms, hinge.excess
     cross = np.einsum("ij,ij->i", xa, da)
     dsq = np.einsum("ij,ij->i", da, da)
     radial = cross ** 2 / na ** 2
@@ -167,35 +209,44 @@ def _scatter(index, weights, n):
 class Evaluation(NamedTuple):
     """f at one point, with the terms its gradient reuses: the factors, the
     fit residual (the dense masked matrix, or (resid, xr, yc) on the
-    observed entries) and the balance matrix X^T X - Y^T Y."""
+    observed entries), the balance matrix X^T X - Y^T Y and the row hinges
+    of X and Y (neither with a row beyond alpha when lam = 0)."""
 
     value: float
     x: np.ndarray
     y: np.ndarray
     resid: object
     balance: np.ndarray
+    hinges: tuple
+
+    @property
+    def hinged(self):
+        """Whether the row penalty is active: some row beyond alpha."""
+        return any(h.rows is not None for h in self.hinges)
 
 
-def _fit_terms(x, y, spec, out=None):
-    """The fit residual and the balance matrix at (X, Y)."""
+def _terms(x, y, spec, out=None):
+    """The fit residual, the balance matrix and the row hinges at (X, Y)."""
     if spec.p_hat < _ENTRY_KERNEL_BELOW:
         resid = _entry_residual(x, y, spec)
     else:
         resid = _masked_residual(x, y, spec, out)
-    return resid, x.T @ x - y.T @ y
+    hinges = (_NO_HINGE, _NO_HINGE)
+    if spec.lam:
+        hinges = (_row_hinge(x, spec.alpha), _row_hinge(y, spec.alpha))
+    return resid, x.T @ x - y.T @ y, hinges
 
 
 def _evaluate(x, y, spec, out=None):
     """The Evaluation of f at explicit factors."""
-    resid, b = _fit_terms(x, y, spec, out)
+    resid, b, (hx, hy) = _terms(x, y, spec, out)
     r = resid[0] if spec.p_hat < _ENTRY_KERNEL_BELOW else resid
     fit = 0.5 / spec.p_hat * float(np.vdot(r, r))
     bal = 0.125 * float(np.vdot(b, b))
     reg = 0.0
     if spec.lam:
-        reg = spec.lam * (row_hinge_penalty(x, spec.alpha)
-                          + row_hinge_penalty(y, spec.alpha))
-    return Evaluation(fit + bal + reg, x, y, resid, b)
+        reg = spec.lam * (hx.value + hy.value)
+    return Evaluation(fit + bal + reg, x, y, resid, b, (hx, hy))
 
 
 def factor_value(x, y, spec):
@@ -203,7 +254,7 @@ def factor_value(x, y, spec):
     return _evaluate(x, y, spec).value
 
 
-def _factor_grad(x, y, resid, b, spec):
+def _factor_grad(x, y, resid, b, hinges, spec):
     if spec.p_hat < _ENTRY_KERNEL_BELOW:
         resid, xr, yc = resid
         fit_x = _scatter(spec.rows, resid[:, None] * yc, x.shape[0])
@@ -212,15 +263,17 @@ def _factor_grad(x, y, resid, b, spec):
         fit_x, fit_y = resid @ y, resid.T @ x
     gx = (1.0 / spec.p_hat) * fit_x + 0.5 * (x @ b)
     gy = (1.0 / spec.p_hat) * fit_y - 0.5 * (y @ b)
-    if spec.lam:
-        gx = gx + spec.lam * row_hinge_penalty_grad(x, spec.alpha)
-        gy = gy + spec.lam * row_hinge_penalty_grad(y, spec.alpha)
+    hx, hy = hinges
+    if hx.rows is not None:
+        gx = gx + spec.lam * _hinge_grad(x, hx)
+    if hy.rows is not None:
+        gy = gy + spec.lam * _hinge_grad(y, hy)
     return gx, gy
 
 
 def factor_grad(x, y, spec):
     """Gradients of f with respect to X and Y."""
-    return _factor_grad(x, y, *_fit_terms(x, y, spec), spec)
+    return _factor_grad(x, y, *_terms(x, y, spec), spec)
 
 
 def factor_curvature(x, y, dx, dy, spec):
@@ -252,10 +305,11 @@ def objective_value(spec, theta, keep=False, out=None):
 
 def objective_grad(spec, theta, ev=None):
     """Gradient of the theta-level objective, via the map's adjoint. Given
-    ev, the Evaluation at theta, it reuses ev's factors, residual and
-    balance matrix instead of building them again."""
+    ev, the Evaluation at theta, it reuses ev's factors, residual, balance
+    matrix and row hinges instead of building them again."""
     if ev is None:
         grad = factor_grad(*factors(spec.param, theta), spec)
     else:
-        grad = _factor_grad(ev.x, ev.y, ev.resid, ev.balance, spec)
+        grad = _factor_grad(ev.x, ev.y, ev.resid, ev.balance, ev.hinges,
+                            spec)
     return adjoint(spec.param, *grad)

@@ -7,11 +7,11 @@ non-increase the clamp step MIN_STEP is taken unconditionally, which may
 increase the objective. A solve stops once ||grad||^2 <= GRAD_TOL_SQ.
 
 Each point is evaluated once: the line search hands back the Evaluation of
-the candidate it accepts, and the next gradient reuses its residual and
-balance matrix, so the arithmetic (and every output) is that of a fresh
-gradient at each iterate. On the dense kernel every candidate's residual is
-written into one buffer per solve. solve counts its value and gradient
-evaluations.
+the candidate it accepts, and the next gradient reuses its residual, balance
+matrix and row hinges, so the arithmetic (and every output) is that of a
+fresh gradient at each iterate. On the dense kernel every candidate's
+residual is written into one buffer per solve. solve counts its value and
+gradient evaluations, and the values at which the row penalty was active.
 """
 
 import time
@@ -50,15 +50,17 @@ class SolveResult:
     clamped_steps: int
     value_evals: int          # objective values, the start's and candidates'
     grad_evals: int           # gradients, iterations + 1
+    hinge_evals: int          # values with lam > 0 and a row beyond alpha
     wall_time: float
 
 
 def halving_line_search(spec, theta, grad, value=None, out=None):
     """Pick the step for one descent iteration.
 
-    Returns (step, new_theta, evaluation, clamped, candidates): evaluation
-    is objective_value's Evaluation at new_theta (its .value the new
-    objective), candidates the number of points evaluated. value is
+    Returns (step, new_theta, evaluation, clamped, candidates, hinged):
+    evaluation is objective_value's Evaluation at new_theta (its .value the
+    new objective), candidates the number of points evaluated and hinged
+    the number of them at which the row penalty was active. value is
     f(theta) and is recomputed when not supplied. out, when given, is the
     n1 x n2 buffer that every candidate's dense residual is written into.
     """
@@ -66,17 +68,19 @@ def halving_line_search(spec, theta, grad, value=None, out=None):
         value = objective_value(spec, theta)
     t = 0
     step = 1.0
+    hinged = 0
     while step > MIN_STEP:
         cand = theta - step * grad
         ev = objective_value(spec, cand, keep=True, out=out)
+        hinged += ev.hinged
         if ev.value <= value:
-            return step, cand, ev, False, t + 1
+            return step, cand, ev, False, t + 1, hinged
         del ev                # a rejected record is not kept alive
         t += 1
         step = 2.0 ** -t
     cand = theta - MIN_STEP * grad
-    return (MIN_STEP, cand, objective_value(spec, cand, keep=True, out=out),
-            True, t + 1)
+    ev = objective_value(spec, cand, keep=True, out=out)
+    return MIN_STEP, cand, ev, True, t + 1, hinged + ev.hinged
 
 
 def solve(spec, config):
@@ -100,7 +104,7 @@ def solve(spec, config):
                            best_estimate=[value])
     trace = [value]
     clamped = 0
-    value_evals, grad_evals = 1, 0
+    value_evals, grad_evals, hinge_evals = 1, 0, int(ev.hinged)
     termination = "iter-cap"
     iterations = 0
     for _ in range(config.max_iters):
@@ -114,14 +118,15 @@ def solve(spec, config):
         if grad_sq <= GRAD_TOL_SQ:
             termination = "grad-tol"
             break
-        step, theta, ev, was_clamped, candidates = halving_line_search(
-            spec, theta, grad, value, buf)
+        step, theta, ev, was_clamped, candidates, hinged = (
+            halving_line_search(spec, theta, grad, value, buf))
         value = ev.value
         if not np.isfinite(value):
             raise NumericError("objective became non-finite",
                                best_estimate=trace + [value])
         clamped += was_clamped
         value_evals += candidates
+        hinge_evals += hinged
         iterations += 1
         trace.append(value)
     if termination == "iter-cap":
@@ -139,4 +144,5 @@ def solve(spec, config):
         grad_norm_sq_final=grad_sq, iterations=iterations,
         termination=termination, clamped_steps=clamped,
         value_evals=value_evals, grad_evals=grad_evals,
+        hinge_evals=hinge_evals,
         wall_time=time.perf_counter() - started)

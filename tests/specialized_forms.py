@@ -5,6 +5,10 @@ parameter blocks instead of through the factor map, with dense mask
 arithmetic. Each must agree with objective_value to rounding; the tests use
 them as oracles for both objective kernels.
 
+reference_row_hinge_penalty, _grad and _curvature are the row penalty's
+closed forms, one row-norm pass each; lpmc must give bitwise the same
+arrays.
+
 reference_solve is the descent loop that evaluates every point from scratch:
 objective_value at the start and at each line-search candidate, and
 objective_grad at each iterate. solve reuses the evaluation of the accepted
@@ -16,8 +20,7 @@ import numpy as np
 
 from lpmc.instances import (observe, psd_instance, rectangular_instance,
                             skew_instance, subspace_instance)
-from lpmc.objective import (make_spec, objective_grad, objective_value,
-                            row_hinge_penalty)
+from lpmc.objective import make_spec, objective_grad, objective_value
 from lpmc.optimizer import GRAD_TOL_SQ, MIN_STEP
 from lpmc.parameterization import theta_blocks
 from lpmc.sampling import RngState, bernoulli_mask
@@ -45,6 +48,38 @@ def noiseless_spec(kind, seed, p=0.7, lam=None, alpha=None, scale=1):
     return make_spec(param, mask, observe(m_star, mask), lam, alpha), m_star
 
 
+def reference_row_hinge_penalty(x, alpha):
+    """G(x) = sum_i max(||x_i|| - alpha, 0)^4."""
+    norms = np.sqrt(np.einsum("ij,ij->i", x, x))
+    excess = norms - alpha
+    excess = excess[excess > 0.0]
+    return float(np.sum(excess ** 4))
+
+
+def reference_row_hinge_penalty_grad(x, alpha):
+    """Row i of the gradient: 4 max(||x_i|| - alpha, 0)^3 x_i / ||x_i||."""
+    norms = np.sqrt(np.einsum("ij,ij->i", x, x))
+    act = norms > alpha
+    coef = np.zeros(x.shape[0])
+    coef[act] = 4.0 * (norms[act] - alpha) ** 3 / norms[act]
+    return x * coef[:, None]
+
+
+def reference_row_hinge_penalty_curvature(x, dx, alpha):
+    """Hessian quadratic form of G at x along dx."""
+    norms = np.sqrt(np.einsum("ij,ij->i", x, x))
+    act = norms > alpha
+    if not np.any(act):
+        return 0.0
+    xa, da, na = x[act], dx[act], norms[act]
+    s = na - alpha
+    cross = np.einsum("ij,ij->i", xa, da)
+    dsq = np.einsum("ij,ij->i", da, da)
+    radial = cross ** 2 / na ** 2
+    return float(np.sum(12.0 * s ** 2 * radial
+                        + 4.0 * s ** 3 * (dsq - radial) / na))
+
+
 def subspace_objective_value(spec, theta):
     if spec.param.kind != "subspace":
         raise ValueError("spec is not a subspace instance")
@@ -54,8 +89,9 @@ def subspace_objective_value(spec, theta):
     b = ta.T @ ta - tb.T @ tb
     return (0.5 / spec.p_hat * float(np.vdot(resid, resid))
             + 0.125 * float(np.vdot(b, b))
-            + spec.lam * (row_hinge_penalty(bu @ ta, spec.alpha)
-                          + row_hinge_penalty(bv @ tb, spec.alpha)))
+            + spec.lam * (reference_row_hinge_penalty(bu @ ta, spec.alpha)
+                          + reference_row_hinge_penalty(bv @ tb,
+                                                        spec.alpha)))
 
 
 def skew_objective_value(spec, theta):
@@ -67,7 +103,8 @@ def skew_objective_value(spec, theta):
     c = ta.T @ tb + tb.T @ ta
     return (0.5 / spec.p_hat * float(np.vdot(resid, resid))
             + 0.25 * float(np.vdot(b, b)) + 0.25 * float(np.vdot(c, c))
-            + 2.0 * spec.lam * row_hinge_penalty(np.hstack([tb, ta]), spec.alpha))
+            + 2.0 * spec.lam * reference_row_hinge_penalty(
+                np.hstack([tb, ta]), spec.alpha))
 
 
 def psd_objective_value(spec, theta):
@@ -76,7 +113,7 @@ def psd_objective_value(spec, theta):
     (t,) = theta_blocks(spec.param, theta)
     resid = (t @ t.T - spec.observed) * spec.mask.matrix
     return (0.5 / spec.p_hat * float(np.vdot(resid, resid))
-            + 2.0 * spec.lam * row_hinge_penalty(t, spec.alpha))
+            + 2.0 * spec.lam * reference_row_hinge_penalty(t, spec.alpha))
 
 
 def reference_solve(spec, config):

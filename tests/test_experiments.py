@@ -61,6 +61,27 @@ def test_config_rejects_fields_the_experiment_ignores(experiment, key,
     assert str(exc.value) == f"{experiment} takes no key {key!r}"
 
 
+@pytest.mark.parametrize("experiment, fields, what", [
+    ("diagnostics", dict(n2=7), "diagnostics"),
+    ("skew-compare", dict(n1=16, n2=20), "skew-compare"),
+    ("single-solve", dict(n2=33, kind="psd"), "kind 'psd'"),
+    ("single-solve", dict(n2=33, kind="skew"), "kind 'skew'"),
+])
+def test_config_rejects_an_n2_that_square_instances_ignore(experiment,
+                                                           fields, what):
+    with pytest.raises(ValueError) as exc:
+        default_config(experiment, **fields)
+    cfg = dict(experiments._DEFAULTS[experiment], **fields)
+    assert str(exc.value) == (f"{what} builds square matrices: "
+                              f"n2={cfg['n2']} must equal n1={cfg['n1']}")
+
+
+def test_config_takes_a_non_square_n2_where_factors_read_it():
+    for kind in ("subspace", "rectangular"):
+        assert default_config("single-solve", n2=33, kind=kind).n2 == 33
+    assert default_config("subspace-phase", n2=33).n2 == 33
+
+
 def test_config_takes_ignored_fields_at_their_defaults():
     # the benchmark's configs spell out default values of fields their
     # experiment does not read

@@ -1,19 +1,27 @@
 """Tests for the regularized completion objective and its gradient."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 import lpmc.objective as objective
 from lpmc.instances import rectangular_instance
 from lpmc.landscape import factor_curvature_gap, param_curvature_gap
-from lpmc.objective import (ObjectiveSpec, default_tuning, make_spec,
-                            objective_grad, objective_value,
-                            row_hinge_penalty, row_hinge_penalty_grad)
-from lpmc.parameterization import balanced_witness, theta_blocks, x_of, y_of
+from lpmc.objective import (ObjectiveSpec, default_tuning, factor_curvature,
+                            factor_grad, make_spec, objective_grad,
+                            objective_value, row_hinge_penalty,
+                            row_hinge_penalty_curvature,
+                            row_hinge_penalty_grad)
+from lpmc.parameterization import (balanced_witness, factors, theta_blocks,
+                                   x_of, y_of)
 from lpmc.sampling import RngState, bernoulli_mask
 from specialized_forms import (DENSE, SPARSE, noiseless_spec,
-                               psd_objective_value, skew_objective_value,
-                               subspace_objective_value)
+                               psd_objective_value,
+                               reference_row_hinge_penalty,
+                               reference_row_hinge_penalty_curvature,
+                               reference_row_hinge_penalty_grad,
+                               skew_objective_value, subspace_objective_value)
 
 
 def naive_value(spec, theta):
@@ -84,6 +92,151 @@ def test_penalty_continuous_at_hinge():
     x = np.array([[1.0 + 1e-9, 0.0]])
     assert row_hinge_penalty(x, 1.0) <= 1e-30
     assert np.linalg.norm(row_hinge_penalty_grad(x, 1.0)) <= 1e-20
+
+
+def _rounding_inversion():
+    """A one-row factor whose row norm lies above an alpha that its
+    Frobenius square, as np.vdot sums it, lies below: (x, alpha), or None
+    when no candidate shows such a gap. A candidate is a unit entry among
+    entries whose squares fall under half an ulp of 1, so the order in which
+    np.vdot and np.einsum add them decides how many of them count."""
+    best_gap, best = 0.0, None
+    for m in range(2, 200):
+        for k in range(m):
+            x = np.full((1, m), 1.4 * 2.0 ** -27)
+            x[0, k] = 1.0
+            gap = np.einsum("ij,ij->i", x, x)[0] - np.vdot(x, x)
+            if gap > best_gap:
+                best_gap, best = gap, x
+    if best is None:
+        return None
+    frob_sq = np.vdot(best, best)
+    norm = np.sqrt(np.einsum("ij,ij->i", best, best))[0]
+    alpha = np.sqrt(frob_sq)
+    while alpha < norm:
+        if frob_sq < alpha ** 2:
+            return best, alpha
+        alpha = np.nextafter(alpha, np.inf)
+    return None
+
+
+def _hinge_cases():
+    """(x, alpha) pairs: no, some and every row beyond alpha, the extreme
+    alphas (and a negative one, which the closed form also defines), a
+    Frobenius norm just below and just above alpha with one dominant row,
+    and a zero matrix."""
+    gen = np.random.default_rng(40)
+    x = gen.standard_normal((9, 3))
+    norms = np.linalg.norm(x, axis=1)
+    dominant = np.vstack([[3.0, 4.0, 0.0], 1e-5 * gen.standard_normal((4, 3))])
+    frob = np.linalg.norm(dominant)
+    return [
+        (x, norms.max() * 1.01),            # no row, Frobenius above alpha
+        (x, 2.0 * np.linalg.norm(x)),       # no row, Frobenius below alpha
+        (x, float(np.median(norms))),       # some rows
+        (x, 0.5 * norms.min()),             # every row
+        (x, 0.0), (x, np.inf), (x, -0.5), (np.zeros((4, 2)), 0.0),
+        (np.zeros((4, 2)), 0.5), (-x, float(np.median(norms))),
+        (dominant, frob * (1.0 + 1e-7)),    # Frobenius below alpha
+        (dominant, frob * (1.0 + 1e-9)),    # just below, within the margin
+        (dominant, frob * (1.0 - 1e-9)),    # just above, one row beyond
+        (dominant, 5.0 * (1.0 + 1e-12)),    # just above, no row beyond
+    ]
+
+
+def _assert_hinge_matches_reference(x, alpha):
+    dx = np.random.default_rng(41).standard_normal(x.shape)
+    value = row_hinge_penalty(x, alpha)
+    ref = reference_row_hinge_penalty(x, alpha)
+    assert type(value) is type(ref) and value == ref
+    grad = row_hinge_penalty_grad(x, alpha)
+    ref = reference_row_hinge_penalty_grad(x, alpha)
+    # bytes, so the signed zeros of rows inside the ball must agree too
+    assert grad.dtype == ref.dtype and grad.shape == ref.shape
+    assert grad.tobytes() == ref.tobytes()
+    curv = row_hinge_penalty_curvature(x, dx, alpha)
+    ref = reference_row_hinge_penalty_curvature(x, dx, alpha)
+    assert curv == ref
+
+
+@pytest.mark.parametrize("x, alpha", _hinge_cases())
+def test_penalty_matches_reference_bitwise(x, alpha):
+    _assert_hinge_matches_reference(x, alpha)
+
+
+def test_penalty_margin_covers_summation_order():
+    # the Frobenius shortcut must not skip a row that the row pass finds
+    # beyond alpha, even where np.vdot rounds the square below alpha^2
+    found = _rounding_inversion()
+    if found is None:
+        pytest.skip("np.vdot and np.einsum sum every candidate alike here")
+    x, alpha = found
+    assert reference_row_hinge_penalty(x, alpha) > 0.0
+    _assert_hinge_matches_reference(x, alpha)
+
+
+def test_objective_penalty_terms_match_reference_bitwise():
+    # on every kind and kernel, f and its derivatives at lam > 0 are those
+    # at lam = 0 plus lam times the reference penalty terms, bit for bit
+    gen = np.random.default_rng(42)
+    for density in (DENSE, SPARSE):
+        for kind in ("subspace", "rectangular", "psd", "skew"):
+            spec, _ = noiseless_spec(kind, 43, lam=0.7, alpha=1.0, **density)
+            theta = 1.5 * gen.standard_normal(spec.param.d)
+            x, y = factors(spec.param, theta)
+            dx, dy = factors(spec.param, gen.standard_normal(spec.param.d))
+            norms = np.linalg.norm(np.vstack([x, y]), axis=1)
+            frob = max(np.linalg.norm(x), np.linalg.norm(y))
+            for alpha in (0.0, 0.5 * norms.min(), float(np.median(norms)),
+                          1.01 * norms.max(), 2.0 * frob, np.inf):
+                at = dataclasses.replace(spec, alpha=alpha)
+                free = dataclasses.replace(spec, lam=0.0, alpha=alpha)
+                lam = at.lam
+                assert objective_value(at, theta) == (
+                    objective_value(free, theta)
+                    + lam * (reference_row_hinge_penalty(x, alpha)
+                             + reference_row_hinge_penalty(y, alpha)))
+                gx, gy = factor_grad(x, y, at)
+                fx, fy = factor_grad(x, y, free)
+                assert np.array_equal(
+                    gx, fx + lam * reference_row_hinge_penalty_grad(x, alpha))
+                assert np.array_equal(
+                    gy, fy + lam * reference_row_hinge_penalty_grad(y, alpha))
+                assert factor_curvature(x, y, dx, dy, at) == (
+                    factor_curvature(x, y, dx, dy, free)
+                    + lam * (reference_row_hinge_penalty_curvature(x, dx,
+                                                                   alpha)
+                             + reference_row_hinge_penalty_curvature(y, dy,
+                                                                     alpha)))
+                ev = objective_value(at, theta, keep=True)
+                assert ev.hinged == bool(np.any(norms > alpha)), (kind, alpha)
+                assert np.array_equal(objective_grad(at, theta, ev),
+                                      objective_grad(at, theta))
+
+
+def test_grad_reuses_the_row_hinges(monkeypatch):
+    # the gradient at an evaluated point takes its row norms from the
+    # Evaluation; only a fresh gradient runs the row pass again
+    calls = []
+    row_hinge = objective._row_hinge
+
+    def counted(x, alpha):
+        calls.append(alpha)
+        return row_hinge(x, alpha)
+
+    monkeypatch.setattr(objective, "_row_hinge", counted)
+    gen = np.random.default_rng(44)
+    for density in (DENSE, SPARSE):
+        spec, _ = noiseless_spec("rectangular", 45, lam=0.5, alpha=0.6,
+                                 **density)
+        theta = gen.standard_normal(spec.param.d)
+        calls.clear()
+        ev = objective_value(spec, theta, keep=True)
+        assert len(calls) == 2 and ev.hinged
+        objective_grad(spec, theta, ev)
+        assert len(calls) == 2
+        objective_grad(spec, theta)
+        assert len(calls) == 4
 
 
 # ------------------------------------------------------------ objective value

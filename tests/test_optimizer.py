@@ -1,5 +1,7 @@
 """Tests for the halving line search and the end-to-end solver."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -31,7 +33,7 @@ def test_line_search_picks_first_nonincreasing_halving():
         theta = gen.standard_normal(spec.param.d)
         value = objective_value(spec, theta)
         grad = objective_grad(spec, theta)
-        step, cand, ev, clamped, candidates = halving_line_search(
+        step, cand, ev, clamped, candidates, _ = halving_line_search(
             spec, theta, grad, value)
         if clamped:
             assert step == 1e-10
@@ -48,7 +50,7 @@ def test_line_search_zero_gradient_takes_full_step():
     spec, _ = small_problem(1)
     theta = np.zeros(spec.param.d)
     value = objective_value(spec, theta)
-    step, cand, ev, clamped, candidates = halving_line_search(
+    step, cand, ev, clamped, candidates, _ = halving_line_search(
         spec, theta, np.zeros(spec.param.d), value)
     assert step == 1.0 and not clamped and candidates == 1
     assert np.array_equal(cand, theta)
@@ -61,7 +63,7 @@ def test_line_search_clamps_at_global_minimum():
     spec, m_star = small_problem(2, lam=0.0, alpha=np.inf)
     cert = balanced_witness(spec.param, np.zeros(spec.param.d), m_star)
     fake = np.ones(spec.param.d)
-    step, cand, ev, clamped, candidates = halving_line_search(
+    step, cand, ev, clamped, candidates, _ = halving_line_search(
         spec, cert.xi, fake)
     assert clamped
     assert step == 1e-10
@@ -96,11 +98,11 @@ def test_line_search_returns_evaluation_at_candidate():
         grad = objective_grad(spec, theta)
         xi = balanced_witness(spec.param, theta, m_star).xi
         for out in (None, np.empty(spec.observed.shape)):
-            _, cand, ev, clamped, _ = halving_line_search(spec, theta, grad,
-                                                          out=out)
+            _, cand, ev, clamped, _, _ = halving_line_search(
+                spec, theta, grad, out=out)
             assert not clamped
             _same_evaluation(spec, ev, cand)
-            _, cand, ev, clamped, _ = halving_line_search(
+            _, cand, ev, clamped, _, _ = halving_line_search(
                 spec, xi, np.ones(spec.param.d), out=out)
             assert clamped and np.array_equal(cand, xi - MIN_STEP)
             _same_evaluation(spec, ev, cand)
@@ -171,29 +173,52 @@ def test_solve_recovers_subspace_instances():
                          ids=["dense", "entry"])
 @pytest.mark.parametrize("kind", ["skew", "rectangular"])
 def test_solve_matches_fresh_evaluation_reference(kind, density):
-    # reusing the accepted candidate's evaluation for the next gradient
-    # changes no arithmetic, so every output is bitwise the reference's
-    spec, _ = noiseless_spec(kind, 43, **density)
-    for seed, max_iters in ((1, 400), (2, 3)):
-        config = SolveConfig(seed=seed, max_iters=max_iters)
-        result = solve(spec, config)
-        trace, theta, iterations, termination, clamped = reference_solve(
-            spec, config)
-        assert result.objective_trace.tobytes() == trace.tobytes()
-        assert result.theta_hat.tobytes() == theta.tobytes()
-        assert (result.iterations, result.termination,
-                result.clamped_steps) == (iterations, termination, clamped)
+    # reusing the accepted candidate's evaluation (its residual and row
+    # hinges) for the next gradient changes no arithmetic, so every output
+    # is bitwise the reference's, also where the row penalty binds
+    for tuning in ({}, dict(lam=0.5, alpha=0.5)):
+        spec, _ = noiseless_spec(kind, 43, **density, **tuning)
+        for seed, max_iters in ((1, 400), (2, 3)):
+            config = SolveConfig(seed=seed, max_iters=max_iters)
+            result = solve(spec, config)
+            trace, theta, iterations, termination, clamped = (
+                reference_solve(spec, config))
+            assert result.objective_trace.tobytes() == trace.tobytes()
+            assert result.theta_hat.tobytes() == theta.tobytes()
+            assert (result.iterations, result.termination,
+                    result.clamped_steps) == (iterations, termination,
+                                              clamped)
+            if tuning:
+                assert result.hinge_evals > 0
+
+
+def test_solve_counts_hinged_evaluations():
+    # at the standard alpha = 100 a sparse subspace solve never reaches the
+    # row penalty, as on the benchmark's phase sweep; at a small alpha it
+    # does, and at lam = 0 the penalty is off
+    spec, _ = noiseless_spec("subspace", 47, **SPARSE)
+    assert spec.alpha == 100.0 and spec.lam > 0.0
+    result = solve(spec, SolveConfig(seed=1))
+    assert result.iterations > 0 and result.hinge_evals == 0
+    for lam, hinged in ((spec.lam, True), (0.0, False)):
+        small = dataclasses.replace(spec, lam=lam, alpha=0.5)
+        result = solve(small, SolveConfig(seed=1))
+        assert (result.hinge_evals > 0) == hinged
+        assert result.hinge_evals <= result.value_evals
 
 
 def test_solve_counts_its_evaluations(monkeypatch):
     spec, _ = small_problem(12)
-    calls = {"value": 0, "grad": 0}
+    calls = {"value": 0, "grad": 0, "hinged": 0}
     per_search = []
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
             calls[name] += 1
-            return fn(*args, **kwargs)
+            out = fn(*args, **kwargs)
+            if name == "value":
+                calls["hinged"] += out.hinged
+            return out
         return wrapper
 
     def line_search(*args):
@@ -209,12 +234,13 @@ def test_solve_counts_its_evaluations(monkeypatch):
                         counted("grad", optimizer.objective_grad))
     monkeypatch.setattr(optimizer, "halving_line_search", line_search)
     for max_iters in (5, 500):
-        calls.update(value=0, grad=0)
+        calls.update(value=0, grad=0, hinged=0)
         per_search.clear()
         result = solve(spec, SolveConfig(seed=4, max_iters=max_iters))
         assert len(per_search) == result.iterations
         assert result.value_evals == 1 + sum(per_search) == calls["value"]
         assert result.grad_evals == result.iterations + 1 == calls["grad"]
+        assert result.hinge_evals == calls["hinged"] > 0
     assert result.termination == "grad-tol"
 
 
