@@ -11,9 +11,8 @@ from .errors import (DegeneracyError, NotPsdError, NumericError, RankError,
 from .experiments import (CellSummary, ExperimentConfig, TrialRecord,
                           default_config, run_diagnostics, run_experiment,
                           write_csv)
-from .instances import (assemble, observe, orthonormal_vectors, psd_instance,
-                        rectangular_instance, skew_instance,
-                        subspace_instance)
+from .instances import (assemble, orthonormal_vectors, psd_instance,
+                        rectangular_instance, skew_instance, subspace_instance)
 from .landscape import (ConcentrationReport, DeviationCheck, GapReport,
                         GroundTruthProfile, TuningReport,
                         WitnessFactorReport, concentration_report,

@@ -120,6 +120,8 @@ class ExperimentConfig:
             raise ValueError("p_grid values must lie in (0, 1]")
         if self.trials < 1:
             raise ValueError("trials must be positive")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be positive")
         if not self.sigma >= 0.0:
             raise ValueError(f"sigma must be nonnegative, got {self.sigma}")
         if not self.sweep:

@@ -6,7 +6,6 @@ import numpy as np
 from .objective import make_spec
 from .parameterization import (psd_param, rectangular_param, skew_param,
                                subspace_param)
-from .sampling import project_observed
 
 
 def orthonormal_vectors(n, k, rng):
@@ -67,12 +66,8 @@ def skew_instance(n, r, rng, unit_blocks=False):
     return skew_param(n, r), a @ b.T - b @ a.T
 
 
-def observe(m_star, mask, noise=None):
-    """Masked observation of the truth plus optional noise."""
-    m = m_star if noise is None else m_star + noise
-    return project_observed(m, mask)
-
-
 def assemble(param, m_star, mask, noise=None, lam=None, alpha=None):
-    """ObjectiveSpec for a (truth, mask, noise) triple with default tuning."""
-    return make_spec(param, mask, observe(m_star, mask, noise), lam, alpha)
+    """ObjectiveSpec for a (truth, mask, noise) triple with default tuning;
+    make_spec projects the (noisy) truth onto the mask."""
+    m = m_star if noise is None else m_star + noise
+    return make_spec(param, mask, m, lam, alpha)

@@ -30,10 +30,6 @@ from .objective import (factor_curvature, factor_grad, objective_value,
 from .parameterization import factors, x_of, y_of
 from .sampling import project_observed
 
-# constant from the sampling+penalty curvature bound; exposed for reports
-ANALYSIS_C0 = 5e5
-
-
 @dataclass(frozen=True)
 class GroundTruthProfile:
     """Rank-r spectral profile of a ground truth: extreme singular values,

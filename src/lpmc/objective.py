@@ -30,13 +30,14 @@ beyond alpha and keeps their norms and excesses, which the gradient and the
 curvature read. The value, gradient and curvature, and the public
 row_hinge_penalty functions, all share that one implementation.
 
-A value can hand back its Evaluation (objective_value(..., keep=True)): the
-factors, the fit residual, the balance matrix and the row hinges of both
-factors at that point. The gradient at the same point takes it and only adds
-the products, and the penalty term only for a factor with a row beyond
-alpha, so a descent that accepts a line-search candidate never builds its
-residual or its row norms twice. The dense residual can also be written into
-a caller's buffer (out), which lets a descent allocate it once per solve.
+Every value is an Evaluation (objective_value(..., keep=True) hands it
+back): the factors, the fit residual, the balance matrix and the row hinges
+of both factors at that point. The gradient is computed from an Evaluation
+alone, adding the products, and the penalty term only for a factor with a
+row beyond alpha; a gradient called without one builds it first. So a
+descent that accepts a line-search candidate never builds its residual or
+its row norms twice. The dense residual can also be written into a caller's
+buffer (out), which lets a descent allocate it once per solve.
 """
 
 from dataclasses import dataclass, field
@@ -102,8 +103,10 @@ class ObjectiveSpec:
             raise ValueError("observed has support off the mask")
         if not 0.0 < self.p_hat <= 1.0:
             raise ValueError(f"p_hat must be in (0, 1], got {self.p_hat}")
-        if self.lam < 0.0:
-            raise ValueError("lam must be nonnegative")
+        # lam = inf would make f NaN wherever the penalty is 0 (inf * 0)
+        if not 0.0 <= self.lam < np.inf:
+            raise ValueError(f"lam must be finite and nonnegative, got "
+                             f"{self.lam}")
         # alpha = 0 gives the pure fourth-power row penalty, alpha = inf
         # disables it; both are legitimate
         if np.isnan(self.alpha) or self.alpha < 0.0:
@@ -225,28 +228,21 @@ class Evaluation(NamedTuple):
         return any(h.rows is not None for h in self.hinges)
 
 
-def _terms(x, y, spec, out=None):
-    """The fit residual, the balance matrix and the row hinges at (X, Y)."""
-    if spec.p_hat < _ENTRY_KERNEL_BELOW:
-        resid = _entry_residual(x, y, spec)
-    else:
-        resid = _masked_residual(x, y, spec, out)
-    hinges = (_NO_HINGE, _NO_HINGE)
-    if spec.lam:
-        hinges = (_row_hinge(x, spec.alpha), _row_hinge(y, spec.alpha))
-    return resid, x.T @ x - y.T @ y, hinges
-
-
 def _evaluate(x, y, spec, out=None):
     """The Evaluation of f at explicit factors."""
-    resid, b, (hx, hy) = _terms(x, y, spec, out)
-    r = resid[0] if spec.p_hat < _ENTRY_KERNEL_BELOW else resid
+    if spec.p_hat < _ENTRY_KERNEL_BELOW:
+        resid = _entry_residual(x, y, spec)
+        r = resid[0]
+    else:
+        resid = r = _masked_residual(x, y, spec, out)
+    b = x.T @ x - y.T @ y
     fit = 0.5 / spec.p_hat * float(np.vdot(r, r))
     bal = 0.125 * float(np.vdot(b, b))
-    reg = 0.0
+    hinges, reg = (_NO_HINGE, _NO_HINGE), 0.0
     if spec.lam:
-        reg = spec.lam * (hx.value + hy.value)
-    return Evaluation(fit + bal + reg, x, y, resid, b, (hx, hy))
+        hinges = (_row_hinge(x, spec.alpha), _row_hinge(y, spec.alpha))
+        reg = spec.lam * (hinges[0].value + hinges[1].value)
+    return Evaluation(fit + bal + reg, x, y, resid, b, hinges)
 
 
 def factor_value(x, y, spec):
@@ -254,16 +250,18 @@ def factor_value(x, y, spec):
     return _evaluate(x, y, spec).value
 
 
-def _factor_grad(x, y, resid, b, hinges, spec):
+def _factor_grad(ev, spec):
+    """Gradients of f with respect to X and Y, from the Evaluation there."""
+    x, y, b = ev.x, ev.y, ev.balance
     if spec.p_hat < _ENTRY_KERNEL_BELOW:
-        resid, xr, yc = resid
+        resid, xr, yc = ev.resid
         fit_x = _scatter(spec.rows, resid[:, None] * yc, x.shape[0])
         fit_y = _scatter(spec.cols, resid[:, None] * xr, y.shape[0])
     else:
-        fit_x, fit_y = resid @ y, resid.T @ x
+        fit_x, fit_y = ev.resid @ y, ev.resid.T @ x
     gx = (1.0 / spec.p_hat) * fit_x + 0.5 * (x @ b)
     gy = (1.0 / spec.p_hat) * fit_y - 0.5 * (y @ b)
-    hx, hy = hinges
+    hx, hy = ev.hinges
     if hx.rows is not None:
         gx = gx + spec.lam * _hinge_grad(x, hx)
     if hy.rows is not None:
@@ -273,7 +271,7 @@ def _factor_grad(x, y, resid, b, hinges, spec):
 
 def factor_grad(x, y, spec):
     """Gradients of f with respect to X and Y."""
-    return _factor_grad(x, y, *_terms(x, y, spec), spec)
+    return _factor_grad(_evaluate(x, y, spec), spec)
 
 
 def factor_curvature(x, y, dx, dy, spec):
@@ -305,11 +303,8 @@ def objective_value(spec, theta, keep=False, out=None):
 
 def objective_grad(spec, theta, ev=None):
     """Gradient of the theta-level objective, via the map's adjoint. Given
-    ev, the Evaluation at theta, it reuses ev's factors, residual, balance
-    matrix and row hinges instead of building them again."""
+    ev, the Evaluation at theta, it reads ev's factors, residual, balance
+    matrix and row hinges; without it it builds that Evaluation first."""
     if ev is None:
-        grad = factor_grad(*factors(spec.param, theta), spec)
-    else:
-        grad = _factor_grad(ev.x, ev.y, ev.resid, ev.balance, ev.hinges,
-                            spec)
-    return adjoint(spec.param, *grad)
+        ev = _evaluate(*factors(spec.param, theta), spec)
+    return adjoint(spec.param, *_factor_grad(ev, spec))

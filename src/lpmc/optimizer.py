@@ -4,14 +4,18 @@ Each iteration takes the step max(2^-k, MIN_STEP) where k is the smallest
 t >= 0 with f(theta - 2^-t grad) <= f(theta). With MIN_STEP = 1e-10 the
 distinct candidates are t = 0..33 (2^-34 < 1e-10); if none of them gives
 non-increase the clamp step MIN_STEP is taken unconditionally, which may
-increase the objective. A solve stops once ||grad||^2 <= GRAD_TOL_SQ.
+increase the objective.
 
-Each point is evaluated once: the line search hands back the Evaluation of
-the candidate it accepts, and the next gradient reuses its residual, balance
-matrix and row hinges, so the arithmetic (and every output) is that of a
-fresh gradient at each iterate. On the dense kernel every candidate's
-residual is written into one buffer per solve. solve counts its value and
-gradient evaluations, and the values at which the row penalty was active.
+solve computes the gradient at one site, the top of its loop: it stops
+there once ||grad||^2 <= GRAD_TOL_SQ ("grad-tol") or after max_iters steps
+("iter-cap", unless that last gradient also meets the tolerance), so a
+solve of k steps takes k + 1 gradients. Each point is evaluated once: the
+line search hands back the Evaluation of the candidate it accepts, and the
+gradient there reads its residual, balance matrix and row hinges, so the
+arithmetic (and every output) is that of a fresh gradient at each iterate.
+On the dense kernel every candidate's residual is written into one buffer
+per solve. solve counts its value and gradient evaluations, and the values
+at which the row penalty was active.
 """
 
 import time
@@ -36,7 +40,8 @@ class SolveConfig:
 
     def __post_init__(self):
         if self.max_iters < 1:
-            raise ValueError("bad solver configuration")
+            raise ValueError(f"max_iters must be positive, got "
+                             f"{self.max_iters}")
 
 
 @dataclass(frozen=True)
@@ -54,33 +59,29 @@ class SolveResult:
     wall_time: float
 
 
-def halving_line_search(spec, theta, grad, value=None, out=None):
-    """Pick the step for one descent iteration.
+def halving_line_search(spec, theta, grad, value, out=None):
+    """Pick the step for one descent iteration from theta, where f = value.
 
-    Returns (step, new_theta, evaluation, clamped, candidates, hinged):
-    evaluation is objective_value's Evaluation at new_theta (its .value the
-    new objective), candidates the number of points evaluated and hinged
-    the number of them at which the row penalty was active. value is
-    f(theta) and is recomputed when not supplied. out, when given, is the
-    n1 x n2 buffer that every candidate's dense residual is written into.
+    Returns (step, new_theta, evaluation, candidates, hinged): evaluation is
+    objective_value's Evaluation at new_theta (its .value the new objective),
+    candidates the number of points evaluated and hinged the number of them
+    at which the row penalty was active. The search clamped exactly when
+    step == MIN_STEP, since every halving it accepts is at least 2^-33. out,
+    when given, is the n1 x n2 buffer that every candidate's dense residual
+    is written into.
     """
-    if value is None:
-        value = objective_value(spec, theta)
     t = 0
     step = 1.0
     hinged = 0
-    while step > MIN_STEP:
+    while True:
         cand = theta - step * grad
         ev = objective_value(spec, cand, keep=True, out=out)
         hinged += ev.hinged
-        if ev.value <= value:
-            return step, cand, ev, False, t + 1, hinged
+        if ev.value <= value or step == MIN_STEP:
+            return step, cand, ev, t + 1, hinged
         del ev                # a rejected record is not kept alive
         t += 1
-        step = 2.0 ** -t
-    cand = theta - MIN_STEP * grad
-    ev = objective_value(spec, cand, keep=True, out=out)
-    return MIN_STEP, cand, ev, True, t + 1, hinged + ev.hinged
+        step = max(2.0 ** -t, MIN_STEP)
 
 
 def solve(spec, config):
@@ -103,38 +104,28 @@ def solve(spec, config):
         raise NumericError("non-finite objective at the initial point",
                            best_estimate=[value])
     trace = [value]
-    clamped = 0
-    value_evals, grad_evals, hinge_evals = 1, 0, int(ev.hinged)
-    termination = "iter-cap"
-    iterations = 0
-    for _ in range(config.max_iters):
+    clamped = iterations = 0
+    value_evals, hinge_evals = 1, int(ev.hinged)
+    while True:
         grad = objective_grad(spec, theta, ev)
+        grad_sq = float(grad @ grad)
+        if grad_sq <= GRAD_TOL_SQ or iterations == config.max_iters:
+            break
         # the line search writes its candidates' dense residuals into this
         # point's buffer, so a solve allocates one
         buf = ev.resid if isinstance(ev.resid, np.ndarray) else None
         ev = None
-        grad_evals += 1
-        grad_sq = float(grad @ grad)
-        if grad_sq <= GRAD_TOL_SQ:
-            termination = "grad-tol"
-            break
-        step, theta, ev, was_clamped, candidates, hinged = (
+        step, theta, ev, candidates, hinged = (
             halving_line_search(spec, theta, grad, value, buf))
         value = ev.value
         if not np.isfinite(value):
             raise NumericError("objective became non-finite",
                                best_estimate=trace + [value])
-        clamped += was_clamped
+        clamped += step == MIN_STEP
         value_evals += candidates
         hinge_evals += hinged
         iterations += 1
         trace.append(value)
-    if termination == "iter-cap":
-        grad = objective_grad(spec, theta, ev)
-        grad_evals += 1
-        grad_sq = float(grad @ grad)
-        if grad_sq <= GRAD_TOL_SQ:
-            termination = "grad-tol"
 
     x, y = factors(spec.param, theta)
     m_hat = x @ y.T
@@ -142,7 +133,8 @@ def solve(spec, config):
         theta_hat=theta, m_hat=m_hat,
         objective_trace=np.asarray(trace),
         grad_norm_sq_final=grad_sq, iterations=iterations,
-        termination=termination, clamped_steps=clamped,
-        value_evals=value_evals, grad_evals=grad_evals,
+        termination="grad-tol" if grad_sq <= GRAD_TOL_SQ else "iter-cap",
+        clamped_steps=clamped,
+        value_evals=value_evals, grad_evals=iterations + 1,
         hinge_evals=hinge_evals,
         wall_time=time.perf_counter() - started)

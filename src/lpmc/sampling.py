@@ -56,6 +56,13 @@ class ObservationMask:
         object.__setattr__(self, "matrix", m)
         if m.ndim != 2:
             raise ValueError("mask indicator must be 2-d")
+        if self.model not in ("bernoulli-rect", "symmetric-offdiag"):
+            raise ValueError(f"unknown mask model {self.model!r}")
+        if self.model == "symmetric-offdiag" and (
+                m.shape[0] != m.shape[1] or (m != m.T).any()
+                or m.diagonal().any()):
+            raise ValueError("a symmetric-offdiag mask must be square, "
+                             "symmetric and empty on the diagonal")
         # p = 0 names the (typically empty) degenerate draw; keep it legal so
         # the concentration checks can exercise the trivial case
         if not 0.0 <= self.nominal_p <= 1.0:
@@ -145,20 +152,38 @@ def write_observations(path, mask, values=None):
 
 
 def read_observations(path):
-    """Inverse of write_observations; returns (mask, values matrix)."""
+    """Inverse of write_observations; returns (mask, values matrix).
+
+    The file comes from outside the program, so a line that is not
+    'i j value' (two integers and a float) or names an entry outside the
+    header's shape raises a ValueError naming path:line, and so does a mask
+    that the header's model rules out.
+    """
     with open(path) as fh:
         header = fh.readline().split()
         if len(header) != 5 or header[0] != "#":
-            raise ValueError(f"malformed header in {path}")
+            raise ValueError(f"{path}:1: malformed header")
         rows, cols = int(header[1]), int(header[2])
         model, nominal_p = header[3], float(header[4])
         ind = np.zeros((rows, cols), dtype=bool)
         vals = np.zeros((rows, cols))
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             parts = line.split()
             if not parts:
                 continue
-            i, j, v = int(parts[0]), int(parts[1]), float(parts[2])
+            try:
+                if len(parts) != 3:
+                    raise ValueError
+                i, j, v = int(parts[0]), int(parts[1]), float(parts[2])
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: expected 'i j value', "
+                                 f"got {line.strip()!r}") from None
+            if not (0 <= i < rows and 0 <= j < cols):
+                raise ValueError(f"{path}:{lineno}: entry ({i}, {j}) lies "
+                                 f"outside the {rows} x {cols} matrix")
             ind[i, j] = True
             vals[i, j] = v
-    return ObservationMask(ind, model, nominal_p), vals
+    try:
+        return ObservationMask(ind, model, nominal_p), vals
+    except ValueError as exc:
+        raise ValueError(f"{path}:1: {exc}") from None

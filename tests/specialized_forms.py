@@ -18,8 +18,8 @@ for bit.
 
 import numpy as np
 
-from lpmc.instances import (observe, psd_instance, rectangular_instance,
-                            skew_instance, subspace_instance)
+from lpmc.instances import (psd_instance, rectangular_instance, skew_instance,
+                            subspace_instance)
 from lpmc.objective import make_spec, objective_grad, objective_value
 from lpmc.optimizer import GRAD_TOL_SQ, MIN_STEP
 from lpmc.parameterization import theta_blocks
@@ -45,7 +45,7 @@ def noiseless_spec(kind, seed, p=0.7, lam=None, alpha=None, scale=1):
     else:
         param, m_star = skew_instance(10 * scale, 4, rng.derive("i"))
     mask = bernoulli_mask(m_star.shape[0], m_star.shape[1], p, rng.derive("o"))
-    return make_spec(param, mask, observe(m_star, mask), lam, alpha), m_star
+    return make_spec(param, mask, m_star, lam, alpha), m_star
 
 
 def reference_row_hinge_penalty(x, alpha):

@@ -100,6 +100,21 @@ def test_negative_sigma_is_one_line_error():
     assert "sigma" in proc.stderr
 
 
+@pytest.mark.parametrize("lam", ["nan", "inf"])
+def test_nonfinite_lambda_is_one_line_error(lam):
+    # not a numeric failure of the solve: the spec rejects it up front
+    proc = run_lpmc("single-solve", "--n", "12", "--r", "2", "--s", "4",
+                    "--p-grid", "0.5", "--lambda", lam)
+    assert_one_line_error(proc)
+    assert "lam must be finite" in proc.stderr
+
+
+def test_zero_max_iters_is_one_line_error():
+    proc = run_lpmc(*fast_args("--max-iters", "0"))
+    assert_one_line_error(proc)
+    assert "max_iters must be positive" in proc.stderr
+
+
 # small enough that a run that wrongly accepts the key ends in a second
 SMALL = {"subspace-phase": ("--n", "12", "--s", "4", "--p-grid", "0.5",
                             "--trials", "1"),

@@ -27,6 +27,8 @@ def test_config_validation():
         tiny_phase(p_grid=(0.5, 1.2))
     with pytest.raises(ValueError):
         tiny_phase(trials=0)
+    with pytest.raises(ValueError, match="max_iters must be positive"):
+        tiny_phase(max_iters=0)
     with pytest.raises(ValueError):
         tiny_phase(sweep=())
     with pytest.raises(ValueError):

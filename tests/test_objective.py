@@ -389,6 +389,9 @@ def test_spec_validation():
         ObjectiveSpec(param, observed, mask, 0.0, 1.0, 1.0)     # p_hat
     with pytest.raises(ValueError):
         ObjectiveSpec(param, observed, mask, spec.p_hat, -1.0, 1.0)
+    for lam in (np.nan, np.inf):     # f would be NaN from the start
+        with pytest.raises(ValueError, match="lam must be finite"):
+            ObjectiveSpec(param, observed, mask, spec.p_hat, lam, 1.0)
     with pytest.raises(ValueError):
         ObjectiveSpec(param, observed, mask, spec.p_hat, 1.0, -0.5)
     off_support = observed + 1.0      # leaks outside the mask

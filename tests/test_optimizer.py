@@ -10,8 +10,8 @@ import lpmc.optimizer as optimizer
 from lpmc.errors import NumericError
 from lpmc.instances import (assemble, rectangular_instance, subspace_instance)
 from lpmc.objective import objective_grad, objective_value
-from lpmc.optimizer import (MIN_STEP, SolveConfig, halving_line_search,
-                            solve)
+from lpmc.optimizer import (GRAD_TOL_SQ, MIN_STEP, SolveConfig,
+                            halving_line_search, solve)
 from lpmc.parameterization import balanced_witness, factors
 from lpmc.sampling import RngState, bernoulli_mask
 from specialized_forms import DENSE, SPARSE, noiseless_spec, reference_solve
@@ -33,10 +33,10 @@ def test_line_search_picks_first_nonincreasing_halving():
         theta = gen.standard_normal(spec.param.d)
         value = objective_value(spec, theta)
         grad = objective_grad(spec, theta)
-        step, cand, ev, clamped, candidates, _ = halving_line_search(
+        step, cand, ev, candidates, _ = halving_line_search(
             spec, theta, grad, value)
-        if clamped:
-            assert step == 1e-10
+        if step == MIN_STEP:
+            assert candidates == 35
             continue
         assert ev.value <= value
         assert np.allclose(cand, theta - step * grad)
@@ -50,9 +50,9 @@ def test_line_search_zero_gradient_takes_full_step():
     spec, _ = small_problem(1)
     theta = np.zeros(spec.param.d)
     value = objective_value(spec, theta)
-    step, cand, ev, clamped, candidates, _ = halving_line_search(
+    step, cand, ev, candidates, _ = halving_line_search(
         spec, theta, np.zeros(spec.param.d), value)
-    assert step == 1.0 and not clamped and candidates == 1
+    assert step == 1.0 and candidates == 1
     assert np.array_equal(cand, theta)
     assert ev.value == value
 
@@ -63,12 +63,12 @@ def test_line_search_clamps_at_global_minimum():
     spec, m_star = small_problem(2, lam=0.0, alpha=np.inf)
     cert = balanced_witness(spec.param, np.zeros(spec.param.d), m_star)
     fake = np.ones(spec.param.d)
-    step, cand, ev, clamped, candidates, _ = halving_line_search(
-        spec, cert.xi, fake)
-    assert clamped
-    assert step == 1e-10
+    value = objective_value(spec, cert.xi)
+    step, cand, ev, candidates, _ = halving_line_search(
+        spec, cert.xi, fake, value)
+    assert step == MIN_STEP == 1e-10
     assert candidates == 35     # t = 0..33, then the clamp step
-    assert ev.value >= objective_value(spec, cert.xi)
+    assert ev.value >= value
 
 
 def _same_evaluation(spec, ev, theta):
@@ -97,14 +97,16 @@ def test_line_search_returns_evaluation_at_candidate():
         theta = gen.standard_normal(spec.param.d)
         grad = objective_grad(spec, theta)
         xi = balanced_witness(spec.param, theta, m_star).xi
+        value = objective_value(spec, theta)
+        at_xi = objective_value(spec, xi)
         for out in (None, np.empty(spec.observed.shape)):
-            _, cand, ev, clamped, _, _ = halving_line_search(
-                spec, theta, grad, out=out)
-            assert not clamped
+            step, cand, ev, _, _ = halving_line_search(
+                spec, theta, grad, value, out)
+            assert step > MIN_STEP
             _same_evaluation(spec, ev, cand)
-            _, cand, ev, clamped, _, _ = halving_line_search(
-                spec, xi, np.ones(spec.param.d), out=out)
-            assert clamped and np.array_equal(cand, xi - MIN_STEP)
+            step, cand, ev, _, _ = halving_line_search(
+                spec, xi, np.ones(spec.param.d), at_xi, out)
+            assert step == MIN_STEP and np.array_equal(cand, xi - MIN_STEP)
             _same_evaluation(spec, ev, cand)
             assert (ev.resid is out) == (dense and out is not None)
 
@@ -251,9 +253,30 @@ def test_solve_iter_cap_termination():
     assert result.iterations == 2
 
 
+@pytest.mark.parametrize("density", [DENSE, SPARSE],
+                         ids=["dense", "entry"])
+def test_cap_at_the_converging_step_reports_grad_tol(density):
+    # the gradient after the last step the cap allows decides the
+    # termination: a cap of exactly k steps still converges, k - 1 does not
+    spec, _ = noiseless_spec("subspace", 53, **density)
+    free = solve(spec, SolveConfig(seed=1, max_iters=5000))
+    k = free.iterations
+    assert free.termination == "grad-tol" and k > 1
+    at = solve(spec, SolveConfig(seed=1, max_iters=k))
+    assert (at.termination, at.iterations, at.grad_evals) == (
+        "grad-tol", k, k + 1)
+    assert at.grad_norm_sq_final == free.grad_norm_sq_final <= GRAD_TOL_SQ
+    assert at.objective_trace.tobytes() == free.objective_trace.tobytes()
+    below = solve(spec, SolveConfig(seed=1, max_iters=k - 1))
+    assert (below.termination, below.iterations, below.grad_evals) == (
+        "iter-cap", k - 1, k)
+    assert below.grad_norm_sq_final > GRAD_TOL_SQ
+
+
 def test_config_validation():
-    with pytest.raises(ValueError):
-        SolveConfig(max_iters=0)
+    for max_iters in (0, -3):
+        with pytest.raises(ValueError, match="max_iters must be positive"):
+            SolveConfig(max_iters=max_iters)
 
 
 def test_solve_raises_on_nonfinite_start():

@@ -1,5 +1,7 @@
 """Tests for observation masks, the sampling operator, and noise draws."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -91,6 +93,22 @@ def test_symmetric_pair_count_concentrates():
     for seed in range(3):
         mask = symmetric_offdiag_mask(300, 0.2, RngState(seed).derive("symc"))
         assert abs(mask.count / 2 - 0.2 * pairs) <= bound
+
+
+def test_mask_rejects_unknown_model():
+    with pytest.raises(ValueError, match="no-such-model"):
+        explicit_mask(3, 3, [(0, 1)], model="no-such-model")
+
+
+@pytest.mark.parametrize("rows, cols, pairs", [
+    (3, 4, [(0, 1), (1, 0)]),           # not square
+    (3, 3, [(0, 1)]),                   # one-sided pair
+    (3, 3, [(0, 1), (1, 0), (2, 2)]),   # diagonal entry
+], ids=["non-square", "one-sided", "diagonal"])
+def test_symmetric_mask_rejects_other_patterns(rows, cols, pairs):
+    with pytest.raises(ValueError, match="symmetric-offdiag"):
+        explicit_mask(rows, cols, pairs, model="symmetric-offdiag")
+    explicit_mask(rows, cols, pairs)    # a legal bernoulli-rect pattern
 
 
 def test_mask_determinism():
@@ -230,3 +248,40 @@ def test_observations_roundtrip_symmetric(tmp_path):
     assert back_mask.model == "symmetric-offdiag"
     # value column defaults to 1 on the observed set
     assert np.array_equal(back_values, mask.matrix.astype(float))
+
+
+def write_text(tmp_path, text):
+    path = tmp_path / "obs.txt"
+    path.write_text(text)
+    return path, re.escape(str(path))
+
+
+@pytest.mark.parametrize("line", ["-1 0 2.0", "3 0 2.0", "0 3 2.0"])
+def test_read_observations_rejects_out_of_range_index(tmp_path, line):
+    # a negative index would wrap around and set an entry at the far end
+    path, where = write_text(tmp_path,
+                             f"# 3 3 bernoulli-rect 0.5\n0 0 1.0\n{line}\n")
+    with pytest.raises(ValueError, match=f"{where}:3: .*outside the 3 x 3"):
+        read_observations(path)
+
+
+@pytest.mark.parametrize("line", ["1 2", "1 2 3.0 4.0", "a 2 3.0", "1 2 x"])
+def test_read_observations_rejects_malformed_line(tmp_path, line):
+    path, where = write_text(tmp_path, f"# 3 3 bernoulli-rect 0.5\n\n{line}\n")
+    with pytest.raises(ValueError, match=f"{where}:3: expected 'i j value'"):
+        read_observations(path)
+
+
+def test_read_observations_rejects_unknown_model(tmp_path):
+    path, where = write_text(tmp_path, "# 3 3 no-such-model 0.5\n0 0 2.0\n")
+    with pytest.raises(ValueError, match=f"{where}:1: unknown mask model"):
+        read_observations(path)
+
+
+@pytest.mark.parametrize("body", ["0 1 1.0\n1 0 1.0\n2 2 1.0\n",
+                                  "0 1 1.0\n"],
+                         ids=["diagonal", "one-sided"])
+def test_read_observations_rejects_bad_symmetric_mask(tmp_path, body):
+    path, where = write_text(tmp_path, "# 3 3 symmetric-offdiag 0.5\n" + body)
+    with pytest.raises(ValueError, match=f"{where}:1: .*symmetric-offdiag"):
+        read_observations(path)
