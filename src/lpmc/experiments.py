@@ -126,6 +126,11 @@ class ExperimentConfig:
             raise ValueError(f"sigma must be nonnegative, got {self.sigma}")
         if not self.sweep:
             raise ValueError("sweep must be nonempty")
+        for name in ("sweep", "p_grid"):
+            values = getattr(self, name)
+            if len(set(values)) < len(values):
+                # a repeat reruns the same streams into the same cell
+                raise ValueError(f"{name} repeats a value: {values}")
         if self.kind not in KINDS:
             raise ValueError(f"unknown kind {self.kind!r}")
         # these build only n1 x n1 matrices, so a different n2 would be
@@ -463,11 +468,11 @@ def run_diagnostics(config):
     emit("profile.incoherence", f"{prof.incoherence:.6e}")
     # the last gap instance's spec holds the standard-rule lam and alpha
     tuning = tuning_conditions(prof, p, spec.lam, spec.alpha)
-    emit("tuning.p", f"{tuning.p!r} floor {tuning.p_floor:.3e} "
+    emit("tuning.p", f"{p!r} floor {tuning.p_floor:.3e} "
                      f"binding {tuning.p_binding} ok {tuning.p_ok}")
-    emit("tuning.lam", f"{tuning.lam!r} window [{tuning.lam_lo:.3e}, "
+    emit("tuning.lam", f"{spec.lam!r} window [{tuning.lam_lo:.3e}, "
                        f"{tuning.lam_hi:.3e}] ok {tuning.lam_ok}")
-    emit("tuning.alpha", f"{tuning.alpha!r} window [{tuning.alpha_lo:.3e}, "
+    emit("tuning.alpha", f"{spec.alpha!r} window [{tuning.alpha_lo:.3e}, "
                          f"{tuning.alpha_hi:.3e}] ok {tuning.alpha_ok}")
     surro = noise_spectral_surrogate(param, mask, noise)
     emit("noise.surrogate", f"{surro.value:.6e} ({surro.formula})")

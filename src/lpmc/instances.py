@@ -16,19 +16,16 @@ def orthonormal_vectors(n, k, rng):
     return u[:, :k].copy()
 
 
-def subspace_instance(n1, n2, r, s1, s2, rng, singular_values=None):
+def subspace_instance(n1, n2, r, s1, s2, rng):
     """Subspace-constrained ground truth.
 
     The bases are the leading left singular vectors of seeded random
-    matrices; the truth is sum_i sigma_i u_i v_i^T over the first r basis
-    vectors (all sigma_i = 1 by default, so ||M*||_F^2 = r).
+    matrices; the truth is sum_i u_i v_i^T over the first r basis vectors,
+    so every nonzero singular value is 1 and ||M*||_F^2 = r.
     """
     basis_u = orthonormal_vectors(n1, s1, rng.derive("left"))
     basis_v = orthonormal_vectors(n2, s2, rng.derive("right"))
-    if singular_values is None:
-        singular_values = np.ones(r)
-    sv = np.asarray(singular_values, dtype=np.float64)
-    m_star = (basis_u[:, :r] * sv) @ basis_v[:, :r].T
+    m_star = basis_u[:, :r] @ basis_v[:, :r].T
     return subspace_param(basis_u, basis_v, r), m_star
 
 

@@ -238,15 +238,12 @@ class TuningReport:
     """Evaluated sides of the sampling-rate and tuning-window conditions.
     Reporting only; nothing here is asserted."""
 
-    p: float
     p_floor: float
     p_binding: str        # which term of the floor's max binds
     p_ok: bool
-    lam: float
     lam_lo: float
     lam_hi: float
     lam_ok: bool
-    alpha: float
     alpha_lo: float
     alpha_hi: float
     alpha_ok: bool
@@ -256,46 +253,53 @@ class TuningReport:
         return self.p_ok and self.lam_ok and self.alpha_ok
 
 
-def tuning_conditions(profile, p, lam, alpha, c1=1.0, c2=1.0):
+# Absolute constants of the rate floor (c1) and of the tuning windows (c2):
+# the theory fixes only their existence, so both are taken as 1.
+FLOOR_C1 = 1.0
+WINDOW_C2 = 1.0
+
+
+def tuning_conditions(profile, p, lam, alpha):
     """Check p against its rate floor and (lam, alpha) against their windows.
 
     The floor is c1 * max(mu r log(n_max) / n_min,
     n_max mu^2 r^2 kappa^2 / n_min^2); the windows are
     [c2 sqrt(n_max / p), 10 c2 sqrt(n_max / p)] for lam and
-    [c2 sqrt(mu r sigma_1 / n_min), 10 x] for alpha. The absolute constants
-    are inputs: the theory fixes only their existence.
+    [c2 sqrt(mu r sigma_1 / n_min), 10 x] for alpha, with c1 = FLOOR_C1
+    and c2 = WINDOW_C2.
     """
     n_max = max(profile.n1, profile.n2)
     n_min = min(profile.n1, profile.n2)
     mu, r, kappa = profile.incoherence, profile.r, profile.cond
     floor_log = mu * r * math.log(n_max) / n_min
     floor_cond = n_max * mu ** 2 * r ** 2 * kappa ** 2 / n_min ** 2
-    p_floor = c1 * max(floor_log, floor_cond)
-    lam_lo = c2 * math.sqrt(n_max / p)
-    alpha_lo = c2 * math.sqrt(mu * r * profile.sigma_top / n_min)
+    p_floor = FLOOR_C1 * max(floor_log, floor_cond)
+    lam_lo = WINDOW_C2 * math.sqrt(n_max / p)
+    alpha_lo = WINDOW_C2 * math.sqrt(mu * r * profile.sigma_top / n_min)
     return TuningReport(
-        p=p, p_floor=p_floor,
+        p_floor=p_floor,
         p_binding="incoherence-log" if floor_log >= floor_cond
         else "condition-number",
         p_ok=p >= p_floor,
-        lam=lam, lam_lo=lam_lo, lam_hi=10.0 * lam_lo,
+        lam_lo=lam_lo, lam_hi=10.0 * lam_lo,
         lam_ok=lam_lo <= lam <= 10.0 * lam_lo,
-        alpha=alpha, alpha_lo=alpha_lo, alpha_hi=10.0 * alpha_lo,
+        alpha_lo=alpha_lo, alpha_hi=10.0 * alpha_lo,
         alpha_ok=alpha_lo <= alpha <= 10.0 * alpha_lo)
 
 
-def mask_gap_norm(mask):
-    """Spectral norm of the mean-centered sampling indicator.
-
-    Centers by the model mean, p = mask.nominal_p: Omega - pJ for the
+def _centered_indicator(mask):
+    """Omega - E[Omega] with p = mask.nominal_p: Omega - pJ for the
     rectangular model and Omega - p(J - I) for the pairwise symmetric model,
-    whose diagonal is never sampled.
-    """
-    p = mask.nominal_p
-    g = mask.matrix.astype(np.float64) - p
+    whose diagonal is never sampled."""
+    g = mask.matrix.astype(np.float64) - mask.nominal_p
     if mask.model == "symmetric-offdiag":
-        g[np.diag_indices_from(g)] += p
-    return spectral_norm(g)
+        np.fill_diagonal(g, 0.0)
+    return g
+
+
+def mask_gap_norm(mask):
+    """Spectral norm of the mean-centered sampling indicator."""
+    return spectral_norm(_centered_indicator(mask))
 
 
 @dataclass(frozen=True)
@@ -316,26 +320,20 @@ class DeviationCheck:
 
 
 def sampled_deviation_check(mask, a, b, c, d, gap_norm=None):
-    """Evaluate |<P(AC^T), BD^T> - p <AC^T, BD^T>| against its two bounds,
-    with p = mask.nominal_p.
+    """Evaluate |<(Omega - E Omega) o AC^T, BD^T>|, the deviation of the
+    sampled inner product from its model mean, against its two bounds.
 
-    A, B have n1 rows, C, D have n2 rows. The mean term is taken over the
-    model support (diagonal excluded for the pairwise symmetric model). The
-    first bound is
-    ||Omega - pJ|| sqrt(sum_i ||a_i||^2 ||b_i||^2) sqrt(sum_j ||c_j||^2 ||d_j||^2)
-    with rows i, j and the centered indicator of mask_gap_norm; the second
-    replaces the product of roots by half their squared sum.
+    A, B have n1 rows, C, D have n2 rows. The first bound is gap_norm
+    sqrt(sum_i ||a_i||^2 ||b_i||^2) sqrt(sum_j ||c_j||^2 ||d_j||^2) over
+    rows i, j, with gap_norm = mask_gap_norm(mask) unless given (so many
+    tuples on one mask share it); the second replaces the product of roots
+    by half their squared sum.
     """
-    p = mask.nominal_p
+    if a.shape[0] != mask.rows or c.shape[0] != mask.cols:
+        raise ValueError("A needs n1 rows and C n2 rows")
     if gap_norm is None:
         gap_norm = mask_gap_norm(mask)
-    ac, bd = a @ c.T, b @ d.T
-    pac = project_observed(ac, mask)
-    mean_ip = float(np.vdot(ac, bd))
-    if mask.model == "symmetric-offdiag":
-        # diagonal entries are never sampled under the pairwise model
-        mean_ip -= float(np.sum(np.diag(ac) * np.diag(bd)))
-    lhs = abs(float(np.vdot(pac, bd)) - p * mean_ip)
+    lhs = abs(float(np.vdot(_centered_indicator(mask) * (a @ c.T), b @ d.T)))
     rows_ab = float(np.sum(np.einsum("ij,ij->i", a, a)
                            * np.einsum("ij,ij->i", b, b)))
     rows_cd = float(np.sum(np.einsum("ij,ij->i", c, c)
@@ -396,12 +394,13 @@ class ConcentrationReport:
         return max(abs(q - 1.0) for q in self.energy_ratios)
 
 
-def concentration_report(mask, rng, tuples=10, r=3):
-    """Spot-check the deviation inequality on random factor tuples and
-    report the mask spectral gap, count concentration, and sampled-energy
-    ratios (1/p)||P_Omega(M)||^2 / ||M||^2 over random rank-2r tangent
-    matrices M = U G^T + H V^T of a random rank-r frame pair, with
-    p = mask.nominal_p."""
+def concentration_report(mask, rng):
+    """Spot-check the deviation inequality on 10 random factor tuples of
+    width r = 3 and report the mask spectral gap, count concentration, and
+    sampled-energy ratios (1/p)||P_Omega(M)||^2 / ||M||^2 over 10 random
+    rank-2r tangent matrices M = U G^T + H V^T of a random rank-r frame
+    pair, with p = mask.nominal_p."""
+    tuples, r = 10, 3
     p = mask.nominal_p
     gap = mask_gap_norm(mask)
     gen = rng.generator()

@@ -41,21 +41,18 @@ class ReducedSvd:
         return (self.u * self.sigma) @ self.v.T
 
 
-def reduced_svd(a, cutoff=None):
-    """SVD truncated to the singular values above cutoff.
+def reduced_svd(a):
+    """SVD truncated to the singular values above 1e-10 * sigma_1, the
+    double-precision noise floor with a wide margin.
 
-    cutoff defaults to 1e-10 * sigma_1, the double-precision noise floor with
-    a wide margin. Returns a ReducedSvd; a numerically zero matrix yields
-    rank 0.
+    Returns a ReducedSvd; a numerically zero matrix yields rank 0.
     """
     m = as_matrix(a)
     try:
         u, s, vt = np.linalg.svd(m, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"svd did not converge: {exc}") from exc
-    if cutoff is None:
-        cutoff = 1e-10 * (s[0] if s.size else 0.0)
-    k = int(np.sum(s > cutoff))
+    k = int(np.sum(s > 1e-10 * (s[0] if s.size else 0.0)))
     return ReducedSvd(u[:, :k].copy(), s[:k].copy(), vt[:k].T.copy())
 
 

@@ -154,17 +154,25 @@ def write_observations(path, mask, values=None):
 def read_observations(path):
     """Inverse of write_observations; returns (mask, values matrix).
 
-    The file comes from outside the program, so a line that is not
-    'i j value' (two integers and a float) or names an entry outside the
-    header's shape raises a ValueError naming path:line, and so does a mask
-    that the header's model rules out.
+    The file comes from outside the program, so a header that is not
+    '# rows cols model nominal_p' (sizes integers of at least 1, nominal_p
+    a float), a line that is not 'i j value' (two integers and a float) or
+    names an entry outside the header's shape raises a ValueError naming
+    path:line, and so does a mask that the header's model rules out.
     """
     with open(path) as fh:
         header = fh.readline().split()
-        if len(header) != 5 or header[0] != "#":
-            raise ValueError(f"{path}:1: malformed header")
-        rows, cols = int(header[1]), int(header[2])
-        model, nominal_p = header[3], float(header[4])
+        try:
+            if len(header) != 5 or header[0] != "#":
+                raise ValueError
+            rows, cols = int(header[1]), int(header[2])
+            model, nominal_p = header[3], float(header[4])
+            if rows < 1 or cols < 1:
+                raise ValueError
+        except ValueError:
+            raise ValueError(f"{path}:1: malformed header, expected "
+                             f"'# rows cols model nominal_p' with rows and "
+                             f"cols at least 1") from None
         ind = np.zeros((rows, cols), dtype=bool)
         vals = np.zeros((rows, cols))
         for lineno, line in enumerate(fh, start=2):

@@ -104,7 +104,8 @@ def test_criterion_02_witness_certificates():
             worst_fit = max(worst_fit, cert.residual_fit)
             worst_bal = max(worst_bal, cert.residual_balance)
             rep = witness_factor_properties(param, cert.xi, m_star)
-            worst_sig = max(worst_sig, abs(rep.sigma_top - rep.expected_top))
+            worst_sig = max(worst_sig, abs(rep.sigma_top - rep.expected_top),
+                            abs(rep.sigma_bottom - rep.expected_bottom))
             fails += rep.two_inf_sq_x > rep.row_bound_x + 1e-10
             fails += rep.two_inf_sq_y > rep.row_bound_y + 1e-10
     ok = fails == 0 and worst_sig <= 1e-8

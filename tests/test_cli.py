@@ -93,6 +93,15 @@ def test_unknown_kind_in_config_file_is_one_line_error(tmp_path):
     assert "foo" in proc.stderr
 
 
+@pytest.mark.parametrize("grid", [("--s", "4,4", "--p-grid", "0.5"),
+                                  ("--s", "4", "--p-grid", "0.5,0.5")],
+                         ids=["s", "p_grid"])
+def test_repeated_grid_value_is_one_line_error(grid):
+    proc = run_lpmc("subspace-phase", "--n", "20", *grid, "--trials", "2")
+    assert_one_line_error(proc)
+    assert "repeats a value" in proc.stderr
+
+
 def test_negative_sigma_is_one_line_error():
     proc = run_lpmc("subspace-phase", "--n", "12", "--s", "4", "--p-grid",
                     "0.5", "--trials", "1", "--sigma", "-1")

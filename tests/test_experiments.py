@@ -45,6 +45,20 @@ def test_config_validation():
         tiny_phase(sigma=float("nan"))
 
 
+@pytest.mark.parametrize("fields", [dict(sweep=(4, 4)),
+                                    dict(sweep=(4, 6, 4)),
+                                    dict(p_grid=(0.5, 0.5)),
+                                    dict(p_grid=(0.3, 0.5, 0.3))],
+                         ids=["sweep", "sweep-apart", "p_grid",
+                              "p_grid-apart"])
+def test_config_rejects_repeated_grid_values(fields):
+    # a repeated value would rerun the same streams and pool the identical
+    # trials into one summary cell with twice the trial count
+    name = next(iter(fields))
+    with pytest.raises(ValueError, match=f"{name} repeats a value"):
+        tiny_phase(**fields)
+
+
 @pytest.mark.parametrize("experiment, key, fields", [
     ("subspace-phase", "kind", dict(kind="psd")),
     ("skew-compare", "kind", dict(kind="skew")),

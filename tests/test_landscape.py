@@ -9,7 +9,7 @@ import pytest
 from lpmc.errors import RankError
 from lpmc.instances import (assemble, psd_instance, rectangular_instance,
                             skew_instance, subspace_instance)
-from lpmc.landscape import (DeviationCheck, GroundTruthProfile,
+from lpmc.landscape import (FLOOR_C1, DeviationCheck, GroundTruthProfile,
                             concentration_report, curvature_gap_decomposition,
                             factor_curvature_gap, ground_truth_profile,
                             mask_count_check, mask_gap_norm,
@@ -55,8 +55,8 @@ def test_profile_spiky_matrix():
 
 def test_profile_matches_row_maxima():
     rng = RngState(40).derive("prof")
-    param, m_star = subspace_instance(20, 15, 3, 6, 5, rng,
-                                      singular_values=(3.0, 2.0, 1.0))
+    param, _ = subspace_instance(20, 15, 3, 6, 5, rng)
+    m_star = (param.basis_u[:, :3] * (3.0, 2.0, 1.0)) @ param.basis_v[:, :3].T
     prof = ground_truth_profile(m_star, 3)
     mu = 0.0
     for row in prof.u_star:
@@ -308,8 +308,8 @@ def test_tuning_binding_term_label():
 
 def test_tuning_floor_matches_formula():
     prof = synthetic_profile(n=100, mu=2.0, kappa=3.0, r=2)
-    rep = tuning_conditions(prof, 0.9, 1.0, 1.0, c1=2.0)
-    want = 2.0 * max(2.0 * 2 * math.log(100) / 100,
+    rep = tuning_conditions(prof, 0.9, 1.0, 1.0)
+    want = FLOOR_C1 * max(2.0 * 2 * math.log(100) / 100,
                      100 * 4.0 * 4 * 9.0 / 100 ** 2)
     assert rep.p_floor == pytest.approx(want, rel=1e-12)
 
@@ -343,6 +343,10 @@ def test_deviation_check_full_mask():
     assert chk.gap_norm == 0.0
     assert chk.lhs <= 1e-10
     assert chk.holds()
+    # a one-row A would broadcast against the indicator instead of failing
+    with pytest.raises(ValueError, match="n1 rows"):
+        sampled_deviation_check(mask, np.ones((1, 2)), np.ones((10, 2)),
+                                np.ones((8, 2)), np.ones((8, 2)))
 
 
 def test_deviation_check_random_masks():
@@ -356,6 +360,31 @@ def test_deviation_check_random_masks():
                                       gen.standard_normal((80, 3)))
         assert chk.holds()
         assert chk.factor_bound <= chk.sum_bound + 1e-12
+
+
+@pytest.mark.parametrize("model", ["bernoulli-rect", "symmetric-offdiag"])
+def test_deviation_lhs_matches_two_inner_product_form(model):
+    # lhs is one inner product with the centered indicator; it must equal
+    # the sampled inner product minus p times the mean over the support
+    for k in range(100):
+        p = (0.1, 0.3, 0.5, 0.7, 0.9)[k % 5]
+        rng = RngState(700 + k).derive("dev", model)
+        if model == "symmetric-offdiag":
+            mask = symmetric_offdiag_mask(30, p, rng.derive("m"))
+        else:
+            mask = bernoulli_mask(30, 24, p, rng.derive("m"))
+        gen = rng.derive("f").generator()
+        a, b = (gen.standard_normal((mask.rows, 3)) for _ in range(2))
+        c, d = (gen.standard_normal((mask.cols, 3)) for _ in range(2))
+        ac, bd = a @ c.T, b @ d.T
+        sampled = float(np.vdot(project_observed(ac, mask), bd))
+        full = float(np.vdot(ac, bd))
+        mean = full
+        if model == "symmetric-offdiag":
+            mean -= float(np.sum(np.diag(ac) * np.diag(bd)))
+        chk = sampled_deviation_check(mask, a, b, c, d)
+        assert abs(chk.lhs - abs(sampled - p * mean)) <= 1e-12 * (
+            abs(sampled) + p * abs(full))
 
 
 def test_deviation_check_symmetric_full():
@@ -395,10 +424,9 @@ def test_mask_count_check():
 def test_concentration_report_fields():
     rng = RngState(65).derive("conc")
     mask = bernoulli_mask(60, 50, 0.4, rng.derive("m"))
-    rep = concentration_report(mask, rng.derive("r"), tuples=6, r=2)
+    rep = concentration_report(mask, rng.derive("r"))
     assert rep.all_hold
-    assert len(rep.checks) == 6
-    assert len(rep.energy_ratios) == 6
+    assert len(rep.checks) == len(rep.energy_ratios) == 10
     assert rep.energy_max_deviation >= 0.0
     assert rep.gap_ratio == pytest.approx(
         rep.gap_norm / math.sqrt(60 * 0.4), rel=1e-12)
@@ -408,7 +436,7 @@ def test_concentration_report_fields():
 def test_concentration_report_empty_mask():
     rng = RngState(66).derive("conc")
     mask = bernoulli_mask(10, 10, 0.0, rng.derive("m"))
-    rep = concentration_report(mask, rng.derive("r"), tuples=3)
+    rep = concentration_report(mask, rng.derive("r"))
     assert rep.energy_ratios == ()
     assert rep.energy_max_deviation == 0.0
     assert rep.gap_ratio == 0.0
@@ -418,8 +446,8 @@ def test_concentration_report_empty_mask():
 
 def test_witness_factor_properties():
     rng = RngState(67).derive("wit")
-    param, m_star = subspace_instance(24, 20, 2, 6, 5, rng,
-                                      singular_values=(2.0, 0.5))
+    param, _ = subspace_instance(24, 20, 2, 6, 5, rng)
+    m_star = (param.basis_u[:, :2] * (2.0, 0.5)) @ param.basis_v[:, :2].T
     rep = witness_factor_properties(param, balanced_witness(
         param, np.zeros(param.d), m_star).xi, m_star)
     assert rep.sigma_top == pytest.approx(math.sqrt(2.0), abs=1e-8)

@@ -31,7 +31,7 @@ def plane_gap(vectors, basis):
 # ---------------------------------------------------------------- reduced_svd
 
 def test_svd_identity_with_cutoff():
-    dec = reduced_svd(np.eye(3), cutoff=0.5)
+    dec = reduced_svd(np.eye(3))
     assert np.array_equal(dec.sigma, np.ones(3))
     assert dec.rank == 3
 
@@ -39,7 +39,7 @@ def test_svd_identity_with_cutoff():
 def test_svd_rank_one_outer_product():
     a = np.zeros((4, 5))
     a[0, 1] = 2.0
-    dec = reduced_svd(a, cutoff=1e-12)
+    dec = reduced_svd(a)
     assert dec.rank == 1
     assert np.allclose(dec.sigma, [2.0], atol=1e-14)
     assert np.allclose(np.abs(dec.u[:, 0]), [1, 0, 0, 0], atol=1e-14)
@@ -70,13 +70,13 @@ def test_svd_orthonormality_and_order():
 
 
 def test_svd_default_cutoff_drops_noise_floor():
-    # sigma_2 sits below 1e-10 * sigma_1, the default numerical-rank cut
+    # the numerical-rank cut sits at 1e-10 * sigma_1: a sigma_2 just below
+    # it is dropped, one just above it is kept
     gen = np.random.default_rng(2)
     u = np.linalg.qr(gen.standard_normal((5, 2)))[0]
     v = np.linalg.qr(gen.standard_normal((4, 2)))[0]
-    a = (u * [1.0, 3e-11]) @ v.T
-    assert reduced_svd(a).rank == 1
-    assert reduced_svd(a, cutoff=1e-12).rank == 2
+    assert reduced_svd((u * [1.0, 3e-11]) @ v.T).rank == 1
+    assert reduced_svd((u * [1.0, 3e-10]) @ v.T).rank == 2
 
 
 def test_svd_zero_matrix():

@@ -314,8 +314,9 @@ def test_certify_rejects_non_witness():
 def test_witness_sigma_range():
     # singular values of X(xi) are the square roots of M*'s spectrum
     rng = RngState(41).derive("sig")
-    param, m_star = subspace_instance(24, 20, 3, 6, 6, rng,
-                                      singular_values=(2.0, 1.0, 0.25))
+    param, _ = subspace_instance(24, 20, 3, 6, 6, rng)
+    m_star = ((param.basis_u[:, :3] * (2.0, 1.0, 0.25))
+              @ param.basis_v[:, :3].T)
     cert = balanced_witness(param, np.zeros(param.d), m_star)
     sig = np.linalg.svd(x_of(param, cert.xi), compute_uv=False)
     assert sig[0] == pytest.approx(np.sqrt(2.0), rel=1e-8)

@@ -272,6 +272,22 @@ def test_read_observations_rejects_malformed_line(tmp_path, line):
         read_observations(path)
 
 
+@pytest.mark.parametrize("header", ["3 3 bernoulli-rect 0.5",
+                                    "# 3 bernoulli-rect 0.5",
+                                    "# 2.5 3 bernoulli-rect 0.5",
+                                    "# -1 3 bernoulli-rect 0.5",
+                                    "# 0 3 bernoulli-rect 0.5",
+                                    "# 3 0 bernoulli-rect 0.5",
+                                    "# 3 3 bernoulli-rect half"],
+                         ids=["no-hash", "short", "non-integer", "negative",
+                              "zero-rows", "zero-cols", "non-number-p"])
+def test_read_observations_rejects_bad_header(tmp_path, header):
+    # a 0 x 3 mask would load and divide by zero in observed_fraction
+    path, where = write_text(tmp_path, f"{header}\n")
+    with pytest.raises(ValueError, match=f"{where}:1: malformed header"):
+        read_observations(path)
+
+
 def test_read_observations_rejects_unknown_model(tmp_path):
     path, where = write_text(tmp_path, "# 3 3 no-such-model 0.5\n0 0 2.0\n")
     with pytest.raises(ValueError, match=f"{where}:1: unknown mask model"):
