@@ -34,7 +34,6 @@ from .parameterization import (LinearParam, WitnessCertificate, adjoint,
                                subspace_param, theta_blocks, x_of, y_of)
 from .sampling import (ObservationMask, RngState, bernoulli_mask,
                        gaussian_noise, observed_fraction, project_observed,
-                       read_observations, skew_gaussian_noise,
-                       symmetric_offdiag_mask, write_observations)
+                       skew_gaussian_noise, symmetric_offdiag_mask)
 
 __version__ = "0.1.0"

@@ -142,6 +142,13 @@ class ExperimentConfig:
                     else self.experiment)
             raise ValueError(f"{what} builds square matrices: n2={self.n2} "
                              f"must equal n1={self.n1}")
+        # the sweep holds subspace widths everywhere but skew-compare and
+        # the other kinds of single-solve (kind is "subspace" elsewhere)
+        width = min(self.n1, self.n2)
+        if (self.experiment != "skew-compare" and self.kind == "subspace"
+                and not all(1 <= s <= width for s in self.sweep)):
+            raise ValueError(f"subspace widths must lie in [1, {width}], "
+                             f"got {self.sweep}")
         if self.experiment == "single-solve" and len(self.sweep) > 1:
             raise ValueError("single-solve takes one sweep value; more would "
                              "repeat identical solves")

@@ -10,7 +10,9 @@ from .parameterization import (psd_param, rectangular_param, skew_param,
 
 def orthonormal_vectors(n, k, rng):
     """First k left singular vectors of a seeded n x n standard normal
-    matrix."""
+    matrix; k must lie in [1, n]."""
+    if not 1 <= k <= n:
+        raise ValueError(f"cannot draw {k} orthonormal vectors in R^{n}")
     g = rng.generator().standard_normal((n, n))
     u, _, _ = np.linalg.svd(g)
     return u[:, :k].copy()

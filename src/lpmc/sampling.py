@@ -80,10 +80,6 @@ class ObservationMask:
     def count(self):
         return int(self.matrix.sum())
 
-    @property
-    def indices(self):
-        return frozenset(map(tuple, np.argwhere(self.matrix)))
-
 
 def bernoulli_mask(n1, n2, p, rng):
     """Independent Bernoulli(p) observation of each entry."""
@@ -133,65 +129,3 @@ def skew_gaussian_noise(n, sigma, rng):
     upper = np.triu(g, 1) * sigma
     return upper - upper.T
 
-
-def write_observations(path, mask, values=None):
-    """Dump a mask (and optionally the observed values) as text.
-
-    Header line '# rows cols model nominal_p', then one 'i j value' line per
-    observed entry in row-major order; value is 1 when no matrix is given.
-    """
-    if values is not None:
-        values = as_matrix(values, "values")
-        if values.shape != mask.matrix.shape:
-            raise ValueError("values shape does not match mask")
-    with open(path, "w") as fh:
-        fh.write(f"# {mask.rows} {mask.cols} {mask.model} {mask.nominal_p!r}\n")
-        for i, j in np.argwhere(mask.matrix):
-            v = 1.0 if values is None else float(values[i, j])
-            fh.write(f"{i} {j} {v!r}\n")
-
-
-def read_observations(path):
-    """Inverse of write_observations; returns (mask, values matrix).
-
-    The file comes from outside the program, so a header that is not
-    '# rows cols model nominal_p' (sizes integers of at least 1, nominal_p
-    a float), a line that is not 'i j value' (two integers and a float) or
-    names an entry outside the header's shape raises a ValueError naming
-    path:line, and so does a mask that the header's model rules out.
-    """
-    with open(path) as fh:
-        header = fh.readline().split()
-        try:
-            if len(header) != 5 or header[0] != "#":
-                raise ValueError
-            rows, cols = int(header[1]), int(header[2])
-            model, nominal_p = header[3], float(header[4])
-            if rows < 1 or cols < 1:
-                raise ValueError
-        except ValueError:
-            raise ValueError(f"{path}:1: malformed header, expected "
-                             f"'# rows cols model nominal_p' with rows and "
-                             f"cols at least 1") from None
-        ind = np.zeros((rows, cols), dtype=bool)
-        vals = np.zeros((rows, cols))
-        for lineno, line in enumerate(fh, start=2):
-            parts = line.split()
-            if not parts:
-                continue
-            try:
-                if len(parts) != 3:
-                    raise ValueError
-                i, j, v = int(parts[0]), int(parts[1]), float(parts[2])
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: expected 'i j value', "
-                                 f"got {line.strip()!r}") from None
-            if not (0 <= i < rows and 0 <= j < cols):
-                raise ValueError(f"{path}:{lineno}: entry ({i}, {j}) lies "
-                                 f"outside the {rows} x {cols} matrix")
-            ind[i, j] = True
-            vals[i, j] = v
-    try:
-        return ObservationMask(ind, model, nominal_p), vals
-    except ValueError as exc:
-        raise ValueError(f"{path}:1: {exc}") from None

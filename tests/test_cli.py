@@ -102,6 +102,22 @@ def test_repeated_grid_value_is_one_line_error(grid):
     assert "repeats a value" in proc.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ("subspace-phase", "--n", "12", "--s", "20,12", "--p-grid", "0.5",
+     "--trials", "1"),
+    ("subspace-phase", "--n", "12", "--s", "-3", "--p-grid", "0.5",
+     "--trials", "1"),
+    ("single-solve", "--n", "4", "--r", "2"),
+    ("diagnostics", "--n", "6"),
+], ids=["wider-than-n", "negative", "single-solve-default-s",
+        "diagnostics-default-s"])
+def test_subspace_width_outside_one_to_n_is_one_line_error(argv):
+    # the bases would silently hold fewer columns than the width asked for
+    proc = run_lpmc(*argv)
+    assert_one_line_error(proc)
+    assert "subspace widths must lie in" in proc.stderr
+
+
 def test_negative_sigma_is_one_line_error():
     proc = run_lpmc("subspace-phase", "--n", "12", "--s", "4", "--p-grid",
                     "0.5", "--trials", "1", "--sigma", "-1")

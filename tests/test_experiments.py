@@ -95,7 +95,28 @@ def test_config_rejects_an_n2_that_square_instances_ignore(experiment,
 def test_config_takes_a_non_square_n2_where_factors_read_it():
     for kind in ("subspace", "rectangular"):
         assert default_config("single-solve", n2=33, kind=kind).n2 == 33
-    assert default_config("subspace-phase", n2=33).n2 == 33
+    # widths up to min(n1, n2) = 33; the default 40 is rejected
+    assert default_config("subspace-phase", n2=33,
+                          sweep=(10, 20, 30)).n2 == 33
+
+
+@pytest.mark.parametrize("fields", [dict(n1=12, n2=20, sweep=(4, 13)),
+                                    dict(n1=12, n2=12, sweep=(0, 4))],
+                         ids=["above-min-side", "zero"])
+def test_config_rejects_widths_the_bases_cannot_hold(fields):
+    # the CLI tests cover widths above n, negative widths and the defaults
+    # of single-solve and diagnostics
+    with pytest.raises(ValueError, match=r"subspace widths must lie in "
+                                         r"\[1, 12\]"):
+        default_config("subspace-noisy", **fields)
+
+
+def test_config_checks_the_width_only_where_the_sweep_is_one():
+    # the other kinds of single-solve ignore s (6 by default)
+    for kind in ("rectangular", "psd", "skew"):
+        assert default_config("single-solve", n1=4, n2=4, kind=kind).n1 == 4
+    assert default_config("subspace-phase", n1=12, n2=12,
+                          sweep=(1, 12)).sweep == (1, 12)
 
 
 def test_config_takes_ignored_fields_at_their_defaults():

@@ -29,7 +29,7 @@ def naive_value(spec, theta):
     x, y = x_of(spec.param, theta), y_of(spec.param, theta)
     prod = x @ y.T
     fit = 0.0
-    for i, j in spec.mask.indices:
+    for i, j in np.argwhere(spec.mask.matrix):
         fit += (prod[i, j] - spec.observed[i, j]) ** 2
     balance = np.linalg.norm(x.T @ x - y.T @ y, "fro") ** 2
     pen = 0.0

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from lpmc.errors import NotPsdError, RepresentabilityError
-from lpmc.instances import (psd_instance, rectangular_instance, skew_instance,
+from lpmc.instances import (orthonormal_vectors, psd_instance,
+                            rectangular_instance, skew_instance,
                             subspace_instance)
 from lpmc.parameterization import (KINDS, adjoint, balanced_witness, certify,
                                    factors, pack_blocks, psd_param,
@@ -156,6 +157,12 @@ def test_param_validation_errors():
         rectangular_param(4, 4, 5)  # r beyond min(n1, n2)
     with pytest.raises(ValueError):
         subspace_param(np.eye(4)[:, :2], np.eye(4), 3)  # r beyond s
+
+
+@pytest.mark.parametrize("k", [-3, 0, 13])
+def test_orthonormal_vectors_rejects_widths_outside_one_to_n(k):
+    with pytest.raises(ValueError, match=f"cannot draw {k} orthonormal"):
+        orthonormal_vectors(12, k, RngState(0))
 
 
 def test_subspace_reorthonormalizes_with_warning():

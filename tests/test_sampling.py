@@ -1,14 +1,11 @@
 """Tests for observation masks, the sampling operator, and noise draws."""
 
-import re
-
 import numpy as np
 import pytest
 
 from lpmc.sampling import (ObservationMask, RngState, bernoulli_mask,
                            gaussian_noise, observed_fraction, project_observed,
-                           read_observations, skew_gaussian_noise,
-                           symmetric_offdiag_mask, write_observations)
+                           skew_gaussian_noise, symmetric_offdiag_mask)
 
 RNG = RngState(1234)
 
@@ -223,81 +220,3 @@ def test_noise_determinism():
     b = gaussian_noise(10, 10, 0.5, RngState(3).derive("nd"))
     assert np.array_equal(a, b)
 
-
-# -------------------------------------------------------------- serialization
-
-def test_observations_roundtrip(tmp_path):
-    gen = np.random.default_rng(4)
-    mask = bernoulli_mask(6, 5, 0.5, RNG.derive("io"))
-    values = project_observed(gen.standard_normal((6, 5)), mask)
-    path = tmp_path / "obs.txt"
-    write_observations(path, mask, values)
-    back_mask, back_values = read_observations(path)
-    assert np.array_equal(back_mask.matrix, mask.matrix)
-    assert back_mask.model == mask.model
-    assert back_mask.nominal_p == mask.nominal_p
-    assert np.array_equal(back_values, values)
-
-
-def test_observations_roundtrip_symmetric(tmp_path):
-    mask = symmetric_offdiag_mask(7, 0.6, RNG.derive("io2"))
-    path = tmp_path / "obs_sym.txt"
-    write_observations(path, mask)
-    back_mask, back_values = read_observations(path)
-    assert np.array_equal(back_mask.matrix, mask.matrix)
-    assert back_mask.model == "symmetric-offdiag"
-    # value column defaults to 1 on the observed set
-    assert np.array_equal(back_values, mask.matrix.astype(float))
-
-
-def write_text(tmp_path, text):
-    path = tmp_path / "obs.txt"
-    path.write_text(text)
-    return path, re.escape(str(path))
-
-
-@pytest.mark.parametrize("line", ["-1 0 2.0", "3 0 2.0", "0 3 2.0"])
-def test_read_observations_rejects_out_of_range_index(tmp_path, line):
-    # a negative index would wrap around and set an entry at the far end
-    path, where = write_text(tmp_path,
-                             f"# 3 3 bernoulli-rect 0.5\n0 0 1.0\n{line}\n")
-    with pytest.raises(ValueError, match=f"{where}:3: .*outside the 3 x 3"):
-        read_observations(path)
-
-
-@pytest.mark.parametrize("line", ["1 2", "1 2 3.0 4.0", "a 2 3.0", "1 2 x"])
-def test_read_observations_rejects_malformed_line(tmp_path, line):
-    path, where = write_text(tmp_path, f"# 3 3 bernoulli-rect 0.5\n\n{line}\n")
-    with pytest.raises(ValueError, match=f"{where}:3: expected 'i j value'"):
-        read_observations(path)
-
-
-@pytest.mark.parametrize("header", ["3 3 bernoulli-rect 0.5",
-                                    "# 3 bernoulli-rect 0.5",
-                                    "# 2.5 3 bernoulli-rect 0.5",
-                                    "# -1 3 bernoulli-rect 0.5",
-                                    "# 0 3 bernoulli-rect 0.5",
-                                    "# 3 0 bernoulli-rect 0.5",
-                                    "# 3 3 bernoulli-rect half"],
-                         ids=["no-hash", "short", "non-integer", "negative",
-                              "zero-rows", "zero-cols", "non-number-p"])
-def test_read_observations_rejects_bad_header(tmp_path, header):
-    # a 0 x 3 mask would load and divide by zero in observed_fraction
-    path, where = write_text(tmp_path, f"{header}\n")
-    with pytest.raises(ValueError, match=f"{where}:1: malformed header"):
-        read_observations(path)
-
-
-def test_read_observations_rejects_unknown_model(tmp_path):
-    path, where = write_text(tmp_path, "# 3 3 no-such-model 0.5\n0 0 2.0\n")
-    with pytest.raises(ValueError, match=f"{where}:1: unknown mask model"):
-        read_observations(path)
-
-
-@pytest.mark.parametrize("body", ["0 1 1.0\n1 0 1.0\n2 2 1.0\n",
-                                  "0 1 1.0\n"],
-                         ids=["diagonal", "one-sided"])
-def test_read_observations_rejects_bad_symmetric_mask(tmp_path, body):
-    path, where = write_text(tmp_path, "# 3 3 symmetric-offdiag 0.5\n" + body)
-    with pytest.raises(ValueError, match=f"{where}:1: .*symmetric-offdiag"):
-        read_observations(path)
