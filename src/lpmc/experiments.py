@@ -9,8 +9,10 @@ tags, parameterization) triple. Streams derive from the master seed:
            children draw the data of every sweep value and solver of (p, t)
   init     the cell's ("init", s), ("init", "skew", r) / ("init", "rect", r),
            or ("init", kind) for single-solve
-  truths   (experiment, "truth"), one stream for every s (the bases for
-           different s nest, so the truth is the same matrix for every s),
+  truths   (experiment, "truth"), one stream for every s: the bases are
+           drawn once at the widest s and every s takes their leading
+           columns, which equal its own draw bit for bit (the Gram-Schmidt
+           draws nest), so the truth is the same matrix for every s;
            or (experiment, "truth", r) per skew rank
 
 The sweep value stays out of the cell's path, so cells at the same (p, t)

@@ -9,21 +9,34 @@ from .parameterization import (psd_param, rectangular_param, skew_param,
 
 
 def orthonormal_vectors(n, k, rng):
-    """First k left singular vectors of a seeded n x n standard normal
-    matrix; k must lie in [1, n]."""
+    """k Haar-distributed orthonormal vectors in R^n, k in [1, n].
+
+    Classical Gram-Schmidt, applied twice per column, on k seeded standard
+    normal columns: the Q factor of their QR with a positive diagonal in R.
+    The normals are drawn column by column and column j is built from
+    columns < j alone, so the first j vectors of a k-wide draw equal the
+    j-wide draw from the same stream bit for bit.
+    """
     if not 1 <= k <= n:
         raise ValueError(f"cannot draw {k} orthonormal vectors in R^{n}")
-    g = rng.generator().standard_normal((n, n))
-    u, _, _ = np.linalg.svd(g)
-    return u[:, :k].copy()
+    g = rng.generator().standard_normal((k, n)).T
+    q = np.empty((n, k))
+    for j in range(k):
+        v = g[:, j]
+        for _ in range(2):
+            v -= q[:, :j] @ (q[:, :j].T @ v)
+        q[:, j] = v / np.linalg.norm(v)
+    return q
 
 
 def subspace_instance(n1, n2, r, s1, s2, rng):
     """Subspace-constrained ground truth.
 
-    The bases are the leading left singular vectors of seeded random
-    matrices; the truth is sum_i u_i v_i^T over the first r basis vectors,
-    so every nonzero singular value is 1 and ||M*||_F^2 = r.
+    The bases are s1 and s2 orthonormal vectors drawn by orthonormal_vectors
+    from the "left" and "right" children of rng, so the bases of a narrower
+    width from the same rng are their leading columns; the truth is
+    sum_i u_i v_i^T over the first r basis vectors, so every nonzero
+    singular value is 1 and ||M*||_F^2 = r.
     """
     basis_u = orthonormal_vectors(n1, s1, rng.derive("left"))
     basis_v = orthonormal_vectors(n2, s2, rng.derive("right"))
@@ -49,8 +62,9 @@ def psd_instance(n, r, rng):
 def skew_instance(n, r, rng, unit_blocks=False):
     """Skew-symmetric ground truth of rank r.
 
-    unit_blocks=True builds sum_i (u_i v_i^T - v_i u_i^T) from r orthonormal
-    vectors of one seeded random matrix (the paired-solver sweeps use this);
+    unit_blocks=True builds sum_i (u_i v_i^T - v_i u_i^T) from the r
+    orthonormal vectors orthonormal_vectors(n, r, rng), u_i the even and v_i
+    the odd columns (the paired-solver sweeps use this, one rng per rank);
     otherwise the truth is A B^T - B A^T with Gaussian blocks of width r/2.
     """
     if r % 2:

@@ -218,6 +218,22 @@ def test_unsorted_phase_sweep_matches_one_value_runs():
             without_wall_time(r) for r in alone]
 
 
+@pytest.mark.parametrize("sweep", [(4, 10), (10, 4)])
+def test_skew_compare_rank_cells_match_one_rank_runs(sweep):
+    # each rank draws its unit-block truth from its own stream, so a rank's
+    # records do not depend on the other ranks of the sweep or their order
+    grid = dict(n1=20, n2=20, p_grid=(0.5,), trials=2, master_seed=19,
+                max_iters=60)
+    records, _ = run_experiment(default_config(
+        "skew-compare", sweep=sweep, **grid))
+    alone, _ = run_experiment(default_config(
+        "skew-compare", sweep=(4,), **grid))
+    cell = [r for r in records if r.s_or_r == 4]
+    assert len(cell) == 4
+    assert [without_wall_time(r) for r in cell] == [
+        without_wall_time(r) for r in alone]
+
+
 def test_skew_compare_solvers_share_the_data(monkeypatch):
     seen = []
 

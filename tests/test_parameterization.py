@@ -165,6 +165,41 @@ def test_orthonormal_vectors_rejects_widths_outside_one_to_n(k):
         orthonormal_vectors(12, k, RngState(0))
 
 
+@pytest.mark.parametrize("n, k", [(500, 40), (12, 12), (7, 1)])
+def test_orthonormal_vectors_are_orthonormal(n, k):
+    q = orthonormal_vectors(n, k, RngState(3))
+    assert q.shape == (n, k)
+    assert np.linalg.norm(q.T @ q - np.eye(k)) <= 1e-13
+
+
+@pytest.mark.parametrize("n, k, j", [(500, 40, 1), (500, 40, 7),
+                                     (500, 40, 39), (12, 12, 5),
+                                     (12, 12, 11)])
+def test_orthonormal_vectors_nest_bit_for_bit(n, k, j):
+    # the subspace sweeps slice every width's bases from the widest draw
+    wide = orthonormal_vectors(n, k, RngState(11))
+    assert np.array_equal(wide[:, :j], orthonormal_vectors(n, j, RngState(11)))
+
+
+def test_orthonormal_vectors_repeat_on_one_stream():
+    rng = RngState(4).derive("left")
+    q = orthonormal_vectors(30, 6, rng)
+    assert q.tobytes() == orthonormal_vectors(30, 6, rng).tobytes()
+    assert not np.array_equal(q, orthonormal_vectors(30, 6, RngState(5)))
+
+
+def test_orthonormal_vectors_projector_mean_is_isotropic():
+    # a Haar draw has E[Q Q^T] = (k/n) I; each entry of the mean of 4,000
+    # draws has a standard deviation of 0.003-0.004
+    n, k, draws = 6, 2, 4000
+    root = RngState(21)
+    total = np.zeros((n, n))
+    for i in range(draws):
+        q = orthonormal_vectors(n, k, root.derive(i))
+        total += q @ q.T
+    assert np.abs(total / draws - (k / n) * np.eye(n)).max() <= 0.02
+
+
 def test_subspace_reorthonormalizes_with_warning():
     gen = np.random.default_rng(7)
     b = np.linalg.qr(gen.standard_normal((8, 3)))[0]
