@@ -12,6 +12,7 @@ from .errors import NumericError
 from .experiments import (EXPERIMENTS, SETTINGS, default_config,
                           run_diagnostics, run_experiment, render_csv,
                           write_csv)
+from .optimizer import INITS
 from .parameterization import KINDS
 
 
@@ -46,6 +47,8 @@ _FLAGS = {
     "alpha": dict(type=float,
                   help="row-norm threshold (default: standard rule)"),
     "max_iters": dict(type=int, help="gradient-step cap"),
+    "init": dict(choices=INITS, help="solver start: the spectral estimate "
+                                     "of the data (default) or N(0, 1)"),
     "out": dict(help="output path (CSV, or text report for diagnostics)"),
     "kind": dict(choices=KINDS, help="parameterization to solve with"),
 }

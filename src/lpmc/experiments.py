@@ -20,7 +20,10 @@ share masks and noise and comparisons are paired. Masks and noise follow the
 truth's kind (pairs mirrored for skew truths), whatever the solver; in
 skew-compare the free-factor solver gets the skew solver's observations.
 Reruns with the same master seed write byte-identical CSV; per-trial wall
-times therefore stay off the CSV (they live on the in-memory records).
+times therefore stay off the CSV (they live on the in-memory records). The
+solver settings (lam, alpha, max_iters, init) live on the ExperimentConfig,
+not on the records, so a run under init "random" writes the CSV of the
+solver before the spectral start existed, byte for byte.
 
 CSV layout: one header line naming the serialized TrialRecord fields, one
 row per trial, then a summary section whose lines are prefixed '#summary'
@@ -69,6 +72,7 @@ SETTINGS = {
     "lambda": (("lam",), _SOLVING),
     "alpha": (("alpha",), _SOLVING),
     "max_iters": (("max_iters",), _SOLVING),
+    "init": (("init",), _SOLVING),
     "out": (("out",), EXPERIMENTS),
     "kind": (("kind",), ("single-solve",)),
 }
@@ -107,6 +111,7 @@ class ExperimentConfig:
     lam: float = None       # None = standard tuning rule
     alpha: float = None
     max_iters: int = 500
+    init: str = "spectral"  # solver start, one of optimizer.INITS
     out: str = None
 
     def __post_init__(self):
@@ -122,8 +127,8 @@ class ExperimentConfig:
             raise ValueError("p_grid values must lie in (0, 1]")
         if self.trials < 1:
             raise ValueError("trials must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be positive")
+        # the solver's settings, checked where every solve checks them
+        SolveConfig(max_iters=self.max_iters, init=self.init)
         if not self.sigma >= 0.0:
             raise ValueError(f"sigma must be nonnegative, got {self.sigma}")
         if not self.sweep:
@@ -280,7 +285,7 @@ def summarize(records):
     return out
 
 
-def _trial(config, t, p, value, label, init, param, data, m_star):
+def _trial(config, t, p, value, label, stream, param, data, m_star):
     """One solve of a sweep cell with the given parameterization; data is
     the cell's spec for the truth, None when the mask is empty."""
     if data is None:
@@ -290,15 +295,16 @@ def _trial(config, t, p, value, label, init, param, data, m_star):
     else:
         spec = data if param is data.param else make_spec(
             param, data.mask, data.observed, config.lam, config.alpha)
-        result = solve(spec, SolveConfig(seed=init,
-                                         max_iters=config.max_iters))
+        result = solve(spec, SolveConfig(seed=stream,
+                                         max_iters=config.max_iters,
+                                         init=config.init))
         num = float(np.linalg.norm(result.m_hat - m_star)) ** 2
         err = num / float(np.linalg.norm(m_star)) ** 2
         iterations, termination = result.iterations, result.termination
         wall = result.wall_time
     return TrialRecord(
         experiment=config.experiment, trial=t, p=p, s_or_r=value,
-        solver=label, seed=init.token, relative_error=err,
+        solver=label, seed=stream.token, relative_error=err,
         success=int(math.sqrt(err) <= SUCCESS_REL_ERR),
         iterations=iterations, termination=termination, wall_time=wall)
 

@@ -1,12 +1,15 @@
 """Dense linear-algebra kernels: reduced SVD, Youla pairing for skew-symmetric
 matrices by one Hermitian eigenproblem, LAPACK spectral norm, row-norm
-maximum."""
+maximum, randomized range finder."""
 
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegeneracyError, NumericError
+
+SKETCH_EXTRA = 10       # randomized_range columns beyond r
+POWER_PASSES = 2        # randomized_range passes through a^T and a
 
 
 def as_matrix(a, name="a"):
@@ -120,3 +123,20 @@ def spectral_norm(a):
     if m.size == 0:
         return 0.0
     return float(np.linalg.norm(m, 2))
+
+
+def randomized_range(a, r, gen):
+    """Orthonormal basis of (about) the top-r left singular space of a.
+
+    The randomized range finder of Halko, Martinsson & Tropp (2011): a
+    Gaussian n2 x k test matrix drawn from gen, with k = r + SKETCH_EXTRA
+    capped at min(n1, n2), pushed through a, then POWER_PASSES passes
+    through a^T and a, with a QR after every product. A range of rank below
+    k is spanned exactly.
+    """
+    k = min(r + SKETCH_EXTRA, *a.shape)
+    q = np.linalg.qr(a @ gen.standard_normal((a.shape[1], k)))[0]
+    for _ in range(POWER_PASSES):
+        q = np.linalg.qr(a.T @ q)[0]
+        q = np.linalg.qr(a @ q)[0]
+    return q

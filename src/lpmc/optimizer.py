@@ -1,5 +1,13 @@
 """Gradient descent with halving line search.
 
+A solve starts (init) from the spectral estimate of its data by default:
+the kind's spectral_start, balanced factors of the rank-r truncation of
+P(M) / p_hat (Keshavan, Montanari & Oh 2010; Ma, Wang, Chi & Chen 2018).
+Both modes first draw the random start, N(0, 1) parameter entries from the
+solve's seed stream; "random" starts there, and "spectral" draws its range
+finder's test matrix from the same stream after it and keeps the random
+columns only where the data leave a factor column empty.
+
 Each iteration takes the step max(2^-k, MIN_STEP) where k is the smallest
 t >= 0 with f(theta - 2^-t grad) <= f(theta). With MIN_STEP = 1e-10 the
 distinct candidates are t = 0..33 (2^-34 < 1e-10); if none of them gives
@@ -30,18 +38,22 @@ from .sampling import RngState
 
 GRAD_TOL_SQ = 1e-10
 MIN_STEP = 1e-10
+INITS = ("spectral", "random")
 
 
 @dataclass(frozen=True)
 class SolveConfig:
     seed: object = 0          # RngState or plain int
     max_iters: int = 500
-    init_scale: float = 1.0
+    init: str = "spectral"    # one of INITS
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be positive, got "
                              f"{self.max_iters}")
+        if self.init not in INITS:
+            raise ValueError(f"init must be one of {INITS}, got "
+                             f"{self.init!r}")
 
 
 @dataclass(frozen=True)
@@ -84,20 +96,30 @@ def halving_line_search(spec, theta, grad, value, out=None):
         step = max(2.0 ** -t, MIN_STEP)
 
 
-def solve(spec, config):
-    """Run gradient descent on the theta-level objective.
-
-    Stops when ||grad||^2 <= GRAD_TOL_SQ or after max_iters gradient steps.
-    Raises NumericError (trace attached) if the objective turns non-finite.
-    """
+def initial_theta(spec, config):
+    """The point a solve of spec under config starts from (see the module
+    docstring)."""
     if isinstance(config.seed, RngState):
         rng = config.seed
     else:
         rng = RngState(int(config.seed))
     gen = rng.generator()
-    theta = config.init_scale * gen.standard_normal(spec.param.d)
+    theta = gen.standard_normal(spec.param.d)
+    if config.init == "spectral":
+        theta = spec.param.spectral_start(spec.observed, spec.p_hat, theta,
+                                          gen)
+    return theta
 
+
+def solve(spec, config):
+    """Run gradient descent on the theta-level objective from
+    initial_theta(spec, config).
+
+    Stops when ||grad||^2 <= GRAD_TOL_SQ or after max_iters gradient steps.
+    Raises NumericError (trace attached) if the objective turns non-finite.
+    """
     started = time.perf_counter()
+    theta = initial_theta(spec, config)
     ev = objective_value(spec, theta, keep=True)
     value = ev.value
     if not np.isfinite(value):

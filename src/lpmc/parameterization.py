@@ -12,15 +12,23 @@ four kinds is one LinearParam subclass:
                     with Theta_A, Theta_B of width r/2 (skew-symmetric targets)
 
 A subclass checks its sizes when built and defines block_shapes(), the map
-on the blocks (factors), its adjoint (adjoint) and its witness construction
-(witness). The module functions work on flat theta vectors: factors splits
-theta once and applies the map, adjoint packs the adjoint's blocks back into
-a theta-vector, and x_of / y_of pick one factor.
+on the blocks (factors), its adjoint (adjoint), its witness construction
+(witness) and its spectral start (spectral_start). The module functions
+work on flat theta vectors: factors splits theta once and applies the map,
+adjoint packs the adjoint's blocks back into a theta-vector, and x_of / y_of
+pick one factor.
 
 A witness for (theta, m_star) is a parameter xi whose factors reproduce
 m_star exactly, are balanced, and correlate nonnegatively with the factors at
 theta; balanced_witness builds one with the kind's construction and returns a
 WitnessCertificate with the measured residuals.
+
+The spectral start of data A = P(M) / p_hat is the parameter of balanced
+factors of the rank-r truncation of A inside the kind's space: the top-r SVD
+for free factors, the SVD of the s1 x s2 core U^T A V for subspace factors,
+the top-r eigenpairs of the symmetric part for psd and the Youla blocks of
+the skew part for skew. The rectangular, psd and skew kinds take it on the
+range of A found by randomized_range.
 """
 
 import warnings
@@ -29,7 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotPsdError, NumericError, RepresentabilityError
-from .linalg import ReducedSvd, as_matrix, reduced_svd, youla_decompose
+from .linalg import (ReducedSvd, as_matrix, randomized_range, reduced_svd,
+                     youla_decompose)
 
 KINDS = ("rectangular", "psd", "subspace", "skew")
 
@@ -41,7 +50,8 @@ CORR_TOL = 1e-8
 @dataclass(frozen=True)
 class LinearParam:
     """Sizes shared by every kind. kind names the subclass, which defines
-    block_shapes(), factors(*blocks), adjoint(gx, gy) and witness(theta, m)."""
+    block_shapes(), factors(*blocks), adjoint(gx, gy), witness(theta, m) and
+    spectral_start(observed, p_hat, theta, gen)."""
 
     n1: int
     n2: int
@@ -79,6 +89,11 @@ class RectangularParam(LinearParam):
 
     def witness(self, theta, m):
         return _aligned_balanced_pair(self, theta, m)
+
+    def spectral_start(self, observed, p_hat, theta, gen):
+        q = randomized_range(observed, self.r, gen)
+        u, s, vt = np.linalg.svd(q.T @ observed, full_matrices=False)
+        return _spectral_theta(self, (q @ u, vt.T), s, s[0], p_hat, theta)
 
 
 class PsdParam(LinearParam):
@@ -120,6 +135,13 @@ class PsdParam(LinearParam):
         (t,) = theta_blocks(self, theta)
         return pack_blocks(self, root @ _align(t.T @ root))
 
+    def spectral_start(self, observed, p_hat, theta, gen):
+        q = randomized_range(observed, self.r, gen)
+        core = q.T @ observed @ q
+        w, z = np.linalg.eigh(0.5 * (core + core.T))
+        return _spectral_theta(self, (q @ z[:, ::-1],), w[::-1],
+                               max(-w[0], w[-1]), p_hat, theta)
+
 
 @dataclass(frozen=True)
 class SubspaceParam(LinearParam):
@@ -160,6 +182,11 @@ class SubspaceParam(LinearParam):
             raise RepresentabilityError(
                 "m_star is not supported on the parameterization bases")
         return _aligned_balanced_pair(self, theta, core)
+
+    def spectral_start(self, observed, p_hat, theta, gen):
+        core = self.basis_u.T @ observed @ self.basis_v
+        u, s, vt = np.linalg.svd(core)
+        return _spectral_theta(self, (u, vt.T), s, s[0], p_hat, theta)
 
 
 class SkewParam(LinearParam):
@@ -208,6 +235,14 @@ class SkewParam(LinearParam):
             raise NumericError("rotation lost unitarity",
                                best_estimate=emb)
         return pack_blocks(self, xi_a @ r1 - xi_b @ r2, xi_a @ r2 + xi_b @ r1)
+
+    def spectral_start(self, observed, p_hat, theta, gen):
+        q = randomized_range(observed, self.r, gen)
+        core = q.T @ observed @ q
+        dec = youla_decompose(0.5 * (core - core.T))
+        top = dec.lambdas[0] if dec.n_blocks else 0.0
+        return _spectral_theta(self, (q @ dec.phi, q @ dec.psi), dec.lambdas,
+                               top, p_hat, theta)
 
 
 def rectangular_param(n1, n2, r):
@@ -362,6 +397,29 @@ def _aligned_balanced_pair(param, theta, m):
     ta, tb = theta_blocks(param, theta)
     rot = _align(ta.T @ a + tb.T @ b)
     return pack_blocks(param, a @ rot, b @ rot)
+
+
+def _spectral_theta(param, dirs, values, top, p_hat, theta):
+    """The spectral start from the directions of each block (columns in
+    order of descending values) and the truncation's values, top the
+    largest magnitude in the kind's spectrum.
+
+    A value above 1e-10 top is kept: its column of each block is its
+    direction times sqrt(value / p_hat), so the factors are balanced. The
+    other columns (data of rank below the blocks' width, and nonpositive
+    eigenvalues for psd), where a zero pair would be a stationary point
+    descent never leaves, keep the random start theta's columns, rescaled
+    in each block by sqrt(top / (p_hat rows)): a filled column is about as
+    long as the longest kept one, and zero data gives the zero start.
+    """
+    theta = np.array(theta, dtype=np.float64)
+    blocks = theta_blocks(param, theta)       # views into the copy
+    kept = min(blocks[0].shape[1], int(np.sum(values > 1e-10 * top)))
+    root = np.sqrt(values[:kept] / p_hat)
+    for b, d in zip(blocks, dirs):
+        b[:, :kept] = d[:, :kept] * root
+        b[:, kept:] *= np.sqrt(top / (p_hat * b.shape[0]))
+    return theta
 
 
 def _align(corr):

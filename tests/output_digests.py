@@ -4,9 +4,13 @@ Prints one line per config: its name and the sha256 over its outputs at
 master seeds 0..N-1 (N = 40 unless --seeds says otherwise). The configs are
 the four criterion-11 sweeps of test_acceptance.py, a skew-compare sweep on
 the observed-entry kernel (n = 60, p = 0.02) and the default diagnostics
-report; a sweep's output is its render_csv text. Two checkouts that print
-the same lines wrote the same bytes, so a change meant to keep every output
-is checked by running this at both and comparing:
+report; a sweep's output is its render_csv text. The five sweeps are then
+printed again under init="random" as <name>-random lines: the solver's
+random start, whose outputs are those of every checkout from before the
+spectral start (default since), so their digests stay fixed from one
+checkout to the next unless a change moves the descent itself. Two
+checkouts that print the same lines wrote the same bytes, so a change meant
+to keep every output is checked by running this at both and comparing:
 
     PYTHONPATH=src python tests/output_digests.py [--seeds N]
 
@@ -35,19 +39,24 @@ def digests(seeds):
     from lpmc.experiments import (default_config, render_csv,
                                   run_diagnostics, run_experiment)
 
+    def sweeps(suffix, **init):
+        for name, fields in SWEEPS.items():
+            experiment = name.removesuffix("-entry")
+            h = hashlib.sha256()
+            for seed in range(seeds):
+                cfg = default_config(experiment, master_seed=seed, **fields,
+                                     **init)
+                h.update(render_csv(*run_experiment(cfg)).encode())
+            out.append((name + suffix, h.hexdigest()))
+
     out = []
-    for name, fields in SWEEPS.items():
-        experiment = name.removesuffix("-entry")
-        h = hashlib.sha256()
-        for seed in range(seeds):
-            cfg = default_config(experiment, master_seed=seed, **fields)
-            h.update(render_csv(*run_experiment(cfg)).encode())
-        out.append((name, h.hexdigest()))
+    sweeps("")
     h = hashlib.sha256()
     for seed in range(seeds):
         h.update(run_diagnostics(
             default_config("diagnostics", master_seed=seed))[0].encode())
     out.append(("diagnostics", h.hexdigest()))
+    sweeps("-random", init="random")
     return out
 
 

@@ -117,12 +117,15 @@ def psd_objective_value(spec, theta):
 
 
 def reference_solve(spec, config):
-    """solve's descent with a fresh objective_value at every candidate and
-    a fresh objective_grad at every iterate; returns (objective_trace,
-    theta_hat, iterations, termination, clamped_steps)."""
+    """solve's descent from the random start (config.init "random") with a
+    fresh objective_value at every candidate and a fresh objective_grad at
+    every iterate; returns (objective_trace, theta_hat, iterations,
+    termination, clamped_steps)."""
+    if config.init != "random":
+        raise ValueError("reference_solve starts from the random draw only")
     seed = config.seed
     rng = seed if isinstance(seed, RngState) else RngState(int(seed))
-    theta = config.init_scale * rng.generator().standard_normal(spec.param.d)
+    theta = rng.generator().standard_normal(spec.param.d)
     value = objective_value(spec, theta)
     trace = [value]
     clamped = 0

@@ -204,7 +204,10 @@ def test_criterion_06_exact_recovery_full_observation():
             else:
                 param, m_star = skew_instance(20, 2, rng.derive("i"))
             spec = _masked_spec(kind, param, m_star, rng.derive("m"), p=1.0)
-            result = solve(spec, SolveConfig(seed=rng.derive("t")))
+            # the paper's claim is recovery from arbitrary starts; the
+            # spectral start of full data is the answer itself
+            result = solve(spec, SolveConfig(seed=rng.derive("t"),
+                                             init="random"))
             rel = (np.linalg.norm(result.m_hat - m_star)
                    / np.linalg.norm(m_star))
             hits[kind] += rel <= 1e-3

@@ -171,6 +171,25 @@ def test_kind_key_outside_single_solve_is_one_line_error(tmp_path, experiment,
     assert flag in proc.stderr
 
 
+def test_init_outside_its_modes_or_experiments_is_one_line_error(tmp_path):
+    # init has two modes, and diagnostics, which never solves, takes none
+    path = tmp_path / "init.cfg"
+    path.write_text("init = foo\n")
+    proc = run_lpmc(*fast_args("--config", str(path)))
+    assert_one_line_error(proc)
+    assert "init must be one of" in proc.stderr and "foo" in proc.stderr
+    proc = run_lpmc("diagnostics", "--init", "random")
+    assert_one_line_error(proc)
+    assert "--init" in proc.stderr
+
+
+def test_init_flag_choices_are_the_modes(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(fast_args("--init", "scaled"))
+    assert exc.value.code == 1
+    assert "spectral" in capsys.readouterr().err
+
+
 def test_kind_flag_choices_are_the_kinds(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(fast_args("--kind", "foo"))

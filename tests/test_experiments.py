@@ -68,6 +68,7 @@ def test_config_rejects_repeated_grid_values(fields):
     ("diagnostics", "lambda", dict(lam=5.0)),
     ("diagnostics", "alpha", dict(alpha=0.1)),
     ("diagnostics", "max_iters", dict(max_iters=3)),
+    ("diagnostics", "init", dict(init="random")),
 ])
 def test_config_rejects_fields_the_experiment_ignores(experiment, key,
                                                       fields):
@@ -127,6 +128,11 @@ def test_config_takes_ignored_fields_at_their_defaults():
                           p_grid=(0.6,), sigma=0.02, trials=1,
                           max_iters=500, kind="subspace") == (
         default_config("diagnostics"))
+
+
+def test_config_rejects_an_unknown_init():
+    with pytest.raises(ValueError, match="init must be one of"):
+        tiny_phase(init="scaled")
 
 
 def test_config_defaults_and_overrides():
@@ -349,6 +355,17 @@ def test_csv_byte_determinism():
     assert a == b
     c = render_csv(*run_experiment(tiny_phase(master_seed=12)))
     assert a != c
+
+
+def test_init_reaches_the_solves_and_adds_no_column():
+    # the start is a setting of the run, like lam or max_iters: it changes
+    # the outcomes, not the CSV's columns
+    spectral = render_csv(*run_experiment(tiny_phase(init="spectral")))
+    random = render_csv(*run_experiment(tiny_phase(init="random")))
+    assert spectral != random
+    header = ",".join(experiments.RECORD_COLUMNS)
+    assert spectral.splitlines()[0] == random.splitlines()[0] == header
+    assert "init" not in experiments.RECORD_COLUMNS
 
 
 def test_write_csv_matches_render(tmp_path):

@@ -9,7 +9,8 @@ import pytest
 
 import lpmc
 from lpmc.errors import DegeneracyError
-from lpmc.linalg import reduced_svd, spectral_norm, two_inf_norm, youla_decompose
+from lpmc.linalg import (randomized_range, reduced_svd, spectral_norm,
+                         two_inf_norm, youla_decompose)
 
 
 def random_skew(n, lambdas, gen):
@@ -255,3 +256,27 @@ def test_import_loads_no_scipy():
                          text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "[]"
+
+
+def test_randomized_range_spans_a_low_rank_range():
+    gen = np.random.default_rng(5)
+    a = gen.standard_normal((40, 3)) @ gen.standard_normal((3, 30))
+    # r + SKETCH_EXTRA columns
+    q = randomized_range(a, 3, np.random.default_rng(6))
+    assert q.shape == (40, 13)
+    assert np.linalg.norm(q.T @ q - np.eye(13)) <= 1e-12
+    assert np.linalg.norm(a - q @ (q.T @ a)) <= 1e-12 * np.linalg.norm(a)
+    # at most min(n1, n2) columns
+    assert randomized_range(a, 25, gen).shape == (40, 30)
+
+
+def test_randomized_range_finds_the_top_singular_space():
+    # a decaying spectrum: the power passes put the top 4 directions of a
+    # 12-column sketch (r = 2) within 1e-8 of the exact ones
+    gen = np.random.default_rng(7)
+    u = np.linalg.qr(gen.standard_normal((200, 200)))[0]
+    v = np.linalg.qr(gen.standard_normal((150, 150)))[0]
+    a = (u[:, :150] * 0.5 ** np.arange(150)) @ v.T
+    q = randomized_range(a, 2, np.random.default_rng(8))
+    top = u[:, :4]
+    assert np.linalg.norm(top - q @ (q.T @ top)) <= 1e-8

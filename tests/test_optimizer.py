@@ -9,11 +9,13 @@ import lpmc.objective as objective
 import lpmc.optimizer as optimizer
 from lpmc.errors import NumericError
 from lpmc.instances import (assemble, rectangular_instance, subspace_instance)
-from lpmc.objective import objective_grad, objective_value
-from lpmc.optimizer import (GRAD_TOL_SQ, MIN_STEP, SolveConfig,
-                            halving_line_search, solve)
-from lpmc.parameterization import balanced_witness, factors
-from lpmc.sampling import RngState, bernoulli_mask
+from lpmc.objective import make_spec, objective_grad, objective_value
+from lpmc.optimizer import (GRAD_TOL_SQ, INITS, MIN_STEP, SolveConfig,
+                            halving_line_search, initial_theta, solve)
+from lpmc.parameterization import (KINDS, balanced_witness, factors,
+                                   theta_blocks)
+from lpmc.sampling import (ObservationMask, RngState, bernoulli_mask,
+                           symmetric_offdiag_mask)
 from specialized_forms import DENSE, SPARSE, noiseless_spec, reference_solve
 
 
@@ -113,9 +115,14 @@ def test_line_search_returns_evaluation_at_candidate():
 
 # --------------------------------------------------------------------- solver
 
-def test_solve_init_scale_zero_stops_immediately():
+def test_solve_zero_start_on_zero_data_stops_immediately():
+    # the spectral start of all-zero data is theta = 0, where the gradient
+    # vanishes
     spec, _ = small_problem(3)
-    result = solve(spec, SolveConfig(seed=0, init_scale=0.0))
+    spec = make_spec(spec.param, spec.mask, np.zeros(spec.observed.shape),
+                     spec.lam, spec.alpha)
+    assert not initial_theta(spec, SolveConfig(seed=0)).any()
+    result = solve(spec, SolveConfig(seed=0))
     assert result.iterations == 0
     assert result.termination == "grad-tol"
     assert result.grad_norm_sq_final == 0.0
@@ -181,7 +188,8 @@ def test_solve_matches_fresh_evaluation_reference(kind, density):
     for tuning in ({}, dict(lam=0.5, alpha=0.5)):
         spec, _ = noiseless_spec(kind, 43, **density, **tuning)
         for seed, max_iters in ((1, 400), (2, 3)):
-            config = SolveConfig(seed=seed, max_iters=max_iters)
+            config = SolveConfig(seed=seed, max_iters=max_iters,
+                                 init="random")
             result = solve(spec, config)
             trace, theta, iterations, termination, clamped = (
                 reference_solve(spec, config))
@@ -197,13 +205,25 @@ def test_solve_matches_fresh_evaluation_reference(kind, density):
 def test_solve_counts_hinged_evaluations():
     # at the standard alpha = 100 a sparse subspace solve never reaches the
     # row penalty, as on the benchmark's phase sweep; at a small alpha it
-    # does, and at lam = 0 the penalty is off
+    # does, and at lam = 0 the penalty is off. The small-alpha solves start
+    # from the random draw: its rows lie beyond alpha = 0.5, while those of
+    # the truth and of the spectral start do not
     spec, _ = noiseless_spec("subspace", 47, **SPARSE)
     assert spec.alpha == 100.0 and spec.lam > 0.0
     result = solve(spec, SolveConfig(seed=1))
     assert result.iterations > 0 and result.hinge_evals == 0
     for lam, hinged in ((spec.lam, True), (0.0, False)):
         small = dataclasses.replace(spec, lam=lam, alpha=0.5)
+        result = solve(small, SolveConfig(seed=1, init="random"))
+        assert (result.hinge_evals > 0) == hinged
+        assert result.hinge_evals <= result.value_evals
+    # from the default (spectral) start the penalty binds once alpha lies
+    # below the start's longest factor row
+    start = initial_theta(spec, SolveConfig(seed=1))
+    longest = max(np.linalg.norm(f, axis=1).max()
+                  for f in factors(spec.param, start))
+    for lam, hinged in ((spec.lam, True), (0.0, False)):
+        small = dataclasses.replace(spec, lam=lam, alpha=0.5 * longest)
         result = solve(small, SolveConfig(seed=1))
         assert (result.hinge_evals > 0) == hinged
         assert result.hinge_evals <= result.value_evals
@@ -280,7 +300,73 @@ def test_config_validation():
 
 
 def test_solve_raises_on_nonfinite_start():
+    # data near 1e200 put the squared residual of either start past the
+    # largest double
     spec, _ = small_problem(10)
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(NumericError):
-            solve(spec, SolveConfig(seed=4, init_scale=1e200))
+    spec = make_spec(spec.param, spec.mask, 1e200 * spec.observed,
+                     spec.lam, spec.alpha)
+    for init in INITS:
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError, match="initial point"):
+                solve(spec, SolveConfig(seed=4, init=init))
+
+
+def test_init_validation():
+    with pytest.raises(ValueError, match="init must be one of"):
+        SolveConfig(init="scaled")
+
+
+# ---------------------------------------------------------------- the start
+
+def test_random_start_is_the_standard_normal_draw():
+    spec, _ = small_problem(13)
+    theta = initial_theta(spec, SolveConfig(seed=5, init="random"))
+    draw = RngState(5).generator().standard_normal(spec.param.d)
+    assert theta.tobytes() == draw.tobytes()
+
+
+def full_spec(kind):
+    """A rank-r truth observed in full, skew truths by unordered pairs."""
+    spec, m_star = noiseless_spec(kind, 61, p=1.0, scale=3)
+    if kind == "skew":
+        mask = symmetric_offdiag_mask(spec.param.n1, 1.0, RngState(61))
+        spec = make_spec(spec.param, mask, m_star)
+    return spec
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_spectral_start_reproduces_fully_observed_data(kind):
+    # the data have rank r, below the range finder's r + 10 columns (and
+    # the blocks' rows), so the start is their exact balanced factorization
+    spec = full_spec(kind)
+    n = spec.param.n1
+    assert spec.p_hat == ((n - 1) / n if kind == "skew" else 1.0)
+    target = spec.observed / spec.p_hat
+    x, y = factors(spec.param, initial_theta(spec, SolveConfig(seed=2)))
+    assert (np.linalg.norm(x @ y.T - target)
+            <= 1e-10 * np.linalg.norm(target))
+    gram = x.T @ x
+    assert np.linalg.norm(gram - y.T @ y) <= 1e-12 * np.linalg.norm(gram)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_spectral_start_fills_columns_the_data_leave_empty(kind):
+    # one observed entry (a mirrored pair for skew): data of rank 1 against
+    # r = 2 (one Youla block against two for the rank-4 skew truth), so a
+    # column pair of the truncation is zero, a stationary point
+    spec, m_star = noiseless_spec(kind, 67, scale=3)
+    i, j = 4, 7
+    ind = np.zeros(spec.observed.shape, dtype=bool)
+    ind[i, j] = True
+    model = "bernoulli-rect"
+    if kind == "skew":
+        ind[j, i] = True
+        model = "symmetric-offdiag"
+    spec = make_spec(spec.param, ObservationMask(ind, model, 0.01), m_star)
+    assert spec.observed[i, j] != 0.0
+    config = SolveConfig(seed=3, max_iters=5)
+    theta = initial_theta(spec, config)
+    for block in theta_blocks(spec.param, theta) + factors(spec.param,
+                                                           theta):
+        assert np.abs(block).sum(axis=0).all()
+    assert solve(spec, config).iterations > 0
