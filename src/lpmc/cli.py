@@ -127,7 +127,9 @@ def main(argv=None):
         else:
             sys.stdout.write(render_csv([], summaries))
         total = sum(r.wall_time for r in records)
-        print(f"{len(records)} solves in {total:.1f}s", file=sys.stderr)
+        values = sum(r.value_evals for r in records)
+        print(f"{len(records)} solves in {total:.1f}s, {values} objective "
+              "values", file=sys.stderr)
     except OSError as exc:
         print(f"lpmc: {exc}", file=sys.stderr)
         return 1

@@ -2,8 +2,10 @@
 
 run_experiment is the one sweep loop: p, then trial, then sweep value, then
 solver. A per-experiment plan gives the ground truth of each sweep value
-(subspace width s, skew rank r) and its solvers, each a (label, init-stream
-tags, parameterization) triple. Streams derive from the master seed:
+(subspace width s, skew rank r; a single-solve of a kind without bases has
+the one value r, the rank it solves at) and its solvers, each a (label,
+init-stream tags, parameterization) triple. Streams derive from the master
+seed:
 
   cell     (experiment, "p", repr(p), "t", t); its "mask" and "noise"
            children draw the data of every sweep value and solver of (p, t)
@@ -20,10 +22,11 @@ share masks and noise and comparisons are paired. Masks and noise follow the
 truth's kind (pairs mirrored for skew truths), whatever the solver; in
 skew-compare the free-factor solver gets the skew solver's observations.
 Reruns with the same master seed write byte-identical CSV; per-trial wall
-times therefore stay off the CSV (they live on the in-memory records). The
-solver settings (lam, alpha, max_iters, init) live on the ExperimentConfig,
-not on the records, so a run under init "random" writes the CSV of the
-solver before the spectral start existed, byte for byte.
+times therefore stay off the CSV (they live on the in-memory records, as
+does each solve's count of objective values). The solver settings (lam,
+alpha, max_iters, init) live on the ExperimentConfig, not on the records,
+so a run under init "random" writes the CSV of the solver before the
+spectral start existed, byte for byte.
 
 CSV layout: one header line naming the serialized TrialRecord fields, one
 row per trial, then a summary section whose lines are prefixed '#summary'
@@ -140,6 +143,11 @@ class ExperimentConfig:
                 raise ValueError(f"{name} repeats a value: {values}")
         if self.kind not in KINDS:
             raise ValueError(f"unknown kind {self.kind!r}")
+        # only the subspace kind has widths (kind is "subspace" outside
+        # single-solve)
+        if self.kind != "subspace" and self.sweep != defaults["sweep"]:
+            raise ValueError(f"single-solve with kind {self.kind!r} takes no "
+                             "key 's'")
         # these build only n1 x n1 matrices, so a different n2 would be
         # ignored (kind is left at its default outside single-solve)
         if self.n2 != self.n1 and (
@@ -186,6 +194,7 @@ class TrialRecord:
     iterations: int
     termination: str
     wall_time: float        # in-memory only, see module docstring
+    value_evals: int        # objective values of the solve, in-memory only
 
 
 @dataclass(frozen=True)
@@ -291,7 +300,8 @@ def _trial(config, t, p, value, label, stream, param, data, m_star):
     if data is None:
         # nothing observed: the objective is undefined, the estimate is 0,
         # and the trial counts as a failure at full relative error
-        err, iterations, termination, wall = 1.0, 0, "empty-mask", 0.0
+        err, iterations, termination, wall, values = (1.0, 0, "empty-mask",
+                                                      0.0, 0)
     else:
         spec = data if param is data.param else make_spec(
             param, data.mask, data.observed, config.lam, config.alpha)
@@ -301,12 +311,13 @@ def _trial(config, t, p, value, label, stream, param, data, m_star):
         num = float(np.linalg.norm(result.m_hat - m_star)) ** 2
         err = num / float(np.linalg.norm(m_star)) ** 2
         iterations, termination = result.iterations, result.termination
-        wall = result.wall_time
+        wall, values = result.wall_time, result.value_evals
     return TrialRecord(
         experiment=config.experiment, trial=t, p=p, s_or_r=value,
         solver=label, seed=stream.token, relative_error=err,
         success=int(math.sqrt(err) <= SUCCESS_REL_ERR),
-        iterations=iterations, termination=termination, wall_time=wall)
+        iterations=iterations, termination=termination, wall_time=wall,
+        value_evals=values)
 
 
 def _mask(param, p, rng):
@@ -329,13 +340,16 @@ def _plan(config, master):
     (label, init-stream tags, parameterization) triple."""
     exp, n1, n2, r = config.experiment, config.n1, config.n2, config.r
     rng = master.derive(exp, "truth")
+    sweep = config.sweep
+    if exp == "single-solve" and config.kind != "subspace":
+        sweep = (r,)
     if exp in ("subspace-noisy", "subspace-phase"):
         # every s draws its bases from the one truth stream, so the bases of
         # each s are the leading columns of the widest ones
         wide = max(config.sweep)
         widest, m_star = subspace_instance(n1, n2, r, wide, wide, rng)
     plan = []
-    for v in config.sweep:
+    for v in sweep:
         if exp == "skew-compare":
             param, m_star = skew_instance(n1, v, rng.derive(v),
                                           unit_blocks=True)

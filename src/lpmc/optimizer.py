@@ -8,11 +8,15 @@ solve's seed stream; "random" starts there, and "spectral" draws its range
 finder's test matrix from the same stream after it and keeps the random
 columns only where the data leave a factor column empty.
 
-Each iteration takes the step max(2^-k, MIN_STEP) where k is the smallest
-t >= 0 with f(theta - 2^-t grad) <= f(theta). With MIN_STEP = 1e-10 the
-distinct candidates are t = 0..33 (2^-34 < 1e-10); if none of them gives
-non-increase the clamp step MIN_STEP is taken unconditionally, which may
-increase the objective.
+Each iteration takes the step max(2^-k / c, MIN_STEP) where c is the
+kind's gram (adjoint(factors(theta)) = c theta, so a theta step t moves the
+factors by c t) and k is the smallest t >= 0 with
+f(theta - 2^-t / c grad) <= f(theta). The first candidate is thus the step
+that moves the factors one unit of the gradient: 1 for the rectangular and
+subspace kinds, 1/2 for psd and skew. With MIN_STEP = 1e-10 the distinct
+candidates are t = 0..33 for c = 1 and t = 0..32 for c = 2 (2^-34 < 1e-10);
+if none of them gives non-increase the clamp step MIN_STEP is taken
+unconditionally, which may increase the objective.
 
 solve computes the gradient at one site, the top of its loop: it stops
 there once ||grad||^2 <= GRAD_TOL_SQ ("grad-tol") or after max_iters steps
@@ -72,7 +76,9 @@ class SolveResult:
 
 
 def halving_line_search(spec, theta, grad, value, out=None):
-    """Pick the step for one descent iteration from theta, where f = value.
+    """Pick the step for one descent iteration from theta, where f = value:
+    the first of 2^-t / spec.param.gram, t = 0, 1, ..., at which f does not
+    increase (see the module docstring).
 
     Returns (step, new_theta, evaluation, candidates, hinged): evaluation is
     objective_value's Evaluation at new_theta (its .value the new objective),
@@ -82,8 +88,9 @@ def halving_line_search(spec, theta, grad, value, out=None):
     when given, is the n1 x n2 buffer that every candidate's dense residual
     is written into.
     """
+    gram = spec.param.gram
     t = 0
-    step = 1.0
+    step = 1.0 / gram
     hinged = 0
     while True:
         cand = theta - step * grad
@@ -93,7 +100,7 @@ def halving_line_search(spec, theta, grad, value, out=None):
             return step, cand, ev, t + 1, hinged
         del ev                # a rejected record is not kept alive
         t += 1
-        step = max(2.0 ** -t, MIN_STEP)
+        step = max(2.0 ** -t / gram, MIN_STEP)
 
 
 def initial_theta(spec, config):

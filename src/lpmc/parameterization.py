@@ -13,10 +13,13 @@ four kinds is one LinearParam subclass:
 
 A subclass checks its sizes when built and defines block_shapes(), the map
 on the blocks (factors), its adjoint (adjoint), its witness construction
-(witness) and its spectral start (spectral_start). The module functions
-work on flat theta vectors: factors splits theta once and applies the map,
-adjoint packs the adjoint's blocks back into a theta-vector, and x_of / y_of
-pick one factor.
+(witness) and its spectral start (spectral_start). Its class constant gram
+is the c with adjoint(factors(theta)) = c theta: 1 for the rectangular and
+subspace kinds (orthonormal bases), 2 for psd and skew, where every
+parameter enters both factors. A theta step of length t therefore moves the
+factors by c t. The module functions work on flat theta vectors: factors
+splits theta once and applies the map, adjoint packs the adjoint's blocks
+back into a theta-vector, and x_of / y_of pick one factor.
 
 A witness for (theta, m_star) is a parameter xi whose factors reproduce
 m_star exactly, are balanced, and correlate nonnegatively with the factors at
@@ -51,12 +54,14 @@ CORR_TOL = 1e-8
 class LinearParam:
     """Sizes shared by every kind. kind names the subclass, which defines
     block_shapes(), factors(*blocks), adjoint(gx, gy), witness(theta, m) and
-    spectral_start(observed, p_hat, theta, gen)."""
+    spectral_start(observed, p_hat, theta, gen), and gram, the c with
+    adjoint(factors(theta)) = c theta."""
 
     n1: int
     n2: int
     r: int
     kind = None
+    gram = None
 
     def __post_init__(self):
         if min(self.n1, self.n2, self.r) < 1:
@@ -77,6 +82,7 @@ class LinearParam:
 
 class RectangularParam(LinearParam):
     kind = "rectangular"
+    gram = 1
 
     def block_shapes(self):
         return ((self.n1, self.r), (self.n2, self.r))
@@ -98,6 +104,7 @@ class RectangularParam(LinearParam):
 
 class PsdParam(LinearParam):
     kind = "psd"
+    gram = 2
 
     def __post_init__(self):
         super().__post_init__()
@@ -148,6 +155,7 @@ class SubspaceParam(LinearParam):
     basis_u: np.ndarray      # (n1, s1)
     basis_v: np.ndarray      # (n2, s2)
     kind = "subspace"
+    gram = 1
 
     def __post_init__(self):
         super().__post_init__()
@@ -191,6 +199,7 @@ class SubspaceParam(LinearParam):
 
 class SkewParam(LinearParam):
     kind = "skew"
+    gram = 2
 
     def __post_init__(self):
         super().__post_init__()

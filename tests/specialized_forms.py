@@ -10,7 +10,8 @@ closed forms, one row-norm pass each; lpmc must give bitwise the same
 arrays.
 
 reference_solve is the descent loop that evaluates every point from scratch:
-objective_value at the start and at each line-search candidate, and
+objective_value at the start and at each line-search candidate (the halvings
+of 1 / gram, the step that moves the factors one gradient unit), and
 objective_grad at each iterate. solve reuses the evaluation of the accepted
 candidate instead, in the same arithmetic order, so the two must agree bit
 for bit.
@@ -137,14 +138,14 @@ def reference_solve(spec, config):
             termination = "grad-tol"
             break
         t = 0
-        step = 1.0
+        step = 1.0 / spec.param.gram
         while step > MIN_STEP:
             cand = theta - step * grad
             f_cand = objective_value(spec, cand)
             if f_cand <= value:
                 break
             t += 1
-            step = 2.0 ** -t
+            step = 2.0 ** -t / spec.param.gram
         else:
             cand = theta - MIN_STEP * grad
             f_cand = objective_value(spec, cand)

@@ -9,6 +9,7 @@ import pytest
 
 import lpmc.cli as cli
 from lpmc.errors import NumericError
+from lpmc.experiments import run_experiment
 
 
 def fast_args(*extra):
@@ -77,7 +78,20 @@ def assert_one_line_error(proc):
 
 
 def test_odd_skew_rank_single_solve_is_one_line_error():
-    assert_one_line_error(run_lpmc(*fast_args("--kind", "skew", "--r", "3")))
+    proc = run_lpmc("single-solve", "--kind", "skew", "--n", "24", "--r",
+                    "3", "--p-grid", "0.8")
+    assert_one_line_error(proc)
+    assert "even" in proc.stderr
+
+
+@pytest.mark.parametrize("kind, s", [("psd", "9"), ("skew", "50"),
+                                     ("rectangular", "4")])
+def test_width_for_a_kind_without_bases_is_one_line_error(kind, s):
+    # only the subspace kind has widths, so another kind would ignore s
+    proc = run_lpmc("single-solve", "--kind", kind, "--n", "40", "--r", "2",
+                    "--s", s, "--p-grid", "0.5", "--trials", "2")
+    assert_one_line_error(proc)
+    assert f"kind {kind!r} takes no key 's'" in proc.stderr
 
 
 def test_odd_skew_compare_rank_is_one_line_error():
@@ -225,6 +239,24 @@ def test_solve_stdout_mode_prints_summaries_only(capsys):
     assert "1 solves" in captured.err
 
 
+def test_run_line_counts_objective_values(monkeypatch, capsys):
+    # the stderr line adds up the records' value_evals
+    records = []
+
+    def recorded(config):
+        out = run_experiment(config)
+        records.extend(out[0])
+        return out
+
+    monkeypatch.setattr(cli, "run_experiment", recorded)
+    assert cli.main(fast_args("--p-grid", "0.3,0.9")) == 0
+    values = sum(r.value_evals for r in records)
+    assert values > sum(r.iterations for r in records) > 0
+    line = capsys.readouterr().err.strip()
+    assert line.startswith("2 solves in ")
+    assert line.endswith(f"s, {values} objective values")
+
+
 def test_config_file_with_flag_override(tmp_path, capsys):
     path = tmp_path / "run.cfg"
     path.write_text("n = 24\nr = 2\ns = 4\np-grid = 0.8\n"
@@ -270,7 +302,12 @@ def test_single_solve_rejects_several_widths(capsys):
 
 
 def test_single_solve_kind_flag(tmp_path, capsys):
-    out = tmp_path / "psd.csv"
-    assert cli.main(fast_args("--kind", "psd", "--out", str(out))) == 0
-    capsys.readouterr()
-    assert ",psd," in out.read_text().splitlines()[1]
+    # a kind without bases records the rank it solves at as s_or_r
+    for kind, r in (("psd", "3"), ("skew", "4"), ("rectangular", "3")):
+        out = tmp_path / f"{kind}.csv"
+        assert cli.main(["single-solve", "--kind", kind, "--n", "24", "--r",
+                         r, "--p-grid", "0.8", "--seed", "9",
+                         "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert out.read_text().splitlines()[1].startswith(
+            f"single-solve,0,0.8,{r},{kind},")

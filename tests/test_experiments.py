@@ -113,7 +113,7 @@ def test_config_rejects_widths_the_bases_cannot_hold(fields):
 
 
 def test_config_checks_the_width_only_where_the_sweep_is_one():
-    # the other kinds of single-solve ignore s (6 by default)
+    # the other kinds of single-solve take s only at its default, 6
     for kind in ("rectangular", "psd", "skew"):
         assert default_config("single-solve", n1=4, n2=4, kind=kind).n1 == 4
     assert default_config("subspace-phase", n1=12, n2=12,
@@ -293,7 +293,7 @@ def test_diagnostics_experiment_has_no_records():
 
 def test_summarize_cell_statistics():
     recs = [TrialRecord("subspace-phase", t, 0.5, 4, "subspace", "0" * 12,
-                        err, int(err <= 1e-6), 3, "grad-tol", 0.0)
+                        err, int(err <= 1e-6), 3, "grad-tol", 0.0, 4)
             for t, err in enumerate((1e-2, 1e-4))]
     cells = summarize(recs)
     assert len(cells) == 1
@@ -304,7 +304,7 @@ def test_summarize_cell_statistics():
 
 def test_summarize_floors_exact_zeros():
     recs = [TrialRecord("subspace-phase", 0, 0.5, 4, "subspace", "0" * 12,
-                        0.0, 1, 3, "grad-tol", 0.0)]
+                        0.0, 1, 3, "grad-tol", 0.0, 4)]
     assert summarize(recs)[0].mean_log10_err == -32.0
 
 
@@ -315,6 +315,10 @@ def test_csv_layout():
     text = render_csv(records, summaries)
     lines = text.splitlines()
     assert lines[0].startswith("experiment,trial,p,s_or_r,solver,seed,")
+    # each solve's objective values, at least its start and one candidate
+    # per iteration, live on the record but not in the CSV
+    assert "value_evals" not in lines[0]
+    assert all(r.value_evals > r.iterations for r in records)
     rows = [l for l in lines if not l.startswith("#")]
     assert len(rows) == 1 + len(records)
     summary_lines = [l for l in lines if l.startswith("#summary")]

@@ -1,6 +1,7 @@
 """Tests for the halving line search and the end-to-end solver."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ import pytest
 import lpmc.objective as objective
 import lpmc.optimizer as optimizer
 from lpmc.errors import NumericError
-from lpmc.instances import (assemble, rectangular_instance, subspace_instance)
+from lpmc.instances import (assemble, rectangular_instance, skew_instance,
+                            subspace_instance)
 from lpmc.objective import make_spec, objective_grad, objective_value
 from lpmc.optimizer import (GRAD_TOL_SQ, INITS, MIN_STEP, SolveConfig,
                             halving_line_search, initial_theta, solve)
@@ -19,58 +21,71 @@ from lpmc.sampling import (ObservationMask, RngState, bernoulli_mask,
 from specialized_forms import DENSE, SPARSE, noiseless_spec, reference_solve
 
 
-def small_problem(seed, n1=12, n2=10, r=2, p=0.8, lam=0.1, alpha=2.0):
+def small_problem(seed, kind="rectangular", lam=0.1, alpha=2.0):
     rng = RngState(seed).derive("opt")
-    param, m_star = rectangular_instance(n1, n2, r, rng.derive("i"))
-    mask = bernoulli_mask(n1, n2, p, rng.derive("m"))
+    if kind == "rectangular":
+        param, m_star = rectangular_instance(12, 10, 2, rng.derive("i"))
+    else:
+        param, m_star = skew_instance(12, 2, rng.derive("i"))
+    mask = bernoulli_mask(*m_star.shape, 0.8, rng.derive("m"))
     return assemble(param, m_star, mask, lam=lam, alpha=alpha), m_star
 
 
 # ---------------------------------------------------------------- line search
 
+# (kind, first candidate, candidates when the clamp is taken) for a kind of
+# each gram: the first candidate moves the factors one gradient unit, and
+# with MIN_STEP = 1e-10 the clamp step is the candidate after 2^-33
+# (t = 0..33 for gram 1, t = 0..32 for gram 2)
+SEARCH_KINDS = (("rectangular", 1.0, 35), ("skew", 0.5, 34))
+
+
 def test_line_search_picks_first_nonincreasing_halving():
-    spec, _ = small_problem(0)
-    gen = np.random.default_rng(0)
-    for trial in range(25):
-        theta = gen.standard_normal(spec.param.d)
-        value = objective_value(spec, theta)
-        grad = objective_grad(spec, theta)
-        step, cand, ev, candidates, _ = halving_line_search(
-            spec, theta, grad, value)
-        if step == MIN_STEP:
-            assert candidates == 35
-            continue
-        assert ev.value <= value
-        assert np.allclose(cand, theta - step * grad)
-        assert step == 2.0 ** (1 - candidates)
-        if step < 1.0:
-            # the next larger candidate must have been rejected
-            assert objective_value(spec, theta - 2 * step * grad) > value
+    for kind, first, clamp_at in SEARCH_KINDS:
+        spec, _ = small_problem(0, kind)
+        gen = np.random.default_rng(0)
+        for trial in range(25):
+            theta = gen.standard_normal(spec.param.d)
+            value = objective_value(spec, theta)
+            grad = objective_grad(spec, theta)
+            step, cand, ev, candidates, _ = halving_line_search(
+                spec, theta, grad, value)
+            if step == MIN_STEP:
+                assert candidates == clamp_at
+                continue
+            assert ev.value <= value
+            assert np.allclose(cand, theta - step * grad)
+            assert step == first * 2.0 ** (1 - candidates)
+            if step < first:
+                # the next larger candidate must have been rejected
+                assert objective_value(spec, theta - 2 * step * grad) > value
 
 
 def test_line_search_zero_gradient_takes_full_step():
-    spec, _ = small_problem(1)
-    theta = np.zeros(spec.param.d)
-    value = objective_value(spec, theta)
-    step, cand, ev, candidates, _ = halving_line_search(
-        spec, theta, np.zeros(spec.param.d), value)
-    assert step == 1.0 and candidates == 1
-    assert np.array_equal(cand, theta)
-    assert ev.value == value
+    for kind, first, _ in SEARCH_KINDS:
+        spec, _ = small_problem(1, kind)
+        theta = np.zeros(spec.param.d)
+        value = objective_value(spec, theta)
+        step, cand, ev, candidates, _ = halving_line_search(
+            spec, theta, np.zeros(spec.param.d), value)
+        assert step == first and candidates == 1
+        assert np.array_equal(cand, theta)
+        assert ev.value == value
 
 
 def test_line_search_clamps_at_global_minimum():
     # at an exact global minimum every move along a fake direction increases
     # f, so the search exhausts its halvings and takes the floor step
-    spec, m_star = small_problem(2, lam=0.0, alpha=np.inf)
-    cert = balanced_witness(spec.param, np.zeros(spec.param.d), m_star)
-    fake = np.ones(spec.param.d)
-    value = objective_value(spec, cert.xi)
-    step, cand, ev, candidates, _ = halving_line_search(
-        spec, cert.xi, fake, value)
-    assert step == MIN_STEP == 1e-10
-    assert candidates == 35     # t = 0..33, then the clamp step
-    assert ev.value >= value
+    for kind, _, clamp_at in SEARCH_KINDS:
+        spec, m_star = small_problem(2, kind, lam=0.0, alpha=np.inf)
+        cert = balanced_witness(spec.param, np.zeros(spec.param.d), m_star)
+        fake = np.ones(spec.param.d)
+        value = objective_value(spec, cert.xi)
+        step, cand, ev, candidates, _ = halving_line_search(
+            spec, cert.xi, fake, value)
+        assert step == MIN_STEP == 1e-10
+        assert candidates == clamp_at
+        assert ev.value >= value
 
 
 def _same_evaluation(spec, ev, theta):
@@ -92,9 +107,10 @@ def test_line_search_returns_evaluation_at_candidate():
     # at the accepted point builds, on both kernels and both branches, also
     # when the dense residuals go into a caller's buffer
     gen = np.random.default_rng(11)
-    for density in (DENSE, SPARSE):
-        spec, m_star = noiseless_spec("rectangular", 41, lam=0.0,
-                                      alpha=np.inf, **density)
+    for (kind, _, _), density in itertools.product(SEARCH_KINDS,
+                                                   (DENSE, SPARSE)):
+        spec, m_star = noiseless_spec(kind, 41, lam=0.0, alpha=np.inf,
+                                      **density)
         dense = spec.p_hat >= objective._ENTRY_KERNEL_BELOW
         theta = gen.standard_normal(spec.param.d)
         grad = objective_grad(spec, theta)
@@ -180,7 +196,7 @@ def test_solve_recovers_subspace_instances():
 
 @pytest.mark.parametrize("density", [DENSE, SPARSE],
                          ids=["dense", "entry"])
-@pytest.mark.parametrize("kind", ["skew", "rectangular"])
+@pytest.mark.parametrize("kind", KINDS)
 def test_solve_matches_fresh_evaluation_reference(kind, density):
     # reusing the accepted candidate's evaluation (its residual and row
     # hinges) for the next gradient changes no arithmetic, so every output

@@ -64,6 +64,23 @@ def test_maps_are_linear():
         assert np.linalg.norm(lhs - rhs) <= 1e-14 * scale
 
 
+def test_adjoint_of_factors_is_gram_times_theta():
+    # a theta step t moves the factors by gram * t, which sets the line
+    # search's first step; the subspace kind is exact up to its bases'
+    # orthonormality
+    gen = np.random.default_rng(5)
+    grams = {"rectangular": 1, "psd": 2, "subspace": 1, "skew": 2}
+    for param in every_param(r=4):
+        assert param.gram == grams[param.kind]
+        theta = gen.standard_normal(param.d)
+        back = adjoint(param, *factors(param, theta))
+        if param.kind == "subspace":
+            assert (np.linalg.norm(back - param.gram * theta)
+                    <= 1e-12 * np.linalg.norm(theta))
+        else:
+            assert np.array_equal(back, param.gram * theta)
+
+
 def test_theta_length_checked():
     param = rectangular_param(4, 3, 2)
     with pytest.raises(ValueError):
