@@ -100,11 +100,6 @@ def main(argv=None):
 
     try:
         config = _build_config(args)
-    except (OSError, ValueError) as exc:
-        print(f"lpmc: {exc}", file=sys.stderr)
-        return 1
-
-    try:
         if config.experiment == "diagnostics":
             text, ok = run_diagnostics(config)
             sys.stdout.write(text)
@@ -113,26 +108,21 @@ def main(argv=None):
                     fh.write(text)
             return 0 if ok else 2
         records, summaries = run_experiment(config)
+        if config.out:
+            write_csv(config.out, records, summaries)
+            print(f"wrote {len(records)} records to {config.out}")
+        else:
+            sys.stdout.write(render_csv([], summaries))
     except NumericError as exc:
         print(f"lpmc: numeric failure: {exc}", file=sys.stderr)
         return 2
     except (OSError, ValueError) as exc:
         print(f"lpmc: {exc}", file=sys.stderr)
         return 1
-
-    try:
-        if config.out:
-            write_csv(config.out, records, summaries)
-            print(f"wrote {len(records)} records to {config.out}")
-        else:
-            sys.stdout.write(render_csv([], summaries))
-        total = sum(r.wall_time for r in records)
-        values = sum(r.value_evals for r in records)
-        print(f"{len(records)} solves in {total:.1f}s, {values} objective "
-              "values", file=sys.stderr)
-    except OSError as exc:
-        print(f"lpmc: {exc}", file=sys.stderr)
-        return 1
+    total = sum(r.wall_time for r in records)
+    values = sum(r.value_evals for r in records)
+    print(f"{len(records)} solves in {total:.1f}s, {values} objective "
+          "values", file=sys.stderr)
     return 0
 
 

@@ -5,11 +5,13 @@ The central quantity is the curvature gap
     K(theta; delta) = delta^T H(theta) delta - 4 delta^T grad(theta),
 
 negative K certifies a descent or negative-curvature direction at theta.
-param_curvature_gap evaluates it derivative-free from objective values along
-theta + t delta; factor_curvature_gap evaluates the same quantity through the
-closed-form Hessian quadratic form at the factor level. For linear
-parameterizations the two agree identically, which makes the pair a two-route
-consistency check of the whole objective stack.
+param_curvature_gap evaluates it derivative-free, by one symmetric 5-point
+stencil on objective values along theta + t delta; factor_curvature_gap
+evaluates the same quantity through the closed-form Hessian quadratic form at
+the factor level. For linear parameterizations the two agree identically while
+every factor row stays inside the alpha ball (the stencil is exact there), and
+to the stencil's O(step^4) error at and beyond the hinge, which makes the pair
+a two-route consistency check of the whole objective stack.
 
 curvature_gap_decomposition splits an upper bound on K(theta; theta - xi),
 with xi a balanced witness, into a quartic factor term, a sampling deviation
@@ -27,7 +29,7 @@ from .errors import RankError
 from .linalg import as_matrix, reduced_svd, spectral_norm, two_inf_norm
 from .objective import (factor_curvature, factor_grad, objective_value,
                         row_hinge_penalty_curvature, row_hinge_penalty_grad)
-from .parameterization import factors, x_of, y_of
+from .parameterization import x_of, y_of
 from .sampling import project_observed
 
 @dataclass(frozen=True)
@@ -73,45 +75,31 @@ def factor_curvature_gap(x, y, dx, dy, spec):
     return quad - 4.0 * (float(np.vdot(gx, dx)) + float(np.vdot(gy, dy)))
 
 
-def _hinge_nearby(spec, theta, delta, reach):
-    """Whether any factor row norm can come within ~1e-3*max(alpha,1) of the
-    penalty hinge along the stencil segment [-reach, reach]."""
-    margin = 1e-3 * max(spec.alpha, 1.0)
-    for base, step in zip(factors(spec.param, theta),
-                          factors(spec.param, delta)):
-        rn = np.sqrt(np.einsum("ij,ij->i", base, base))
-        dn = np.sqrt(np.einsum("ij,ij->i", step, step))
-        if np.any(np.abs(rn - spec.alpha) - reach * dn < margin):
-            return True
-    return False
+PARAM_GAP_STEP = 1e-2
 
 
-def param_curvature_gap(spec, theta, delta, step=1e-2):
+def param_curvature_gap(spec, theta, delta):
     """K at the parameter level, derivative-free.
 
     Both derivatives of g(t) = f(theta + t delta) come from a symmetric
-    5-point stencil (exact for quartic g, which covers every configuration
-    whose factor rows stay inside the alpha ball); within 1e-3*scale of a
-    penalty hinge the plain central differences are used instead. Rows
-    strictly outside the ball make g smooth but not quartic, leaving an
-    O(step^4) truncation error.
+    5-point stencil with step PARAM_GAP_STEP. It is exact for quartic g,
+    which covers every configuration whose factor rows stay inside the alpha
+    ball. A row at or beyond the hinge makes g smooth but not quartic and
+    leaves an O(step^4) error: against factor_curvature_gap, at most 4.1e-4
+    relative with a row on the hinge (lam = 1, every kind) and 1.5e-4 over
+    the diagnostics' draws at the in-window tuning lam = 20, alpha = 1.7.
     """
     theta = np.asarray(theta, dtype=np.float64).reshape(-1)
     delta = np.asarray(delta, dtype=np.float64).reshape(-1)
-    h = step
+    h = PARAM_GAP_STEP
 
     def g(t):
         return objective_value(spec, theta + t * delta)
 
     g0 = g(0.0)
-    if spec.lam > 0.0 and _hinge_nearby(spec, theta, delta, 2.0 * h):
-        gp, gm = g(h), g(-h)
-        d2 = (gp - 2.0 * g0 + gm) / h ** 2
-        d1 = (gp - gm) / (2.0 * h)
-    else:
-        gp1, gm1, gp2, gm2 = g(h), g(-h), g(2.0 * h), g(-2.0 * h)
-        d2 = (-gp2 + 16.0 * gp1 - 30.0 * g0 + 16.0 * gm1 - gm2) / (12.0 * h ** 2)
-        d1 = (gm2 - 8.0 * gm1 + 8.0 * gp1 - gp2) / (12.0 * h)
+    gp1, gm1, gp2, gm2 = g(h), g(-h), g(2.0 * h), g(-2.0 * h)
+    d2 = (-gp2 + 16.0 * gp1 - 30.0 * g0 + 16.0 * gm1 - gm2) / (12.0 * h ** 2)
+    d1 = (gm2 - 8.0 * gm1 + 8.0 * gp1 - gp2) / (12.0 * h)
     return d2 - 4.0 * d1
 
 

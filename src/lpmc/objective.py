@@ -122,7 +122,9 @@ def make_spec(param, mask, observed, lam=None, alpha=None):
     """Assemble an ObjectiveSpec, filling tuning from the standard rule."""
     p_hat = observed_fraction(mask)
     if p_hat == 0.0:
-        raise ValueError("empty mask")
+        raise ValueError(f"empty mask: no entry of the {mask.rows} x "
+                         f"{mask.cols} matrix observed at p = "
+                         f"{mask.nominal_p}")
     lam_d, alpha_d = default_tuning(param.n1, param.n2, p_hat)
     return ObjectiveSpec(param, project_observed(observed, mask), mask, p_hat,
                          lam_d if lam is None else float(lam),

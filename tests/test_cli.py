@@ -154,6 +154,23 @@ def test_zero_max_iters_is_one_line_error():
     assert "max_iters must be positive" in proc.stderr
 
 
+def test_empty_diagnostics_mask_names_its_rate():
+    proc = run_lpmc("diagnostics", "--p-grid", "0.01")
+    assert_one_line_error(proc)
+    assert "empty mask" in proc.stderr
+    assert "p = 0.01" in proc.stderr
+
+
+def test_unopenable_out_path_is_one_line_error(tmp_path):
+    # a NUL byte reaches --out only through a config file; open() raises
+    # ValueError for it after the sweep has run
+    path = tmp_path / "nul.cfg"
+    path.write_text("out = a\0b.csv\n")
+    proc = run_lpmc(*fast_args("--config", str(path)))
+    assert_one_line_error(proc)
+    assert "null" in proc.stderr
+
+
 # small enough that a run that wrongly accepts the key ends in a second
 SMALL = {"subspace-phase": ("--n", "12", "--s", "4", "--p-grid", "0.5",
                             "--trials", "1"),

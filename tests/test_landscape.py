@@ -151,8 +151,8 @@ def test_factor_gap_matches_value_stencil():
 
 
 def test_param_route_near_hinge():
-    # put a factor row right on the penalty hinge; the parameter route falls
-    # back to plain central differences, accurate to O(step^2) there
+    # put a factor row right on the penalty hinge, where g is smooth but not
+    # quartic; the 5-point stencil is accurate to O(step^4) there
     param, m_star, mask = make_instance("rectangular", 46)
     spec = assemble(param, m_star, mask, lam=1.0, alpha=1.0)
     gen = np.random.default_rng(4)
@@ -161,8 +161,27 @@ def test_param_route_near_hinge():
     delta = gen.standard_normal(param.d)
     kf = factor_curvature_gap(x_of(param, theta), y_of(param, theta),
                               x_of(param, delta), y_of(param, delta), spec)
-    kp = param_curvature_gap(spec, theta, delta, step=1e-3)
+    kp = param_curvature_gap(spec, theta, delta)
     assert abs(kp - kf) <= 1e-3 * (1 + abs(kf))
+
+
+@pytest.mark.parametrize("place", [1.0, 1.0 + 1e-3, 1.0 - 1e-3])
+@pytest.mark.parametrize("kind", ["subspace", "rectangular", "psd", "skew"])
+def test_param_route_at_hinge_every_kind(kind, place):
+    # alpha is the norm of row 0 of X times place, so the stencil segment
+    # crosses the hinge on every draw
+    param, m_star, mask = make_instance(kind, 46)
+    gen = np.random.default_rng(7)
+    for trial in range(25):
+        theta = 0.3 * gen.standard_normal(param.d)
+        delta = gen.standard_normal(param.d)
+        x, y = x_of(param, theta), y_of(param, theta)
+        alpha = place * float(np.linalg.norm(x[0]))
+        spec = assemble(param, m_star, mask, lam=1.0, alpha=alpha)
+        kf = factor_curvature_gap(x, y, x_of(param, delta),
+                                  y_of(param, delta), spec)
+        kp = param_curvature_gap(spec, theta, delta)
+        assert abs(kp - kf) <= 1e-3 * (1 + abs(kf)), trial
 
 
 def test_gap_at_converged_point():

@@ -1,22 +1,45 @@
 """The benchmark's tracer wraps lpmc names by (module, attribute), so each of
-them must stay bound to a callable; a dropped name would pass every other
-test here and only fail when the benchmark installs the tracer."""
+them must stay bound to a callable, and the callers must keep reaching them
+through those module globals; a dropped name or a call routed past one
+would pass every other test here and only show when the benchmark's
+per-layer metrics go silent."""
 
 import importlib
 import importlib.util
 import os
 
+from lpmc import experiments
+
 TRACER = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "perfbench", "tracer.py")
 
 
-def test_every_trace_point_is_a_callable_in_lpmc():
+def load_tracer():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_every_trace_point_is_a_callable_in_lpmc():
+    tracer = load_tracer()
     missing = [f"{module_name}.{attr}"
                for module_name, attr, _ in tracer.TRACE_POINTS
                if not callable(getattr(importlib.import_module(module_name),
                                        attr, None))]
     assert tracer.TRACE_POINTS
     assert not missing
+
+
+def test_diagnostics_spans_stay_fed():
+    rec = load_tracer().Tracer()
+    with rec.installed():
+        experiments.run_diagnostics(experiments.default_config("diagnostics"))
+    seen = {span[0] for span in rec.spans}
+    want = {"landscape.param_gap", "landscape.factor_gap",
+            "landscape.gap_decomposition", "landscape.concentration",
+            "linalg.youla", "linalg.reduced_svd", "linalg.spectral_norm",
+            "objective.value"}
+    want |= {f"parameterization.witness.{kind}"
+             for kind in ("rectangular", "psd", "subspace", "skew")}
+    assert not want - seen, sorted(want - seen)
