@@ -21,6 +21,18 @@ evaluate the fit term on the spec's observed entries (rows, cols, vals)
 alone; at or above it they use dense n1 x n2 mask arithmetic, with the
 masked residual built in one buffer. The curvature is always dense.
 
+On the entry kernel a parameterization whose entry_core gives block
+coordinates (the subspace kind, X = U Theta_A and Y = V Theta_B) is
+evaluated in them: the factor rows at the observed entries are
+U[rows] Theta_A and V[cols] Theta_B, from basis rows gathered once per spec,
+X^T X is Theta_A^T (U^T U) Theta_A, and the fit gradient is
+U[rows]^T (resid * Y[cols]), with no scatter and no adjoint product. X is
+formed, as U Theta_A, only when the lam > 0 row hinge's Frobenius test
+<Theta_A, (U^T U) Theta_A> does not rule out a row beyond alpha; the hinge's
+gradient then maps back through U^T. So while the hinge is skipped a value
+or gradient costs O((K + s) s r) for K observed entries and never touches
+an n-row array. The other kinds form their factors.
+
 G needs at most one row-norm pass per factor and point. Every row norm is at
 most ||X||_F, so while ||X||_F^2 lies below alpha^2 by a relative margin of
 1e-8 (room for the rounding of both sums up to n r of about 1e7), G and its
@@ -31,13 +43,15 @@ curvature read. The value, gradient and curvature, and the public
 row_hinge_penalty functions, all share that one implementation.
 
 Every value is an Evaluation (objective_value(..., keep=True) hands it
-back): the factors, the fit residual, the balance matrix and the row hinges
-of both factors at that point. The gradient is computed from an Evaluation
-alone, adding the products, and the penalty term only for a factor with a
-row beyond alpha; a gradient called without one builds it first. So a
-descent that accepts a line-search candidate never builds its residual or
-its row norms twice. The dense residual can also be written into a caller's
-buffer (out), which lets a descent allocate it once per solve.
+back): the factors (in block coordinates, the blocks and their Gram
+products, and the factors only where their hinge needed them), the fit
+residual, the balance matrix and the row hinges of both factors at that
+point. The gradient is computed from an Evaluation alone, adding the
+products, and the penalty term only for a factor with a row beyond alpha; a
+gradient called without one builds it first. So a descent that accepts a
+line-search candidate never builds its residual or its row norms twice. The
+dense residual can also be written into a caller's buffer (out), which lets
+a descent allocate it once per solve.
 """
 
 from dataclasses import dataclass, field
@@ -46,7 +60,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import as_matrix
-from .parameterization import adjoint, factors
+from .parameterization import adjoint, theta_blocks
 from .sampling import ObservationMask, observed_fraction, project_observed
 
 
@@ -89,6 +103,8 @@ class ObjectiveSpec:
     rows: np.ndarray = field(init=False, repr=False, compare=False)
     cols: np.ndarray = field(init=False, repr=False, compare=False)
     vals: np.ndarray = field(init=False, repr=False, compare=False)
+    # the param's entry_core on the entry kernel, else None
+    core: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         obs = as_matrix(self.observed, "observed")
@@ -116,6 +132,9 @@ class ObjectiveSpec:
                         ("vals", obs[rows, cols])):
             a.setflags(write=False)
             object.__setattr__(self, name, a)
+        object.__setattr__(self, "core", (
+            self.param.entry_core(rows, cols)
+            if self.p_hat < _ENTRY_KERNEL_BELOW else None))
 
 
 def make_spec(param, mask, observed, lam=None, alpha=None):
@@ -145,11 +164,16 @@ class _RowHinge(NamedTuple):
 _NO_HINGE = _RowHinge(0.0, None, None, None)
 
 
-def _row_hinge(x, alpha):
-    """G at x, from one row-norm pass at most."""
+def _inside_alpha(frob_sq, alpha):
+    """Whether ||x||_F^2 = frob_sq puts every row of x within alpha."""
     # every row norm is at most ||x||_F; the margin covers the rounding of
     # both sums for n r up to about 1e7 (a negative alpha reaches every row)
-    if alpha > 0.0 and np.vdot(x, x) < alpha ** 2 * (1.0 - 1e-8):
+    return alpha > 0.0 and frob_sq < alpha ** 2 * (1.0 - 1e-8)
+
+
+def _row_hinge(x, alpha):
+    """G at x, from one row-norm pass at most."""
+    if _inside_alpha(np.vdot(x, x), alpha):
         return _NO_HINGE
     norms = np.sqrt(np.einsum("ij,ij->i", x, x))
     rows = norms > alpha
@@ -215,7 +239,9 @@ class Evaluation(NamedTuple):
     """f at one point, with the terms its gradient reuses: the factors, the
     fit residual (the dense masked matrix, or (resid, xr, yc) on the
     observed entries), the balance matrix X^T X - Y^T Y and the row hinges
-    of X and Y (neither with a row beyond alpha when lam = 0)."""
+    of X and Y (neither with a row beyond alpha when lam = 0). In block
+    coordinates core is (Theta_A, Theta_B, gram_A Theta_A, gram_B Theta_B)
+    and x, y are None unless that factor's hinge formed it."""
 
     value: float
     x: np.ndarray
@@ -223,11 +249,22 @@ class Evaluation(NamedTuple):
     resid: object
     balance: np.ndarray
     hinges: tuple
+    core: tuple = None
 
     @property
     def hinged(self):
         """Whether the row penalty is active: some row beyond alpha."""
         return any(h.rows is not None for h in self.hinges)
+
+
+def _value(r, b, hinges, spec):
+    """f from the fit residual r, the balance matrix b and the row hinges."""
+    fit = 0.5 / spec.p_hat * float(np.vdot(r, r))
+    bal = 0.125 * float(np.vdot(b, b))
+    reg = 0.0
+    if spec.lam:
+        reg = spec.lam * (hinges[0].value + hinges[1].value)
+    return fit + bal + reg
 
 
 def _evaluate(x, y, spec, out=None):
@@ -238,13 +275,35 @@ def _evaluate(x, y, spec, out=None):
     else:
         resid = r = _masked_residual(x, y, spec, out)
     b = x.T @ x - y.T @ y
-    fit = 0.5 / spec.p_hat * float(np.vdot(r, r))
-    bal = 0.125 * float(np.vdot(b, b))
-    hinges, reg = (_NO_HINGE, _NO_HINGE), 0.0
+    hinges = (_NO_HINGE, _NO_HINGE)
     if spec.lam:
         hinges = (_row_hinge(x, spec.alpha), _row_hinge(y, spec.alpha))
-        reg = spec.lam * (hinges[0].value + hinges[1].value)
-    return Evaluation(fit + bal + reg, x, y, resid, b, hinges)
+    return Evaluation(_value(r, b, hinges, spec), x, y, resid, b, hinges)
+
+
+def _core_hinge(side, t, gt, alpha):
+    """(G at F = side.basis @ t, F or None): F is formed only when
+    ||F||_F^2 = <t, gram t> does not put every row within alpha."""
+    if _inside_alpha(np.vdot(t, gt), alpha):
+        return _NO_HINGE, None
+    f = side.basis @ t
+    return _row_hinge(f, alpha), f
+
+
+def _core_evaluate(ta, tb, spec):
+    """The Evaluation of f at blocks in the entry core's coordinates."""
+    su, sv = spec.core
+    xr, yc = su.rows @ ta, sv.rows @ tb
+    r = np.einsum("ij,ij->i", xr, yc) - spec.vals
+    gta, gtb = su.gram @ ta, sv.gram @ tb
+    b = ta.T @ gta - tb.T @ gtb
+    hinges, x, y = (_NO_HINGE, _NO_HINGE), None, None
+    if spec.lam:
+        hx, x = _core_hinge(su, ta, gta, spec.alpha)
+        hy, y = _core_hinge(sv, tb, gtb, spec.alpha)
+        hinges = (hx, hy)
+    return Evaluation(_value(r, b, hinges, spec), x, y, (r, xr, yc), b,
+                      hinges, (ta, tb, gta, gtb))
 
 
 def factor_value(x, y, spec):
@@ -276,6 +335,22 @@ def factor_grad(x, y, spec):
     return _factor_grad(_evaluate(x, y, spec), spec)
 
 
+def _core_grad(ev, spec):
+    """The theta gradient of f from an Evaluation in block coordinates."""
+    su, sv = spec.core
+    ta, tb, gta, gtb = ev.core
+    resid, xr, yc = ev.resid
+    b, scale = ev.balance, 1.0 / spec.p_hat
+    ga = scale * (su.rows.T @ (resid[:, None] * yc)) + 0.5 * (gta @ b)
+    gb = scale * (sv.rows.T @ (resid[:, None] * xr)) - 0.5 * (gtb @ b)
+    hx, hy = ev.hinges
+    if hx.rows is not None:
+        ga = ga + spec.lam * (su.basis.T @ _hinge_grad(ev.x, hx))
+    if hy.rows is not None:
+        gb = gb + spec.lam * (sv.basis.T @ _hinge_grad(ev.y, hy))
+    return np.concatenate((ga.reshape(-1), gb.reshape(-1)))
+
+
 def factor_curvature(x, y, dx, dy, spec):
     """Hessian quadratic form of f at (X, Y) along (DX, DY), in closed form."""
     resid = _masked_residual(x, y, spec)
@@ -299,14 +374,21 @@ def objective_value(spec, theta, keep=False, out=None):
     whole Evaluation, which objective_grad at the same theta can reuse. out,
     an n1 x n2 float array, takes the dense kernel's residual instead of a
     new array."""
-    ev = _evaluate(*factors(spec.param, theta), spec, out)
+    blocks = theta_blocks(spec.param, theta)
+    if spec.core is not None:
+        ev = _core_evaluate(*blocks, spec)
+    else:
+        ev = _evaluate(*spec.param.factors(*blocks), spec, out)
     return ev if keep else ev.value
 
 
 def objective_grad(spec, theta, ev=None):
     """Gradient of the theta-level objective, via the map's adjoint. Given
-    ev, the Evaluation at theta, it reads ev's factors, residual, balance
-    matrix and row hinges; without it it builds that Evaluation first."""
+    ev, the Evaluation at theta, it reads ev's factors (or blocks),
+    residual, balance matrix and row hinges; without it it builds that
+    Evaluation first."""
     if ev is None:
-        ev = _evaluate(*factors(spec.param, theta), spec)
+        ev = objective_value(spec, theta, keep=True)
+    if ev.core is not None:
+        return _core_grad(ev, spec)
     return adjoint(spec.param, *_factor_grad(ev, spec))

@@ -17,9 +17,12 @@ on the blocks (factors), its adjoint (adjoint), its witness construction
 is the c with adjoint(factors(theta)) = c theta: 1 for the rectangular and
 subspace kinds (orthonormal bases), 2 for psd and skew, where every
 parameter enters both factors. A theta step of length t therefore moves the
-factors by c t. The module functions work on flat theta vectors: factors
-splits theta once and applies the map, adjoint packs the adjoint's blocks
-back into a theta-vector, and x_of / y_of pick one factor.
+factors by c t. entry_core gives the objective's observed-entry kernel
+block coordinates to work in: each basis of the subspace kind with its rows
+at the observed entries and its Gram, and None for the other kinds. The
+module functions work on flat theta vectors: factors splits theta once and
+applies the map, adjoint packs the adjoint's blocks back into a
+theta-vector, and x_of / y_of pick one factor.
 
 A witness for (theta, m_star) is a parameter xi whose factors reproduce
 m_star exactly, are balanced, and correlate nonnegatively with the factors at
@@ -36,6 +39,8 @@ range of A found by randomized_range.
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -74,10 +79,27 @@ class LinearParam:
             raise ValueError(f"{self.kind} parameterization needs a square "
                              "target")
 
-    @property
+    @cached_property
     def d(self):
         """Parameter dimension."""
         return sum(a * b for a, b in self.block_shapes())
+
+    def entry_core(self, rows, cols):
+        """Block coordinates for f at the observed entries (rows[k],
+        cols[k]): None, where the blocks are the factors or feed both of
+        them, and the kernel forms the factors."""
+        return None
+
+
+class CoreSide(NamedTuple):
+    """One factor F = basis @ Theta of a two-block map: the basis, its rows
+    at the observed entries, whose products with Theta are F's rows there,
+    and its Gram, which gives F^T F = Theta^T gram Theta and ||F||_F^2 =
+    <Theta, gram Theta> exactly for any basis."""
+
+    basis: np.ndarray
+    rows: np.ndarray
+    gram: np.ndarray
 
 
 class RectangularParam(LinearParam):
@@ -179,6 +201,11 @@ class SubspaceParam(LinearParam):
 
     def adjoint(self, gx, gy):
         return self.basis_u.T @ gx, self.basis_v.T @ gy
+
+    def entry_core(self, rows, cols):
+        bu, bv = self.basis_u, self.basis_v
+        return (CoreSide(bu, bu[rows], bu.T @ bu),
+                CoreSide(bv, bv[cols], bv.T @ bv))
 
     def witness(self, theta, m):
         """The rectangular construction on m compressed to the bases; m must

@@ -2,13 +2,13 @@
 
 Prints one line per config: its name and the sha256 over its outputs at
 master seeds 0..N-1 (N = 40 unless --seeds says otherwise). The configs are
-the four criterion-11 sweeps of test_acceptance.py, a skew-compare sweep on
-the observed-entry kernel (n = 60, p = 0.02) and the default diagnostics
-report; a sweep's output is its render_csv text. The five sweeps are then
-printed again under init="random" as <name>-random lines: the solver's
-random start, whose outputs are those of every checkout from before the
-spectral start (default since), so their digests stay fixed from one
-checkout to the next unless a change moves the descent itself. Two
+the four criterion-11 sweeps of test_acceptance.py, a skew-compare and a
+subspace-phase sweep on the observed-entry kernel (n = 60, p = 0.02) and the
+default diagnostics report; a sweep's output is its render_csv text. The six
+sweeps are then printed again under init="random" as <name>-random lines:
+the solver's random start, whose outputs are those of every checkout from
+before the spectral start (default since), so their digests stay fixed from
+one checkout to the next unless a change moves the descent itself. Two
 checkouts that print the same lines wrote the same bytes, so a change meant
 to keep every output is checked by running this at both and comparing:
 
@@ -31,6 +31,8 @@ SWEEPS = {
     "single-solve": dict(n1=24, n2=24, sweep=(5,), p_grid=(0.8,)),
     "skew-compare-entry": dict(n1=60, n2=60, sweep=(2, 4), p_grid=(0.02,),
                                trials=2),
+    "subspace-phase-entry": dict(n1=60, n2=60, sweep=(6, 10), p_grid=(0.02,),
+                                 trials=2),
 }
 
 

@@ -9,12 +9,12 @@ import lpmc.objective as objective
 from lpmc.instances import rectangular_instance
 from lpmc.landscape import factor_curvature_gap, param_curvature_gap
 from lpmc.objective import (ObjectiveSpec, default_tuning, factor_curvature,
-                            factor_grad, make_spec, objective_grad,
-                            objective_value, row_hinge_penalty,
-                            row_hinge_penalty_curvature,
+                            factor_grad, factor_value, make_spec,
+                            objective_grad, objective_value,
+                            row_hinge_penalty, row_hinge_penalty_curvature,
                             row_hinge_penalty_grad)
-from lpmc.parameterization import (balanced_witness, factors, theta_blocks,
-                                   x_of, y_of)
+from lpmc.parameterization import (SubspaceParam, adjoint, balanced_witness,
+                                   factors, theta_blocks, x_of, y_of)
 from lpmc.sampling import RngState, bernoulli_mask
 from specialized_forms import (DENSE, SPARSE, noiseless_spec,
                                psd_objective_value,
@@ -337,6 +337,77 @@ def test_two_route_curvature_agrees_on_entry_kernel():
                                       spec)
             kp = param_curvature_gap(spec, theta, delta)
             assert abs(kp - kf) <= 1e-8 * (1 + abs(kf)), kind
+
+
+# ------------------------------------------- subspace in block coordinates
+
+def test_subspace_entry_kernel_equals_the_factor_level():
+    # the value and gradient in block coordinates must be those at the
+    # factors X = U Theta_A, Y = V Theta_B, with the hinge skipped and
+    # active. The bases' Grams miss the identity by 7-8e-11, inside
+    # SubspaceParam's 1e-10 check, so an evaluation that took U^T U = I
+    # would err by about that much, beyond the 1e-12 asked here
+    gen = np.random.default_rng(46)
+    spec, _ = noiseless_spec("subspace", 47, **SPARSE)
+    bu = spec.param.basis_u * (1 + 1.7e-11)
+    bv = spec.param.basis_v * (1 - 1.7e-11)
+    for base in (bu, bv):
+        eye = np.eye(base.shape[1])
+        assert 5e-11 < np.linalg.norm(base.T @ base - eye) < 1e-10
+    param = SubspaceParam(spec.param.n1, spec.param.n2, spec.param.r, bu, bv)
+    spec = make_spec(param, spec.mask, spec.observed, lam=0.7)
+    assert spec.core is not None
+    for trial in range(10):
+        theta = 1.5 * gen.standard_normal(param.d)
+        x, y = factors(param, theta)
+        norms = np.linalg.norm(np.vstack([x, y]), axis=1)
+        for alpha in (2.0 * max(np.linalg.norm(x), np.linalg.norm(y)),
+                      float(np.median(norms)), 0.0):
+            at = dataclasses.replace(spec, alpha=alpha)
+            ev = objective_value(at, theta, keep=True)
+            assert ev.hinged == bool(alpha < norms.max())
+            ref = factor_value(x, y, at)
+            assert abs(ev.value - ref) <= 1e-12 * ref
+            grad = adjoint(param, *factor_grad(x, y, at))
+            for g in (objective_grad(at, theta, ev),
+                      objective_grad(at, theta)):
+                assert np.linalg.norm(g - grad) <= 1e-12 * np.linalg.norm(grad)
+
+
+def test_subspace_entry_kernel_forms_no_factor_while_the_hinge_is_skipped(
+        monkeypatch):
+    # below alpha neither a value nor a gradient may map the blocks to the
+    # factors or read the n x s bases; with rows beyond alpha the hinge
+    # forms the factors and matches the reference penalty
+    gen = np.random.default_rng(48)
+    spec, _ = noiseless_spec("subspace", 49, **SPARSE)
+    theta = gen.standard_normal(spec.param.d)
+    x, y = factors(spec.param, theta)
+    norms = np.linalg.norm(np.vstack([x, y]), axis=1)
+    assert spec.lam > 0.0 and spec.alpha > np.linalg.norm(x)
+
+    def refuse(*args):
+        raise AssertionError("formed the factors")
+
+    monkeypatch.setattr(SubspaceParam, "factors", refuse)
+    blind = dataclasses.replace(spec)
+    object.__setattr__(blind, "core", tuple(
+        side._replace(basis=None) for side in blind.core))
+    ev = objective_value(blind, theta, keep=True)
+    assert not ev.hinged and ev.x is None and ev.y is None
+    assert ev.value == objective_value(spec, theta)
+    assert np.array_equal(objective_grad(blind, theta, ev),
+                          objective_grad(spec, theta))
+    assert np.array_equal(objective_grad(blind, theta),
+                          objective_grad(spec, theta))
+
+    alpha = float(np.median(norms))
+    at = dataclasses.replace(spec, alpha=alpha)
+    ev = objective_value(at, theta, keep=True)
+    assert ev.hinged
+    assert np.array_equal(ev.x, x) and np.array_equal(ev.y, y)
+    for h, f in zip(ev.hinges, (x, y)):
+        assert h.value == reference_row_hinge_penalty(f, alpha)
 
 
 # ---------------------------------------------------------- specialized forms

@@ -89,10 +89,20 @@ def test_line_search_clamps_at_global_minimum():
 
 
 def _same_evaluation(spec, ev, theta):
+    # every field the record keeps: the factors, or in block coordinates
+    # the blocks, their Gram products and any factor a hinge formed
     fresh = objective_value(spec, theta, keep=True)
     assert ev.value == fresh.value
     x, y = factors(spec.param, theta)
-    assert np.array_equal(ev.x, x) and np.array_equal(ev.y, y)
+    if ev.core is None:
+        assert np.array_equal(ev.x, x) and np.array_equal(ev.y, y)
+    else:
+        blocks = theta_blocks(spec.param, theta)
+        assert all(map(np.array_equal, ev.core[:2], blocks))
+        assert all(map(np.array_equal, ev.core, fresh.core))
+        for kept, formed, full in ((ev.x, fresh.x, x), (ev.y, fresh.y, y)):
+            assert (kept is None) == (formed is None)
+            assert kept is None or np.array_equal(kept, full)
     assert np.array_equal(ev.balance, fresh.balance)
     if isinstance(ev.resid, tuple):     # (resid, xr, yc), entry kernel
         assert all(map(np.array_equal, ev.resid, fresh.resid))
@@ -104,11 +114,12 @@ def _same_evaluation(spec, ev, theta):
 
 def test_line_search_returns_evaluation_at_candidate():
     # the record the search hands back must be the one a fresh evaluation
-    # at the accepted point builds, on both kernels and both branches, also
-    # when the dense residuals go into a caller's buffer
+    # at the accepted point builds, on both kernels (and in the subspace
+    # kind's block coordinates) and both branches, also when the dense
+    # residuals go into a caller's buffer
     gen = np.random.default_rng(11)
-    for (kind, _, _), density in itertools.product(SEARCH_KINDS,
-                                                   (DENSE, SPARSE)):
+    for kind, density in itertools.product(("rectangular", "skew",
+                                            "subspace"), (DENSE, SPARSE)):
         spec, m_star = noiseless_spec(kind, 41, lam=0.0, alpha=np.inf,
                                       **density)
         dense = spec.p_hat >= objective._ENTRY_KERNEL_BELOW
