@@ -434,9 +434,11 @@ def run_diagnostics(config):
 
     instances = _diag_instances(config, master)
     p = config.p_grid[0]
+    # one decomposition per truth; every witness below only aligns it
+    roots = [param.witness_root(m_star) for param, m_star in instances]
 
     # witness certificates and two-route curvature agreement
-    for param, m_star in instances:
+    for (param, m_star), root in zip(instances, roots):
         tag = param.kind
         gen = master.derive("diagnostics", "theta", tag).generator()
         worst_fit = worst_bal = worst_corr = worst_id = 0.0
@@ -445,7 +447,7 @@ def run_diagnostics(config):
         spec = assemble(param, m_star, mask)
         for _ in range(draws):
             theta = gen.standard_normal(param.d)
-            cert = balanced_witness(param, theta, m_star)
+            cert = balanced_witness(param, theta, m_star, root)
             passes += cert.passes
             worst_fit = max(worst_fit, cert.residual_fit)
             worst_bal = max(worst_bal, cert.residual_balance)
@@ -476,7 +478,7 @@ def run_diagnostics(config):
         noise = _noise(param, config.sigma, cell.derive("noise"))
         spec = assemble(param, m_star, mask, noise)
         theta = cell.generator().standard_normal(param.d)
-        cert = balanced_witness(param, theta, m_star)
+        cert = balanced_witness(param, theta, m_star, roots[0])
         report = curvature_gap_decomposition(spec, theta, cert.xi, noise)
         holds += report.holds()
         margin = min(margin, (report.bound_total - report.gap_theta)

@@ -55,6 +55,7 @@ a descent allocate it once per solve.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -99,10 +100,6 @@ class ObjectiveSpec:
     p_hat: float
     lam: float
     alpha: float
-    # observed entries in row-major order: observed[rows[k], cols[k]] = vals[k]
-    rows: np.ndarray = field(init=False, repr=False, compare=False)
-    cols: np.ndarray = field(init=False, repr=False, compare=False)
-    vals: np.ndarray = field(init=False, repr=False, compare=False)
     # the param's entry_core on the entry kernel, else None
     core: tuple = field(init=False, repr=False, compare=False)
 
@@ -115,7 +112,9 @@ class ObjectiveSpec:
             raise ValueError("observed shape does not match parameterization")
         if obs.shape != self.mask.matrix.shape:
             raise ValueError("observed shape does not match mask")
-        if np.any(obs[~self.mask.matrix] != 0.0):
+        # observed's nonzeros off the mask are all of them but those on it
+        if np.count_nonzero(obs) != np.count_nonzero(
+                obs.reshape(-1)[self.mask.entries]):
             raise ValueError("observed has support off the mask")
         if not 0.0 < self.p_hat <= 1.0:
             raise ValueError(f"p_hat must be in (0, 1], got {self.p_hat}")
@@ -127,14 +126,29 @@ class ObjectiveSpec:
         # disables it; both are legitimate
         if np.isnan(self.alpha) or self.alpha < 0.0:
             raise ValueError("alpha must be nonnegative")
-        rows, cols = np.nonzero(self.mask.matrix)
-        for name, a in (("rows", rows), ("cols", cols),
-                        ("vals", obs[rows, cols])):
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
         object.__setattr__(self, "core", (
-            self.param.entry_core(rows, cols)
+            self.param.entry_core(self.rows, self.cols)
             if self.p_hat < _ENTRY_KERNEL_BELOW else None))
+
+    # The observed entries in row-major order, observed[rows[k], cols[k]] =
+    # vals[k], read-only; built on first use, which the dense kernel never
+    # makes.
+    @cached_property
+    def rows(self):
+        return _read_only(self.mask.entries // self.param.n2)
+
+    @cached_property
+    def cols(self):
+        return _read_only(self.mask.entries % self.param.n2)
+
+    @cached_property
+    def vals(self):
+        return _read_only(self.observed.reshape(-1)[self.mask.entries])
+
+
+def _read_only(a):
+    a.setflags(write=False)
+    return a
 
 
 def make_spec(param, mask, observed, lam=None, alpha=None):

@@ -12,9 +12,10 @@ four kinds is one LinearParam subclass:
                     with Theta_A, Theta_B of width r/2 (skew-symmetric targets)
 
 A subclass checks its sizes when built and defines block_shapes(), the map
-on the blocks (factors), its adjoint (adjoint), its witness construction
-(witness) and its spectral start (spectral_start). Its class constant gram
-is the c with adjoint(factors(theta)) = c theta: 1 for the rectangular and
+on the blocks (factors), its adjoint (adjoint), the theta-free part of its
+witness construction (witness_root) and its spectral start
+(spectral_start). Its class constant gram is the c with
+adjoint(factors(theta)) = c theta: 1 for the rectangular and
 subspace kinds (orthonormal bases), 2 for psd and skew, where every
 parameter enters both factors. A theta step of length t therefore moves the
 factors by c t. entry_core gives the objective's observed-entry kernel
@@ -27,7 +28,15 @@ theta-vector, and x_of / y_of pick one factor.
 A witness for (theta, m_star) is a parameter xi whose factors reproduce
 m_star exactly, are balanced, and correlate nonnegatively with the factors at
 theta; balanced_witness builds one with the kind's construction and returns a
-WitnessCertificate with the measured residuals.
+WitnessCertificate with the measured residuals. The construction is split in
+two. witness_root(m_star) does everything that does not depend on theta: the
+decomposition of m_star (SVD, symmetric eigendecomposition or Youla form),
+the representability checks, and the unrotated balanced blocks, which it
+returns as the root. align(theta, root) rotates the root so that it
+correlates PSD with theta, and witness(theta, m) is align(theta,
+witness_root(m)). At n = 500 the decomposition is 95-99% of a witness's
+cost, so a caller that builds witnesses at many points of one truth
+computes its root once and passes it to balanced_witness.
 
 The spectral start of data A = P(M) / p_hat is the parameter of balanced
 factors of the rank-r truncation of A inside the kind's space: the top-r SVD
@@ -58,7 +67,7 @@ CORR_TOL = 1e-8
 @dataclass(frozen=True)
 class LinearParam:
     """Sizes shared by every kind. kind names the subclass, which defines
-    block_shapes(), factors(*blocks), adjoint(gx, gy), witness(theta, m) and
+    block_shapes(), factors(*blocks), adjoint(gx, gy), witness_root(m) and
     spectral_start(observed, p_hat, theta, gen), and gram, the c with
     adjoint(factors(theta)) = c theta."""
 
@@ -80,9 +89,35 @@ class LinearParam:
                              "target")
 
     @cached_property
+    def block_layout(self):
+        """(lo, hi, shape) of each block: theta[lo:hi] is the block,
+        row-major."""
+        out, lo = [], 0
+        for rows, cols in self.block_shapes():
+            out.append((lo, lo + rows * cols, (rows, cols)))
+            lo += rows * cols
+        return tuple(out)
+
+    @cached_property
     def d(self):
         """Parameter dimension."""
-        return sum(a * b for a, b in self.block_shapes())
+        return self.block_layout[-1][1]
+
+    def witness(self, theta, m):
+        """The kind's witness for (theta, m)."""
+        return self.align(theta, self.witness_root(m))
+
+    def align(self, theta, root):
+        """The root's blocks, each times the one orthogonal T that makes
+        sum_i Theta_i^T root_i T symmetric PSD, packed into a witness. The
+        root is not modified, so it can be aligned at any number of
+        points."""
+        blocks = theta_blocks(self, theta)
+        corr = blocks[0].T @ root[0]
+        for t, b in zip(blocks[1:], root[1:]):
+            corr = corr + t.T @ b
+        rot = _align(corr)
+        return pack_blocks(self, *(b @ rot for b in root))
 
     def entry_core(self, rows, cols):
         """Block coordinates for f at the observed entries (rows[k],
@@ -115,8 +150,8 @@ class RectangularParam(LinearParam):
     def adjoint(self, gx, gy):
         return gx, gy
 
-    def witness(self, theta, m):
-        return _aligned_balanced_pair(self, theta, m)
+    def witness_root(self, m):
+        return _balanced_pair_root(self, m)
 
     def spectral_start(self, observed, p_hat, theta, gen):
         q = randomized_range(observed, self.r, gen)
@@ -144,9 +179,9 @@ class PsdParam(LinearParam):
     def adjoint(self, gx, gy):
         return (gx + gy,)
 
-    def witness(self, theta, m):
-        """Symmetric eigendecomposition root, rotated; m must be symmetric
-        PSD of rank at most r."""
+    def witness_root(self, m):
+        """The symmetric eigendecomposition root Q sqrt(W) of m, one block;
+        m must be symmetric PSD of rank at most r."""
         scale = max(np.linalg.norm(m), 1e-300)
         if np.linalg.norm(m - m.T) > 1e-8 * scale:
             raise RepresentabilityError("m_star is not symmetric")
@@ -161,8 +196,7 @@ class PsdParam(LinearParam):
         root = np.zeros((self.n1, self.r))
         sel = keep[::-1]                      # descending eigenvalues
         root[:, :sel.size] = q[:, sel] * np.sqrt(w[sel])
-        (t,) = theta_blocks(self, theta)
-        return pack_blocks(self, root @ _align(t.T @ root))
+        return (root,)
 
     def spectral_start(self, observed, p_hat, theta, gen):
         q = randomized_range(observed, self.r, gen)
@@ -207,16 +241,16 @@ class SubspaceParam(LinearParam):
         return (CoreSide(bu, bu[rows], bu.T @ bu),
                 CoreSide(bv, bv[cols], bv.T @ bv))
 
-    def witness(self, theta, m):
-        """The rectangular construction on m compressed to the bases; m must
-        lie in their span and have rank at most r."""
+    def witness_root(self, m):
+        """The rectangular root of m compressed to the bases; m must lie in
+        their span and have rank at most r."""
         bu, bv = self.basis_u, self.basis_v
         core = bu.T @ m @ bv
         off = np.linalg.norm(bu @ core @ bv.T - m)
         if off > 1e-8 * max(np.linalg.norm(m), 1e-300):
             raise RepresentabilityError(
                 "m_star is not supported on the parameterization bases")
-        return _aligned_balanced_pair(self, theta, core)
+        return _balanced_pair_root(self, core)
 
     def spectral_start(self, observed, p_hat, theta, gen):
         core = self.basis_u.T @ observed @ self.basis_v
@@ -244,12 +278,10 @@ class SkewParam(LinearParam):
         h = self.r // 2
         return gx[:, :h] + gy[:, h:], gy[:, :h] - gx[:, h:]
 
-    def witness(self, theta, m):
-        """m is put in Youla form, its block factors are assembled into a
-        complex factor Z* = Xi_A + i Xi_B with Z*^T Z* = 0, and Z* is rotated
-        by the unitary polar factor of (Theta_A + i Theta_B)^H Z* so the
-        correlation with theta is PSD. The rotation is applied through its
-        real embedding."""
+    def witness_root(self, m):
+        """The Youla blocks of m scaled by sqrt(lambda): (Xi_A, Xi_B), whose
+        complex factor Z* = Xi_A + i Xi_B has Z*^T Z* = 0; m must have at
+        most r/2 Youla blocks."""
         half = self.r // 2
         dec = youla_decompose(m)
         if dec.n_blocks > half:
@@ -260,7 +292,13 @@ class SkewParam(LinearParam):
         xi_b = np.zeros((self.n1, half))
         xi_a[:, :dec.n_blocks] = dec.phi * root
         xi_b[:, :dec.n_blocks] = dec.psi * root
+        return xi_a, xi_b
 
+    def align(self, theta, root):
+        """Z* is rotated by the unitary polar factor of
+        (Theta_A + i Theta_B)^H Z* so the correlation with theta is PSD. The
+        rotation is applied through its real embedding."""
+        xi_a, xi_b = root
         ta, tb = theta_blocks(self, theta)
         h = (ta - 1j * tb).T @ (xi_a + 1j * xi_b)
         a, _, bh = np.linalg.svd(h)
@@ -323,11 +361,8 @@ def theta_blocks(param, theta):
     t = np.asarray(theta, dtype=np.float64).reshape(-1)
     if t.size != param.d:
         raise ValueError(f"theta has size {t.size}, expected {param.d}")
-    out, lo = [], 0
-    for rows, cols in param.block_shapes():
-        out.append(t[lo:lo + rows * cols].reshape(rows, cols))
-        lo += rows * cols
-    return tuple(out)
+    return tuple([t[lo:hi].reshape(shape) for lo, hi, shape in
+                  param.block_layout])
 
 
 def pack_blocks(param, *blocks):
@@ -411,10 +446,10 @@ def certify(param, theta, xi, m_star):
         m_star_norm=m_norm, corr_scale=float(np.linalg.norm(corr)))
 
 
-def _aligned_balanced_pair(param, theta, m):
-    """Witness of the two-block kinds for a target m of their block space:
-    a balanced rank-r factorization m = A B^T with A^T A = B^T B, by SVD,
-    rotated so it correlates PSD with the blocks of theta.
+def _balanced_pair_root(param, m):
+    """Witness root of the two-block kinds for a target m of their block
+    space: a balanced rank-r factorization m = A B^T with A^T A = B^T B, by
+    SVD; align rotates it.
 
     Raises RepresentabilityError when the numerical rank of m exceeds r.
     """
@@ -430,9 +465,7 @@ def _aligned_balanced_pair(param, theta, m):
     b = np.zeros((m.shape[1], r))
     a[:, :dec.rank] = dec.u * root
     b[:, :dec.rank] = dec.v * root
-    ta, tb = theta_blocks(param, theta)
-    rot = _align(ta.T @ a + tb.T @ b)
-    return pack_blocks(param, a @ rot, b @ rot)
+    return a, b
 
 
 def _spectral_theta(param, dirs, values, top, p_hat, theta):
@@ -464,9 +497,17 @@ def _align(corr):
     return vt.T @ u.T
 
 
-def balanced_witness(param, theta, m_star):
-    """Build the kind's witness for (theta, m_star) and certify it."""
+def balanced_witness(param, theta, m_star, root=None):
+    """Build the kind's witness for (theta, m_star) and certify it.
+
+    root, param.witness_root(m_star) when given, skips the decomposition, so
+    witnesses at many points of one truth decompose it once; the witness is
+    then the same as without it. A root of another truth gives a witness
+    that fails the certificate.
+    """
     m = as_matrix(m_star, "m_star")
     if m.shape != (param.n1, param.n2):
         raise ValueError("m_star shape does not match parameterization")
-    return certify(param, theta, param.witness(theta, m), m)
+    if root is None:
+        root = param.witness_root(m)
+    return certify(param, theta, param.align(theta, root), m)

@@ -8,6 +8,7 @@ stream on every platform and every run.
 
 import hashlib
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -76,9 +77,17 @@ class ObservationMask:
     def cols(self):
         return self.matrix.shape[1]
 
+    @cached_property
+    def entries(self):
+        """Flat indices i * n2 + j of the observed entries, in row-major
+        order (np.nonzero's), read-only."""
+        e = np.flatnonzero(self.matrix)
+        e.setflags(write=False)
+        return e
+
     @property
     def count(self):
-        return int(self.matrix.sum())
+        return int(self.entries.size)
 
 
 def bernoulli_mask(n1, n2, p, rng):
@@ -106,7 +115,10 @@ def project_observed(m, mask):
     if a.shape != mask.matrix.shape:
         raise ValueError(f"shape mismatch: matrix {a.shape}, mask "
                          f"{mask.matrix.shape}")
-    return a * mask.matrix
+    out = np.zeros(a.shape)
+    e = mask.entries
+    out.reshape(-1)[e] = a.reshape(-1)[e]
+    return out
 
 
 def observed_fraction(mask):

@@ -15,7 +15,8 @@ from lpmc.objective import (ObjectiveSpec, default_tuning, factor_curvature,
                             row_hinge_penalty_grad)
 from lpmc.parameterization import (SubspaceParam, adjoint, balanced_witness,
                                    factors, theta_blocks, x_of, y_of)
-from lpmc.sampling import RngState, bernoulli_mask
+from lpmc.sampling import (ObservationMask, RngState, bernoulli_mask,
+                           symmetric_offdiag_mask)
 from specialized_forms import (DENSE, SPARSE, noiseless_spec,
                                psd_objective_value,
                                reference_row_hinge_penalty,
@@ -483,6 +484,55 @@ def test_make_spec_rejects_empty_mask():
     mask = bernoulli_mask(6, 5, 0.0, rng.derive("m"))
     with pytest.raises(ValueError):
         make_spec(param, mask, np.zeros((6, 5)))
+
+
+def test_spec_entries_equal_the_nonzero_route():
+    rng = RngState(71).derive("entries")
+    param, m_star = rectangular_instance(9, 9, 2, rng.derive("i"))
+    masks = [bernoulli_mask(9, 9, 0.4, rng.derive("b")),
+             symmetric_offdiag_mask(9, 0.4, rng.derive("s")),
+             bernoulli_mask(9, 9, 0.0, rng.derive("e"))]
+    assert masks[-1].count == 0
+    for mask in masks:
+        observed = m_star * mask.matrix
+        spec = ObjectiveSpec(param, observed, mask, 0.5, 1.0, 1.0)
+        # the dense kernel reads none of them, so none is built
+        objective_grad(spec, np.ones(param.d))
+        assert not {"rows", "cols", "vals"} & vars(spec).keys()
+        rows, cols = np.nonzero(mask.matrix)
+        for got, want in ((spec.rows, rows), (spec.cols, cols),
+                          (spec.vals, observed[rows, cols])):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert not got.flags.writeable
+        if mask.count:
+            made = make_spec(param, mask, m_star)
+            assert np.array_equal(made.vals, spec.vals)
+            assert np.array_equal(made.observed, observed)
+
+
+def test_spec_rejects_off_support_and_non_finite_observed():
+    spec, _ = noiseless_spec("rectangular", 73)
+    param, mask = spec.param, spec.mask
+    i, j = np.argwhere(~mask.matrix)[0]
+    k, m = np.argwhere(mask.matrix)[0]
+    for value in (1e-300, -2.0):        # one entry off the mask
+        leak = spec.observed.copy()
+        leak[i, j] = value
+        with pytest.raises(ValueError, match="off the mask"):
+            ObjectiveSpec(param, leak, mask, spec.p_hat, 1.0, 1.0)
+    # an observed zero does not hide an entry off the mask
+    swap = spec.observed.copy()
+    swap[k, m], swap[i, j] = 0.0, 1.0
+    with pytest.raises(ValueError, match="off the mask"):
+        ObjectiveSpec(param, swap, mask, spec.p_hat, 1.0, 1.0)
+    for where in ((i, j), (k, m)):
+        bad = spec.observed.copy()
+        bad[where] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            ObjectiveSpec(param, bad, mask, spec.p_hat, 1.0, 1.0)
+    signed_zero = spec.observed.copy()
+    signed_zero[i, j] = -0.0
+    ObjectiveSpec(param, signed_zero, mask, spec.p_hat, 1.0, 1.0)
 
 
 def test_observed_matrix_is_frozen():

@@ -388,3 +388,74 @@ def test_theta_blocks_roundtrip():
         theta = gen.standard_normal(param.d)
         blocks = theta_blocks(param, theta)
         assert np.array_equal(pack_blocks(param, *blocks), theta)
+        # the blocks are views that tile theta in the cached layout's order
+        assert param.block_layout is param.block_layout
+        for b, (lo, hi, shape) in zip(blocks, param.block_layout):
+            assert b.shape == shape and np.shares_memory(b, theta)
+            assert np.array_equal(b.reshape(-1), theta[lo:hi])
+        assert [lo for lo, _, _ in param.block_layout] == (
+            [0] + [hi for _, hi, _ in param.block_layout[:-1]])
+        assert param.block_layout[-1][1] == param.d
+
+
+# ---------------------------------------- witness roots and their alignments
+
+def one_truth_per_kind(seed):
+    rng = RngState(seed).derive("roots")
+    return (subspace_instance(16, 14, 2, 5, 4, rng.derive("su")),
+            rectangular_instance(12, 9, 2, rng.derive("re")),
+            psd_instance(10, 2, rng.derive("ps")),
+            skew_instance(10, 4, rng.derive("sk")))
+
+
+def test_witness_from_root_equals_rootless_witness():
+    gen = np.random.default_rng(53)
+    for param, m_star in one_truth_per_kind(53):
+        root = param.witness_root(m_star)
+        thetas = [np.zeros(param.d)] + [gen.standard_normal(param.d)
+                                        for _ in range(4)]
+        for theta in thetas:      # one root, aligned at every point
+            fresh = balanced_witness(param, theta, m_star)
+            reused = balanced_witness(param, theta, m_star, root=root)
+            assert np.array_equal(reused.xi, fresh.xi), param.kind
+            for field in ("residual_fit", "residual_balance",
+                          "min_corr_eig", "m_star_norm", "corr_scale"):
+                assert getattr(reused, field) == getattr(fresh, field), (
+                    param.kind, field)
+            assert reused.passes
+            assert np.array_equal(param.witness(theta, m_star), fresh.xi)
+
+
+def test_witness_root_raises_the_representability_errors():
+    gen = np.random.default_rng(59)
+    param, _ = subspace_instance(14, 14, 2, 4, 4, RngState(59).derive("su"))
+    off_span = gen.standard_normal((14, 2)) @ gen.standard_normal((2, 14))
+    with pytest.raises(RepresentabilityError, match="bases"):
+        param.witness_root(off_span)
+    wide = gen.standard_normal((10, 4)) @ gen.standard_normal((4, 10))
+    with pytest.raises(RepresentabilityError, match="exceeds r=2"):
+        rectangular_param(10, 10, 2).witness_root(wide)
+    with pytest.raises(RepresentabilityError, match="not symmetric"):
+        psd_param(10, 2).witness_root(np.triu(np.ones((10, 10))))
+    with pytest.raises(NotPsdError):
+        psd_param(8, 3).witness_root(np.diag([2.0, 1.0, -0.5] + [0.0] * 5))
+    with pytest.raises(RepresentabilityError, match="exceeds r=2"):
+        psd_param(10, 2).witness_root(wide @ wide.T)
+    _, four_blocks = skew_instance(10, 4, RngState(59).derive("sk"))
+    with pytest.raises(RepresentabilityError, match="Youla blocks"):
+        skew_param(10, 2).witness_root(four_blocks)
+
+
+def test_root_of_another_truth_fails_the_certificate():
+    gen = np.random.default_rng(61)
+    for (param, m_star), (_, other) in zip(one_truth_per_kind(61),
+                                           one_truth_per_kind(67)):
+        if param.kind == "subspace":       # another truth on the same bases
+            other = (param.basis_u[:, :2] @ gen.standard_normal((2, 2))
+                     @ param.basis_v[:, :2].T)
+        theta = gen.standard_normal(param.d)
+        assert balanced_witness(param, theta, other).passes
+        cert = balanced_witness(param, theta, other,
+                                root=param.witness_root(m_star))
+        assert not cert.passes, param.kind
+        assert cert.residual_fit > 1e-2, param.kind

@@ -116,6 +116,29 @@ def test_mask_determinism():
 
 # ----------------------------------------------------------------- projection
 
+def test_mask_entries_are_read_only_and_give_the_count():
+    masks = [bernoulli_mask(7, 5, 0.3, RNG.derive("e", "b")),
+             symmetric_offdiag_mask(6, 0.5, RNG.derive("e", "s")),
+             bernoulli_mask(4, 4, 0.0, RNG.derive("e", "0"))]
+    for mask in masks:
+        e = mask.entries
+        assert np.array_equal(e, np.flatnonzero(mask.matrix))
+        assert mask.entries is e
+        assert not e.flags.writeable
+        with pytest.raises(ValueError):
+            e[...] = 0
+        assert mask.count == mask.matrix.sum() == e.size
+
+
+def test_projection_zeros_are_positive_off_the_mask():
+    mask = explicit_mask(3, 4, [(0, 1), (2, 3)])
+    a = -np.arange(1.0, 13.0).reshape(3, 4)
+    out = project_observed(a, mask)
+    assert np.array_equal(out, a * mask.matrix)
+    assert not np.signbit(out[~mask.matrix]).any()
+    assert out[0, 1] == -2.0 and out[2, 3] == -12.0
+
+
 def test_projection_full_mask_is_identity():
     gen = np.random.default_rng(0)
     m = gen.standard_normal((4, 6))
