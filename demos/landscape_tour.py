@@ -16,7 +16,7 @@ from lpmc.landscape import (concentration_report, curvature_gap_decomposition,
                             factor_curvature_gap, ground_truth_profile,
                             noise_spectral_surrogate, param_curvature_gap,
                             tuning_conditions)
-from lpmc.parameterization import balanced_witness, x_of, y_of
+from lpmc.parameterization import balanced_witness, factors
 from lpmc.sampling import RngState, bernoulli_mask, gaussian_noise
 
 N, R, S, P, SIGMA = 48, 2, 6, 0.5, 0.02
@@ -46,8 +46,8 @@ def main():
     # 2. the same curvature gap through two unrelated computations
     delta = gen.standard_normal(param.d)
     kp = param_curvature_gap(spec, theta, delta)
-    kf = factor_curvature_gap(x_of(param, theta), y_of(param, theta),
-                              x_of(param, delta), y_of(param, delta), spec)
+    kf = factor_curvature_gap(*factors(param, theta), *factors(param, delta),
+                              spec)
     print(f"\ncurvature gap K(theta; delta): value route {kp:.6e}, "
           f"factor route {kf:.6e}")
     print(f"  two-route residual {abs(kp - kf) / (1 + abs(kf)):.1e}")

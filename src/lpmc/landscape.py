@@ -44,8 +44,6 @@ class GroundTruthProfile:
     sigma_bottom: float
     cond: float
     incoherence: float
-    u_star: np.ndarray   # (n1, r)
-    v_star: np.ndarray   # (n2, r)
 
 
 def ground_truth_profile(m_star, r):
@@ -65,7 +63,7 @@ def ground_truth_profile(m_star, r):
     n1, n2 = m.shape
     mu = max(n1 / r * two_inf_norm(u) ** 2, n2 / r * two_inf_norm(v) ** 2)
     s1, sr = float(dec.sigma[0]), float(dec.sigma[r - 1])
-    return GroundTruthProfile(n1, n2, r, s1, sr, s1 / sr, float(mu), u, v)
+    return GroundTruthProfile(n1, n2, r, s1, sr, s1 / sr, float(mu))
 
 
 def factor_curvature_gap(x, y, dx, dy, spec):
@@ -235,10 +233,6 @@ class TuningReport:
     alpha_lo: float
     alpha_hi: float
     alpha_ok: bool
-
-    @property
-    def all_ok(self):
-        return self.p_ok and self.lam_ok and self.alpha_ok
 
 
 # Absolute constants of the rate floor (c1) and of the tuning windows (c2):
@@ -414,47 +408,3 @@ def concentration_report(mask, rng):
         gap_norm=gap, gap_ratio=gap / math.sqrt(n_max * p) if p > 0 else 0.0,
         count=mask_count_check(mask), checks=tuple(checks),
         energy_ratios=tuple(ratios))
-
-
-@dataclass(frozen=True)
-class WitnessFactorReport:
-    """Spectral properties of witness factors against the profile of the
-    ground truth they reproduce: extreme singular values should match
-    (sqrt(sigma_1), sqrt(sigma_r)), column spans should match the truth's
-    singular spans, and squared row norms should respect the incoherence
-    bounds mu r sigma_1 / n."""
-
-    sigma_top: float
-    sigma_bottom: float
-    expected_top: float
-    expected_bottom: float
-    span_gap_x: float
-    span_gap_y: float
-    two_inf_sq_x: float
-    two_inf_sq_y: float
-    row_bound_x: float
-    row_bound_y: float
-
-
-def witness_factor_properties(param, xi, m_star):
-    """Measure the witness-factor properties for a rank-r exact witness."""
-    prof = ground_truth_profile(m_star, param.r)
-    xw, yw = x_of(param, xi), y_of(param, xi)
-    sing = np.linalg.svd(xw, compute_uv=False)
-
-    def span_gap(factor, basis):
-        q, _ = np.linalg.qr(factor)
-        s = np.linalg.svd(basis.T @ q, compute_uv=False)
-        smin = min(1.0, float(s[-1])) if s.size else 0.0
-        return math.sqrt(max(0.0, 1.0 - smin ** 2))
-
-    return WitnessFactorReport(
-        sigma_top=float(sing[0]), sigma_bottom=float(sing[-1]),
-        expected_top=math.sqrt(prof.sigma_top),
-        expected_bottom=math.sqrt(prof.sigma_bottom),
-        span_gap_x=span_gap(xw, prof.u_star),
-        span_gap_y=span_gap(yw, prof.v_star),
-        two_inf_sq_x=two_inf_norm(xw) ** 2,
-        two_inf_sq_y=two_inf_norm(yw) ** 2,
-        row_bound_x=prof.incoherence * param.r * prof.sigma_top / param.n1,
-        row_bound_y=prof.incoherence * param.r * prof.sigma_top / param.n2)

@@ -320,11 +320,6 @@ def _core_evaluate(ta, tb, spec):
                       hinges, (ta, tb, gta, gtb))
 
 
-def factor_value(x, y, spec):
-    """f(X, Y) at explicit factors."""
-    return _evaluate(x, y, spec).value
-
-
 def _factor_grad(ev, spec):
     """Gradients of f with respect to X and Y, from the Evaluation there."""
     x, y, b = ev.x, ev.y, ev.balance

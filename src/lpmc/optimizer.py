@@ -26,8 +26,8 @@ line search hands back the Evaluation of the candidate it accepts, and the
 gradient there reads its residual, balance matrix and row hinges, so the
 arithmetic (and every output) is that of a fresh gradient at each iterate.
 On the dense kernel every candidate's residual is written into one buffer
-per solve. solve counts its value and gradient evaluations, and the values
-at which the row penalty was active.
+per solve. solve counts its value evaluations, and the values at which the
+row penalty was active.
 """
 
 import time
@@ -66,11 +66,10 @@ class SolveResult:
     m_hat: np.ndarray
     objective_trace: np.ndarray
     grad_norm_sq_final: float
-    iterations: int
+    iterations: int           # steps; a solve takes iterations + 1 gradients
     termination: str          # "grad-tol" or "iter-cap"
     clamped_steps: int
     value_evals: int          # objective values, the start's and candidates'
-    grad_evals: int           # gradients, iterations + 1
     hinge_evals: int          # values with lam > 0 and a row beyond alpha
     wall_time: float
 
@@ -164,6 +163,5 @@ def solve(spec, config):
         grad_norm_sq_final=grad_sq, iterations=iterations,
         termination="grad-tol" if grad_sq <= GRAD_TOL_SQ else "iter-cap",
         clamped_steps=clamped,
-        value_evals=value_evals, grad_evals=iterations + 1,
-        hinge_evals=hinge_evals,
+        value_evals=value_evals, hinge_evals=hinge_evals,
         wall_time=time.perf_counter() - started)

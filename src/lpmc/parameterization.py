@@ -33,10 +33,9 @@ two. witness_root(m_star) does everything that does not depend on theta: the
 decomposition of m_star (SVD, symmetric eigendecomposition or Youla form),
 the representability checks, and the unrotated balanced blocks, which it
 returns as the root. align(theta, root) rotates the root so that it
-correlates PSD with theta, and witness(theta, m) is align(theta,
-witness_root(m)). At n = 500 the decomposition is 95-99% of a witness's
-cost, so a caller that builds witnesses at many points of one truth
-computes its root once and passes it to balanced_witness.
+correlates PSD with theta. At n = 500 the decomposition is 95-99% of a
+witness's cost, so a caller that builds witnesses at many points of one
+truth computes its root once and passes it to balanced_witness.
 
 The spectral start of data A = P(M) / p_hat is the parameter of balanced
 factors of the rank-r truncation of A inside the kind's space: the top-r SVD
@@ -102,10 +101,6 @@ class LinearParam:
     def d(self):
         """Parameter dimension."""
         return self.block_layout[-1][1]
-
-    def witness(self, theta, m):
-        """The kind's witness for (theta, m)."""
-        return self.align(theta, self.witness_root(m))
 
     def align(self, theta, root):
         """The root's blocks, each times the one orthogonal T that makes

@@ -13,11 +13,12 @@ from lpmc.experiments import (default_config, render_csv, run_diagnostics,
 from lpmc.instances import (assemble, psd_instance, rectangular_instance,
                             skew_instance, subspace_instance)
 from lpmc.landscape import (curvature_gap_decomposition, factor_curvature_gap,
-                            mask_gap_norm, param_curvature_gap,
-                            sampled_deviation_check, witness_factor_properties)
+                            ground_truth_profile, mask_gap_norm,
+                            param_curvature_gap, sampled_deviation_check)
+from lpmc.linalg import two_inf_norm
 from lpmc.objective import objective_grad, objective_value
 from lpmc.optimizer import SolveConfig, solve
-from lpmc.parameterization import balanced_witness, x_of, y_of
+from lpmc.parameterization import balanced_witness, factors, x_of, y_of
 from lpmc.sampling import (RngState, bernoulli_mask, gaussian_noise,
                            symmetric_offdiag_mask)
 from specialized_forms import (psd_objective_value, skew_objective_value,
@@ -103,11 +104,16 @@ def test_criterion_02_witness_certificates():
             fails += not cert.passes
             worst_fit = max(worst_fit, cert.residual_fit)
             worst_bal = max(worst_bal, cert.residual_balance)
-            rep = witness_factor_properties(param, cert.xi, m_star)
-            worst_sig = max(worst_sig, abs(rep.sigma_top - rep.expected_top),
-                            abs(rep.sigma_bottom - rep.expected_bottom))
-            fails += rep.two_inf_sq_x > rep.row_bound_x + 1e-10
-            fails += rep.two_inf_sq_y > rep.row_bound_y + 1e-10
+            # the witness lemma: sigma_i(X(xi)) = sqrt(sigma_i(M*)), and
+            # squared row norms within mu r sigma_1 / n
+            xw, yw = factors(param, cert.xi)
+            want = np.sqrt(np.linalg.svd(m_star, compute_uv=False)[:param.r])
+            sing = np.linalg.svd(xw, compute_uv=False)
+            worst_sig = max(worst_sig, float(np.max(np.abs(sing - want))))
+            prof = ground_truth_profile(m_star, param.r)
+            bound = prof.incoherence * param.r * prof.sigma_top
+            fails += two_inf_norm(xw) ** 2 > bound / param.n1 + 1e-10
+            fails += two_inf_norm(yw) ** 2 > bound / param.n2 + 1e-10
     ok = fails == 0 and worst_sig <= 1e-8
     line = _report(2, ok, f"200 witnesses, {fails} failures, worst fit "
                           f"{worst_fit:.2e}, sigma gap {worst_sig:.2e}")

@@ -14,11 +14,10 @@ from lpmc.landscape import (FLOOR_C1, DeviationCheck, GroundTruthProfile,
                             factor_curvature_gap, ground_truth_profile,
                             mask_count_check, mask_gap_norm,
                             noise_spectral_surrogate, param_curvature_gap,
-                            sampled_deviation_check, tuning_conditions,
-                            witness_factor_properties)
-from lpmc.objective import factor_value, make_spec
+                            sampled_deviation_check, tuning_conditions)
+from lpmc.objective import objective_value
 from lpmc.optimizer import SolveConfig, solve
-from lpmc.parameterization import balanced_witness, x_of, y_of
+from lpmc.parameterization import balanced_witness, pack_blocks, x_of, y_of
 from lpmc.sampling import (RngState, bernoulli_mask, gaussian_noise,
                            project_observed, symmetric_offdiag_mask)
 
@@ -58,10 +57,12 @@ def test_profile_matches_row_maxima():
     param, _ = subspace_instance(20, 15, 3, 6, 5, rng)
     m_star = (param.basis_u[:, :3] * (3.0, 2.0, 1.0)) @ param.basis_v[:, :3].T
     prof = ground_truth_profile(m_star, 3)
+    # the singular values 3, 2, 1 are distinct, so these columns are the
+    # truth's singular vectors
     mu = 0.0
-    for row in prof.u_star:
+    for row in param.basis_u[:, :3]:
         mu = max(mu, 20 / 3 * float(row @ row))
-    for row in prof.v_star:
+    for row in param.basis_v[:, :3]:
         mu = max(mu, 15 / 3 * float(row @ row))
     assert prof.incoherence == pytest.approx(mu, rel=1e-12)
     assert prof.sigma_top == pytest.approx(3.0, rel=1e-10)
@@ -139,7 +140,8 @@ def test_factor_gap_matches_value_stencil():
         dy = gen.standard_normal(y.shape)
 
         def g(t):
-            return factor_value(x + t * dx, y + t * dy, spec)
+            return objective_value(spec, pack_blocks(param, x + t * dx,
+                                                     y + t * dy))
 
         h = 1e-2
         g0 = g(0.0)
@@ -299,8 +301,7 @@ def test_surrogate_subspace_never_larger():
 # ------------------------------------------------------------------ tuning
 
 def synthetic_profile(n=200, mu=1.5, kappa=1.0, r=2, sigma_top=4.0):
-    return GroundTruthProfile(n, n, r, sigma_top, sigma_top / kappa, kappa,
-                              mu, np.zeros((n, r)), np.zeros((n, r)))
+    return GroundTruthProfile(n, n, r, sigma_top, sigma_top / kappa, kappa, mu)
 
 
 def test_tuning_windows_pass_when_inside():
@@ -310,7 +311,6 @@ def test_tuning_windows_pass_when_inside():
     rep = tuning_conditions(prof, 0.5, 2 * lam_lo, 2 * alpha_lo)
     assert rep.lam_ok and rep.alpha_ok
     assert rep.p_ok    # floor is tiny for this profile
-    assert rep.all_ok
 
 
 def test_tuning_lambda_zero_fails_window():
@@ -459,20 +459,3 @@ def test_concentration_report_empty_mask():
     assert rep.energy_ratios == ()
     assert rep.energy_max_deviation == 0.0
     assert rep.gap_ratio == 0.0
-
-
-# ------------------------------------------------------------ witness report
-
-def test_witness_factor_properties():
-    rng = RngState(67).derive("wit")
-    param, _ = subspace_instance(24, 20, 2, 6, 5, rng)
-    m_star = (param.basis_u[:, :2] * (2.0, 0.5)) @ param.basis_v[:, :2].T
-    rep = witness_factor_properties(param, balanced_witness(
-        param, np.zeros(param.d), m_star).xi, m_star)
-    assert rep.sigma_top == pytest.approx(math.sqrt(2.0), abs=1e-8)
-    assert rep.sigma_bottom == pytest.approx(math.sqrt(0.5), abs=1e-8)
-    # the gap measure sqrt(1 - s^2) bottoms out near sqrt(eps)
-    assert rep.span_gap_x <= 1e-7
-    assert rep.span_gap_y <= 1e-7
-    assert rep.two_inf_sq_x <= rep.row_bound_x + 1e-10
-    assert rep.two_inf_sq_y <= rep.row_bound_y + 1e-10

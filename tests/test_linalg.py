@@ -248,9 +248,10 @@ def test_two_inf_below_frobenius():
 
 def test_import_loads_no_scipy():
     # numpy is the only declared runtime dependency; scipy may be installed
-    # alongside, so an import of it would go unnoticed elsewhere
+    # alongside, so an import of it would go unnoticed elsewhere. lpmc.cli
+    # loads every module; the package root loads none
     src = os.path.dirname(os.path.dirname(os.path.abspath(lpmc.__file__)))
-    code = ("import sys, lpmc; "
+    code = ("import sys, lpmc.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,

@@ -9,7 +9,7 @@ import lpmc.objective as objective
 from lpmc.instances import rectangular_instance
 from lpmc.landscape import factor_curvature_gap, param_curvature_gap
 from lpmc.objective import (ObjectiveSpec, default_tuning, factor_curvature,
-                            factor_grad, factor_value, make_spec,
+                            factor_grad, make_spec,
                             objective_grad, objective_value,
                             row_hinge_penalty, row_hinge_penalty_curvature,
                             row_hinge_penalty_grad)
@@ -367,7 +367,7 @@ def test_subspace_entry_kernel_equals_the_factor_level():
             at = dataclasses.replace(spec, alpha=alpha)
             ev = objective_value(at, theta, keep=True)
             assert ev.hinged == bool(alpha < norms.max())
-            ref = factor_value(x, y, at)
+            ref = objective._evaluate(x, y, at).value
             assert abs(ev.value - ref) <= 1e-12 * ref
             grad = adjoint(param, *factor_grad(x, y, at))
             for g in (objective_grad(at, theta, ev),

@@ -423,7 +423,7 @@ def test_witness_from_root_equals_rootless_witness():
                 assert getattr(reused, field) == getattr(fresh, field), (
                     param.kind, field)
             assert reused.passes
-            assert np.array_equal(param.witness(theta, m_star), fresh.xi)
+            assert np.array_equal(param.align(theta, root), fresh.xi)
 
 
 def test_witness_root_raises_the_representability_errors():
