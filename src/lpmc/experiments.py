@@ -4,8 +4,11 @@ run_experiment is the one sweep loop: p, then trial, then sweep value, then
 solver. A per-experiment plan gives the ground truth of each sweep value
 (subspace width s, skew rank r; a single-solve of a kind without bases has
 the one value r, the rank it solves at) and its solvers, each a (label,
-init-stream tags, parameterization) triple. Streams derive from the master
-seed:
+init-stream tags, parameterization) triple. The solvers of one sweep value
+(skew-compare's two) run on threads when BLAS is pinned to fewer threads
+than there are usable CPUs and the matrix is large enough to gain
+(_solve_workers); records and errors keep the serial loop's order. Streams
+derive from the master seed:
 
   cell     (experiment, "p", repr(p), "t", t); its "mask" and "noise"
            children draw the data of every sweep value and solver of (p, t)
@@ -34,8 +37,11 @@ row per trial, then a summary section whose lines are prefixed '#summary'
 parsing them back is lossless.
 """
 
+import contextlib
+import functools
 import math
-from dataclasses import dataclass, fields
+import os
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -45,6 +51,8 @@ from .landscape import (concentration_report, curvature_gap_decomposition,
                         factor_curvature_gap, ground_truth_profile,
                         noise_spectral_surrogate, param_curvature_gap,
                         tuning_conditions)
+# not called here, but perfbench's tracer wraps this name (ROADMAP Standing,
+# tracer binding)
 from .objective import make_spec
 from .optimizer import SolveConfig, solve
 from .parameterization import (KINDS, balanced_witness, rectangular_param,
@@ -193,7 +201,9 @@ class TrialRecord:
     success: int
     iterations: int
     termination: str
-    wall_time: float        # in-memory only, see module docstring
+    wall_time: float        # in-memory only, see module docstring; with
+                            # the cell's solvers on threads it includes the
+                            # contention with the sibling solve
     value_evals: int        # objective values of the solve, in-memory only
 
 
@@ -294,21 +304,27 @@ def summarize(records):
     return out
 
 
-def _trial(config, t, p, value, label, stream, param, data, m_star):
-    """One solve of a sweep cell with the given parameterization; data is
-    the cell's spec for the truth, None when the mask is empty."""
+def _trial(config, cell, t, p, value, data, m_star, solver):
+    """One solve of a sweep cell by solver, a (label, init-stream tags,
+    parameterization) triple; data is the cell's spec for the truth, None
+    when the mask is empty."""
+    label, tags, param = solver
+    stream = cell.derive(*tags)
     if data is None:
         # nothing observed: the objective is undefined, the estimate is 0,
         # and the trial counts as a failure at full relative error
         err, iterations, termination, wall, values = (1.0, 0, "empty-mask",
                                                       0.0, 0)
     else:
-        spec = data if param is data.param else make_spec(
-            param, data.mask, data.observed, config.lam, config.alpha)
+        # another parameterization of the same shape (skew-compare's free
+        # solver) shares the cell's mask, observed array and tuning
+        spec = data if param is data.param else replace(data, param=param)
         result = solve(spec, SolveConfig(seed=stream,
                                          max_iters=config.max_iters,
                                          init=config.init))
-        num = float(np.linalg.norm(result.m_hat - m_star)) ** 2
+        m_hat = result.m_hat
+        m_hat -= m_star             # in place: no n1 x n2 temporary
+        num = float(np.linalg.norm(m_hat)) ** 2
         err = num / float(np.linalg.norm(m_star)) ** 2
         iterations, termination = result.iterations, result.termination
         wall, values = result.wall_time, result.value_evals
@@ -318,6 +334,54 @@ def _trial(config, t, p, value, label, stream, param, data, m_star):
         success=int(math.sqrt(err) <= SUCCESS_REL_ERR),
         iterations=iterations, termination=termination, wall_time=wall,
         value_evals=values)
+
+
+# the fewest matrix entries at which a cell's solves run on threads: below
+# it each numpy call is too short for two solves to overlap more than they
+# trade the GIL (BLAS pinned, in-process, serial then threaded: n = 200
+# 1.38 -> 1.52 s, n = 300 0.98 -> 0.83 s, n = 500 1.59 -> 0.98 s)
+THREADS_FROM_ENTRIES = 300 * 300
+
+
+def _solve_workers(solvers, entries):
+    """Threads for the solves of one sweep value of an n1 x n2 problem with
+    n1 * n2 = entries: min(solvers, usable CPUs // BLAS threads), at least
+    1, and 1 below THREADS_FROM_ENTRIES.
+
+    BLAS threads are read as OpenBLAS reads them: OPENBLAS_NUM_THREADS, else
+    OMP_NUM_THREADS, a value that is not a positive integer counting as
+    unset, and unset meaning every CPU. So only a run with BLAS pinned below
+    the CPU count solves concurrently; an unpinned one gives 1 worker, since
+    two solves that each spread over every CPU ran 1.5x slower side by side
+    than one after the other.
+    """
+    if entries < THREADS_FROM_ENTRIES:
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:          # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    blas = cpus
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(var, "")
+        if value.isdigit() and int(value) > 0:
+            blas = int(value)
+            break
+    return max(1, min(solvers, cpus // blas))
+
+
+@contextlib.contextmanager
+def _solver_map(workers):
+    """The map that runs a cell's solves: the builtin for one worker, else a
+    thread pool's, which gives the results in item order and raises the
+    first error in item order. The pool is joined on exit, also when a solve
+    raised, and imported only here, as its import takes about 5 ms."""
+    if workers == 1:
+        yield map
+        return
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(workers) as pool:
+        yield pool.map
 
 
 def _mask(param, p, rng):
@@ -380,23 +444,25 @@ def run_experiment(config):
     exp = config.experiment
     plan = _plan(config, master)
     model = plan[0][1]       # every truth of a sweep has one kind and size
+    workers = _solve_workers(max(len(step[3]) for step in plan),
+                             model.n1 * model.n2)
     records = []
-    for p in config.p_grid:
-        for t in range(config.trials):
-            cell = master.derive(exp, "p", repr(p), "t", t)
-            mask = _mask(model, p, cell.derive("mask"))
-            noise = None
-            if config.sigma > 0.0:
-                noise = _noise(model, config.sigma, cell.derive("noise"))
-            for value, truth, m_star, solvers in plan:
-                data = None
-                if mask.count:
-                    data = assemble(truth, m_star, mask, noise, config.lam,
-                                    config.alpha)
-                for label, tags, param in solvers:
-                    records.append(_trial(config, t, p, value, label,
-                                          cell.derive(*tags), param, data,
-                                          m_star))
+    with _solver_map(workers) as solve_all:
+        for p in config.p_grid:
+            for t in range(config.trials):
+                cell = master.derive(exp, "p", repr(p), "t", t)
+                mask = _mask(model, p, cell.derive("mask"))
+                noise = None
+                if config.sigma > 0.0:
+                    noise = _noise(model, config.sigma, cell.derive("noise"))
+                for value, truth, m_star, solvers in plan:
+                    data = None
+                    if mask.count:
+                        data = assemble(truth, m_star, mask, noise,
+                                        config.lam, config.alpha)
+                    records.extend(solve_all(functools.partial(
+                        _trial, config, cell, t, p, value, data, m_star),
+                        solvers))
     return records, summarize(records)
 
 

@@ -25,9 +25,9 @@ solve of k steps takes k + 1 gradients. Each point is evaluated once: the
 line search hands back the Evaluation of the candidate it accepts, and the
 gradient there reads its residual, balance matrix and row hinges, so the
 arithmetic (and every output) is that of a fresh gradient at each iterate.
-On the dense kernel every candidate's residual is written into one buffer
-per solve. solve counts its value evaluations, and the values at which the
-row penalty was active.
+On the dense kernel every candidate's residual, and at the end the estimate
+m_hat, is written into one buffer per solve. solve counts its value
+evaluations, and the values at which the row penalty was active.
 """
 
 import time
@@ -136,13 +136,14 @@ def solve(spec, config):
     value_evals, hinge_evals = 1, int(ev.hinged)
     while True:
         grad = objective_grad(spec, theta, ev)
+        # the line search writes its candidates' dense residuals, and the
+        # solve its estimate, into this point's buffer, so a solve allocates
+        # one
+        buf = ev.resid if isinstance(ev.resid, np.ndarray) else None
+        ev = None
         grad_sq = float(grad @ grad)
         if grad_sq <= GRAD_TOL_SQ or iterations == config.max_iters:
             break
-        # the line search writes its candidates' dense residuals into this
-        # point's buffer, so a solve allocates one
-        buf = ev.resid if isinstance(ev.resid, np.ndarray) else None
-        ev = None
         step, theta, ev, candidates, hinged = (
             halving_line_search(spec, theta, grad, value, buf))
         value = ev.value
@@ -156,7 +157,7 @@ def solve(spec, config):
         trace.append(value)
 
     x, y = factors(spec.param, theta)
-    m_hat = x @ y.T
+    m_hat = np.matmul(x, y.T, out=buf)
     return SolveResult(
         theta_hat=theta, m_hat=m_hat,
         objective_trace=np.asarray(trace),

@@ -1,9 +1,13 @@
 """Tests for the sweep driver, CSV emission, and the diagnostics battery."""
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
 import lpmc.experiments as experiments
+from lpmc.errors import NumericError
 from lpmc.experiments import (CellSummary, TrialRecord, default_config,
                               render_csv, run_diagnostics, run_experiment,
                               summarize, write_csv)
@@ -244,23 +248,113 @@ def test_skew_compare_solvers_share_the_data(monkeypatch):
     seen = []
 
     def recording_solve(spec, config):
-        seen.append((spec.param.kind, spec.mask.matrix, spec.observed))
+        seen.append((spec.param.kind, spec.mask.matrix, spec.observed,
+                     (spec.p_hat, spec.lam, spec.alpha)))
         return solve(spec, config)
 
     solve = experiments.solve
     monkeypatch.setattr(experiments, "solve", recording_solve)
+    # the recording order is the order of the calls, which only the serial
+    # path fixes
+    monkeypatch.setattr(experiments, "_solve_workers",
+                        lambda solvers, entries: 1)
     cfg = default_config("skew-compare", n1=16, n2=16, sweep=(2, 4),
                          p_grid=(0.6,), trials=2, master_seed=5,
                          max_iters=20)
     run_experiment(cfg)
-    assert [k for k, _, _ in seen] == ["skew", "rectangular"] * 4
-    for (_, mask_a, obs_a), (_, mask_b, obs_b) in zip(seen[0::2],
-                                                      seen[1::2]):
+    assert [k for k, _, _, _ in seen] == ["skew", "rectangular"] * 4
+    for (_, mask_a, obs_a, tune_a), (_, mask_b, obs_b, tune_b) in zip(
+            seen[0::2], seen[1::2]):
         assert np.array_equal(mask_a, mask_b)
-        assert np.array_equal(obs_a, obs_b)
+        # the free solver's spec shares the skew spec's observations and
+        # tuning
+        assert obs_b is obs_a
+        assert tune_b == tune_a
     # and both sweep values of a trial share one mask
     assert np.array_equal(seen[0][1], seen[2][1])
     assert not np.array_equal(seen[0][1], seen[4][1])
+
+
+DENSE_SKEW_COMPARE = dict(n1=40, n2=40, sweep=(2, 4), p_grid=(0.5,),
+                          trials=2, master_seed=3)
+
+
+def test_concurrent_solvers_write_the_serial_csv(monkeypatch):
+    # one worker is the serial loop; with two, each cell's skew and free
+    # solves run on pool threads and the records keep the serial order
+    threads = set()
+
+    def recording_solve(spec, config):
+        threads.add(threading.current_thread())
+        return solve(spec, config)
+
+    solve = experiments.solve
+    monkeypatch.setattr(experiments, "solve", recording_solve)
+    cfg = default_config("skew-compare", **DENSE_SKEW_COMPARE)
+    texts = []
+    for workers in (1, 2):
+        monkeypatch.setattr(
+            experiments, "_solve_workers",
+            lambda solvers, entries, w=workers: min(solvers, w))
+        threads.clear()
+        texts.append(render_csv(*run_experiment(cfg)))
+        on_main = threads == {threading.main_thread()}
+        assert on_main == (workers == 1)
+    assert texts[0] == texts[1]
+
+
+def test_a_solver_error_leaves_the_run_as_in_the_serial_loop(monkeypatch):
+    # both solvers of the second rank fail; the free one fails first, yet
+    # the skew solver's error, the first in submission order, is raised, and
+    # no pool thread is left running
+    def failing_solve(spec, config):
+        if spec.param.r == 4:
+            if spec.param.kind == "skew":
+                time.sleep(0.05)
+            raise NumericError(f"{spec.param.kind} failed")
+        return solve(spec, config)
+
+    solve = experiments.solve
+    monkeypatch.setattr(experiments, "solve", failing_solve)
+    cfg = default_config("skew-compare", **DENSE_SKEW_COMPARE)
+    before = set(threading.enumerate())
+    for workers in (1, 2):
+        monkeypatch.setattr(
+            experiments, "_solve_workers",
+            lambda solvers, entries, w=workers: min(solvers, w))
+        with pytest.raises(NumericError, match="^skew failed$"):
+            run_experiment(cfg)
+        assert set(threading.enumerate()) == before
+
+
+@pytest.mark.parametrize("cpus, env, solvers, workers", [
+    ({0, 1}, {}, 2, 1),                              # BLAS on every CPU
+    ({0, 1}, {"OPENBLAS_NUM_THREADS": "1"}, 2, 2),
+    ({0, 1}, {"OMP_NUM_THREADS": "1"}, 2, 2),
+    ({0, 1}, {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2, 1),
+    ({0, 1}, {"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 2, 2),
+    ({0, 1}, {"OPENBLAS_NUM_THREADS": "many"}, 2, 1),
+    ({0, 1}, {"OPENBLAS_NUM_THREADS": "1"}, 1, 1),   # one solver per cell
+    ({0}, {"OPENBLAS_NUM_THREADS": "1"}, 2, 1),      # one usable CPU
+    ({0, 1, 2, 3}, {"OPENBLAS_NUM_THREADS": "2"}, 2, 2),
+    ({0, 1, 2}, {"OPENBLAS_NUM_THREADS": "4"}, 2, 1),
+])
+def test_solve_workers_fill_the_cpus_blas_leaves(monkeypatch, cpus, env,
+                                                   solvers, workers):
+    monkeypatch.setattr(experiments.os, "sched_getaffinity",
+                        lambda pid: set(cpus), raising=False)
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    large = experiments.THREADS_FROM_ENTRIES
+    assert experiments._solve_workers(solvers, large) == workers
+    # a smaller matrix stays serial under any pin
+    assert experiments._solve_workers(solvers, large - 1) == 1
+    # without an affinity call the CPU count stands in
+    monkeypatch.delattr(experiments.os, "sched_getaffinity")
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: len(cpus))
+    assert experiments._solve_workers(solvers, large) == workers
 
 
 def test_skew_compare_produces_paired_solvers():

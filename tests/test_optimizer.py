@@ -229,6 +229,32 @@ def test_solve_matches_fresh_evaluation_reference(kind, density):
                 assert result.hinge_evals > 0
 
 
+@pytest.mark.parametrize("density", [DENSE, SPARSE],
+                         ids=["dense", "entry"])
+def test_dense_estimate_is_written_into_the_residual_buffer(density,
+                                                            monkeypatch):
+    # the estimate is X Y^T byte for byte; on the dense kernel it takes the
+    # buffer the solve's residuals were written into, so a solve allocates
+    # one n1 x n2 array for both
+    residuals = []
+
+    def recording(*args, **kwargs):
+        ev = value(*args, **kwargs)
+        residuals.append(ev.resid)
+        return ev
+
+    value = optimizer.objective_value
+    monkeypatch.setattr(optimizer, "objective_value", recording)
+    spec, _ = noiseless_spec("rectangular", 47, **density)
+    for max_iters in (3, 500):
+        residuals.clear()
+        result = solve(spec, SolveConfig(seed=1, max_iters=max_iters))
+        x, y = factors(spec.param, result.theta_hat)
+        assert result.m_hat.tobytes() == (x @ y.T).tobytes()
+        assert any(r is result.m_hat for r in residuals) == (
+            density is DENSE)
+
+
 def test_solve_counts_hinged_evaluations():
     # at the standard alpha = 100 a sparse subspace solve never reaches the
     # row penalty, as on the benchmark's phase sweep; at a small alpha it
