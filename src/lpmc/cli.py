@@ -1,11 +1,15 @@
 """Command line front end for the experiment sweeps and diagnostics.
 
-Exit status: 0 on success, 1 on argument/configuration/IO errors, 2 when a
-run fails a hard invariant (diagnostics FAIL or a numeric failure inside a
-solve).
+An argument '@path' reads the file at path as more arguments: flags as typed,
+any number per line, '#' starting a comment; a later flag overrides an
+earlier one.
+
+Exit status: 0 on success, 1 on argument and IO errors, 2 when a run fails a
+hard invariant (diagnostics FAIL or a numeric failure inside a solve).
 """
 
 import argparse
+import shlex
 import sys
 
 from .errors import NumericError
@@ -21,6 +25,9 @@ class _Parser(argparse.ArgumentParser):
     # the one 'lpmc: <message>' line every other error prints
     def error(self, message):
         self.exit(1, f"lpmc: {message}\n")
+
+    def convert_arg_line_to_args(self, arg_line):
+        return shlex.split(arg_line, comments=True)
 
 
 def _ints(text):
@@ -54,37 +61,8 @@ _FLAGS = {
 }
 
 
-def read_config_file(path, experiment):
-    """Parse a 'key = value' config file for one experiment; keys match the
-    long flag names the experiment takes."""
-    values = {}
-    with open(path) as fh:
-        for ln, line in enumerate(fh, 1):
-            body = line.split("#", 1)[0].strip()
-            if not body:
-                continue
-            if "=" not in body:
-                raise ValueError(f"{path}:{ln}: expected 'key = value'")
-            key, _, raw = body.partition("=")
-            key = key.strip().replace("-", "_")
-            if key not in SETTINGS or experiment not in SETTINGS[key][1]:
-                raise ValueError(f"{path}:{ln}: {experiment} takes no key "
-                                 f"{key!r}")
-            values[key] = _FLAGS[key].get("type", str)(raw.strip())
-    return values
-
-
-def _build_config(args):
-    values = read_config_file(args.config, args.command) if args.config else {}
-    values.update((key, value) for key, value in vars(args).items()
-                  if key in SETTINGS and value is not None)
-    return default_config(args.command, **{
-        field: value for key, value in values.items()
-        for field in SETTINGS[key][0]})
-
-
 def main(argv=None):
-    parser = _Parser(prog="lpmc",
+    parser = _Parser(prog="lpmc", fromfile_prefix_chars="@",
                      description="matrix completion sweeps and landscape "
                                  "diagnostics")
     subs = parser.add_subparsers(dest="command", required=True)
@@ -94,12 +72,13 @@ def main(argv=None):
             if name in readers:
                 sub.add_argument("--" + key.replace("_", "-"), dest=key,
                                  **_FLAGS[key])
-        sub.add_argument("--config", help="key = value config file; explicit "
-                                          "flags override it")
     args = parser.parse_args(argv)
 
     try:
-        config = _build_config(args)
+        config = default_config(args.command, **{
+            field: value for key, value in vars(args).items()
+            if key in SETTINGS and value is not None
+            for field in SETTINGS[key][0]})
         if config.experiment == "diagnostics":
             text, ok = run_diagnostics(config)
             sys.stdout.write(text)

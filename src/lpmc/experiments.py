@@ -69,9 +69,9 @@ SUCCESS_REL_ERR = 1e-3     # unsquared relative Frobenius error
 _SOLVING = tuple(e for e in EXPERIMENTS if e != "diagnostics")
 
 # Every setting, declared once: its key (the CLI flag is --key with '_'
-# written '-'; config files take either spelling), the ExperimentConfig
-# fields it sets, and the experiments that read them. An experiment that
-# does not read a field takes it only at that experiment's default.
+# written '-'), the ExperimentConfig fields it sets, and the experiments that
+# read them. An experiment that does not read a field takes it only at that
+# experiment's default.
 SETTINGS = {
     "n": (("n1", "n2"), EXPERIMENTS),
     "r": (("r",), tuple(e for e in EXPERIMENTS if e != "skew-compare")),

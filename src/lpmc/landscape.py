@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RankError
 from .linalg import as_matrix, reduced_svd, spectral_norm, two_inf_norm
 from .objective import (factor_curvature, factor_grad, objective_value,
                         row_hinge_penalty_curvature, row_hinge_penalty_grad)
@@ -49,15 +48,15 @@ class GroundTruthProfile:
 def ground_truth_profile(m_star, r):
     """Profile m_star at rank r.
 
-    Raises RankError when the numerical rank of m_star falls below r
+    Raises ValueError when the numerical rank of m_star falls below r
     (sigma_r <= 1e-10 * sigma_1).
     """
     m = as_matrix(m_star, "m_star")
     dec = reduced_svd(m)
     if dec.rank < r or dec.sigma[r - 1] <= 1e-10 * dec.sigma[0]:
         have = dec.sigma[r - 1] / dec.sigma[0] if dec.rank >= r else 0.0
-        raise RankError(f"m_star has numerical rank below r={r} "
-                        f"(sigma_r/sigma_1 = {have:.3e})")
+        raise ValueError(f"m_star has numerical rank below r={r} "
+                         f"(sigma_r/sigma_1 = {have:.3e})")
     u = dec.u[:, :r]
     v = dec.v[:, :r]
     n1, n2 = m.shape

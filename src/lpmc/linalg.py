@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneracyError, NumericError
+from .errors import NumericError
 
 SKETCH_EXTRA = 10       # randomized_range columns beyond r
 POWER_PASSES = 2        # randomized_range passes through a^T and a
@@ -93,7 +93,7 @@ def youla_decompose(s, cutoff=None):
 
     Blocks are those with lambda above cutoff, which defaults to
     1e-10 * lambda_1, in descending order; a numerically zero matrix yields
-    no blocks. Raises DegeneracyError when the numerical rank is odd.
+    no blocks. Raises ValueError when the numerical rank is odd.
     """
     m = as_matrix(s, "s")
     n1, n2 = m.shape
@@ -107,7 +107,7 @@ def youla_decompose(s, cutoff=None):
         cutoff = 1e-10 * (w[-1] if w.size else 0.0)
     k = int(np.sum(np.abs(w) > cutoff))
     if k % 2:
-        raise DegeneracyError(f"numerical rank {k} is odd; cannot pair blocks")
+        raise ValueError(f"numerical rank {k} is odd; cannot pair blocks")
     if k == 0:
         return YoulaDecomposition(np.zeros(0), np.zeros((n1, 0)), np.zeros((n1, 0)))
     half = k // 2

@@ -97,9 +97,10 @@ class ObjectiveSpec:
     param: object
     observed: np.ndarray
     mask: ObservationMask
-    p_hat: float
     lam: float
     alpha: float
+    # the mask's observed fraction
+    p_hat: float = field(init=False)
     # the param's entry_core on the entry kernel, else None
     core: tuple = field(init=False, repr=False, compare=False)
 
@@ -116,8 +117,11 @@ class ObjectiveSpec:
         if np.count_nonzero(obs) != np.count_nonzero(
                 obs.reshape(-1)[self.mask.entries]):
             raise ValueError("observed has support off the mask")
-        if not 0.0 < self.p_hat <= 1.0:
-            raise ValueError(f"p_hat must be in (0, 1], got {self.p_hat}")
+        object.__setattr__(self, "p_hat", observed_fraction(self.mask))
+        if self.p_hat == 0.0:
+            raise ValueError(f"empty mask: no entry of the {self.mask.rows} x "
+                             f"{self.mask.cols} matrix observed at p = "
+                             f"{self.mask.nominal_p}")
         # lam = inf would make f NaN wherever the penalty is 0 (inf * 0)
         if not 0.0 <= self.lam < np.inf:
             raise ValueError(f"lam must be finite and nonnegative, got "
@@ -153,13 +157,9 @@ def _read_only(a):
 
 def make_spec(param, mask, observed, lam=None, alpha=None):
     """Assemble an ObjectiveSpec, filling tuning from the standard rule."""
-    p_hat = observed_fraction(mask)
-    if p_hat == 0.0:
-        raise ValueError(f"empty mask: no entry of the {mask.rows} x "
-                         f"{mask.cols} matrix observed at p = "
-                         f"{mask.nominal_p}")
-    lam_d, alpha_d = default_tuning(param.n1, param.n2, p_hat)
-    return ObjectiveSpec(param, project_observed(observed, mask), mask, p_hat,
+    lam_d, alpha_d = default_tuning(param.n1, param.n2,
+                                    observed_fraction(mask))
+    return ObjectiveSpec(param, project_observed(observed, mask), mask,
                          lam_d if lam is None else float(lam),
                          alpha_d if alpha is None else float(alpha))
 

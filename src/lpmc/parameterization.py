@@ -45,14 +45,13 @@ the skew part for skew. The rectangular, psd and skew kinds take it on the
 range of A found by randomized_range.
 """
 
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NotPsdError, NumericError, RepresentabilityError
+from .errors import NumericError
 from .linalg import (ReducedSvd, as_matrix, randomized_range, reduced_svd,
                      youla_decompose)
 
@@ -179,15 +178,14 @@ class PsdParam(LinearParam):
         m must be symmetric PSD of rank at most r."""
         scale = max(np.linalg.norm(m), 1e-300)
         if np.linalg.norm(m - m.T) > 1e-8 * scale:
-            raise RepresentabilityError("m_star is not symmetric")
+            raise ValueError("m_star is not symmetric")
         w, q = np.linalg.eigh(0.5 * (m + m.T))
         if w.size and w[0] < -1e-8 * scale:
-            raise NotPsdError(f"m_star has eigenvalue {w[0]:.3e}")
+            raise ValueError(f"m_star has eigenvalue {w[0]:.3e}")
         w = np.clip(w, 0.0, None)
         keep = np.flatnonzero(w > w[-1] * m.shape[0] * np.finfo(np.float64).eps)
         if keep.size > self.r:
-            raise RepresentabilityError(
-                f"numerical rank {keep.size} exceeds r={self.r}")
+            raise ValueError(f"numerical rank {keep.size} exceeds r={self.r}")
         root = np.zeros((self.n1, self.r))
         sel = keep[::-1]                      # descending eigenvalues
         root[:, :sel.size] = q[:, sel] * np.sqrt(w[sel])
@@ -243,7 +241,7 @@ class SubspaceParam(LinearParam):
         core = bu.T @ m @ bv
         off = np.linalg.norm(bu @ core @ bv.T - m)
         if off > 1e-8 * max(np.linalg.norm(m), 1e-300):
-            raise RepresentabilityError(
+            raise ValueError(
                 "m_star is not supported on the parameterization bases")
         return _balanced_pair_root(self, core)
 
@@ -280,7 +278,7 @@ class SkewParam(LinearParam):
         half = self.r // 2
         dec = youla_decompose(m)
         if dec.n_blocks > half:
-            raise RepresentabilityError(
+            raise ValueError(
                 f"{dec.n_blocks} Youla blocks exceed r/2 = {half}")
         root = np.sqrt(dec.lambdas)
         xi_a = np.zeros((self.n1, half))
@@ -323,28 +321,12 @@ def psd_param(n, r):
 
 
 def subspace_param(basis_u, basis_v, r):
-    """Subspace parameterization over the column spans of basis_u, basis_v.
-
-    Bases whose Gram residual exceeds 1e-12 are re-orthonormalized in place
-    (same span) with a warning; the theory assumes orthonormal bases without
-    loss of generality.
-    """
-    bu = _orthonormalized(as_matrix(basis_u, "basis_u"), "basis_u")
-    bv = _orthonormalized(as_matrix(basis_v, "basis_v"), "basis_v")
+    """Subspace parameterization over the column spans of basis_u, basis_v,
+    whose columns must be orthonormal (the theory assumes so without loss of
+    generality)."""
+    bu = as_matrix(basis_u, "basis_u")
+    bv = as_matrix(basis_v, "basis_v")
     return SubspaceParam(bu.shape[0], bv.shape[0], r, bu, bv)
-
-
-def _orthonormalized(b, name):
-    if b.shape[1] > b.shape[0]:
-        raise ValueError(f"{name} has more columns than rows")
-    if np.linalg.norm(b.T @ b - np.eye(b.shape[1])) <= 1e-12:
-        return b
-    warnings.warn(f"{name} columns are not orthonormal; re-orthonormalizing",
-                  stacklevel=3)
-    q, rr = np.linalg.qr(b)
-    if np.min(np.abs(np.diag(rr))) <= 1e-12 * max(np.abs(np.diag(rr)).max(), 1.0):
-        raise ValueError(f"{name} columns are numerically dependent")
-    return q
 
 
 def skew_param(n, r):
@@ -446,14 +428,13 @@ def _balanced_pair_root(param, m):
     space: a balanced rank-r factorization m = A B^T with A^T A = B^T B, by
     SVD; align rotates it.
 
-    Raises RepresentabilityError when the numerical rank of m exceeds r.
+    Raises ValueError when the numerical rank of m exceeds r.
     """
     r = param.r
     dec = reduced_svd(m)
     if dec.rank > r:
         if dec.sigma[r] > 1e-8 * max(dec.sigma[0], 1e-300):
-            raise RepresentabilityError(
-                f"numerical rank {dec.rank} exceeds r={r}")
+            raise ValueError(f"numerical rank {dec.rank} exceeds r={r}")
         dec = ReducedSvd(dec.u[:, :r], dec.sigma[:r], dec.v[:, :r])
     root = np.sqrt(dec.sigma)
     a = np.zeros((m.shape[0], r))

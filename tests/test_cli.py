@@ -1,4 +1,4 @@
-"""Tests for the command line front end: flag handling, config files,
+"""Tests for the command line front end: flag handling, argument files,
 output modes, and exit codes."""
 
 import os
@@ -39,15 +39,19 @@ def test_bad_grid_value_returns_one(capsys):
 
 
 def test_missing_config_file_returns_one(capsys):
-    assert cli.main(fast_args("--config", "/no/such/file.cfg")) == 1
-    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(fast_args("@/no/such/file.args"))
+    assert exc.value.code == 1
+    assert "/no/such/file.args" in capsys.readouterr().err
 
 
 def test_unknown_config_key_returns_one(tmp_path, capsys):
-    path = tmp_path / "bad.cfg"
-    path.write_text("bogus = 3\n")
-    assert cli.main(fast_args("--config", str(path))) == 1
-    assert "bogus" in capsys.readouterr().err
+    path = tmp_path / "bad.args"
+    path.write_text("--bogus 3\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(fast_args(f"@{path}"))
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --bogus 3" in capsys.readouterr().err
 
 
 def test_numeric_failure_returns_two(monkeypatch, capsys):
@@ -100,11 +104,11 @@ def test_odd_skew_compare_rank_is_one_line_error():
 
 
 def test_unknown_kind_in_config_file_is_one_line_error(tmp_path):
-    path = tmp_path / "bad.cfg"
-    path.write_text("kind = foo\n")
-    proc = run_lpmc(*fast_args("--config", str(path)))
+    path = tmp_path / "bad.args"
+    path.write_text("--kind foo\n")
+    proc = run_lpmc(*fast_args(f"@{path}"))
     assert_one_line_error(proc)
-    assert "foo" in proc.stderr
+    assert "argument --kind: invalid choice: 'foo'" in proc.stderr
 
 
 @pytest.mark.parametrize("grid", [("--s", "4,4", "--p-grid", "0.5"),
@@ -162,11 +166,11 @@ def test_empty_diagnostics_mask_names_its_rate():
 
 
 def test_unopenable_out_path_is_one_line_error(tmp_path):
-    # a NUL byte reaches --out only through a config file; open() raises
+    # a NUL byte reaches --out only through an argument file; open() raises
     # ValueError for it after the sweep has run
-    path = tmp_path / "nul.cfg"
-    path.write_text("out = a\0b.csv\n")
-    proc = run_lpmc(*fast_args("--config", str(path)))
+    path = tmp_path / "nul.args"
+    path.write_text("--out a\0b.csv\n")
+    proc = run_lpmc(*fast_args(f"@{path}"))
     assert_one_line_error(proc)
     assert "null" in proc.stderr
 
@@ -189,26 +193,27 @@ SMALL = {"subspace-phase": ("--n", "12", "--s", "4", "--p-grid", "0.5",
 ])
 def test_kind_key_outside_single_solve_is_one_line_error(tmp_path, experiment,
                                                          key, value):
-    # a key the experiment does not read is an error, as a config key and
-    # as a flag
-    path = tmp_path / "key.cfg"
-    path.write_text(f"{key} = {value}\n")
-    proc = run_lpmc(experiment, *SMALL[experiment], "--config", str(path))
-    assert_one_line_error(proc)
-    assert key in proc.stderr
+    # a flag the experiment does not read is an error, from an argument
+    # file and typed
     flag = "--" + key.replace("_", "-")
+    path = tmp_path / "key.args"
+    path.write_text(f"{flag} {value}\n")
+    unrecognized = f"unrecognized arguments: {flag} {value}"
+    proc = run_lpmc(experiment, *SMALL[experiment], f"@{path}")
+    assert_one_line_error(proc)
+    assert unrecognized in proc.stderr
     proc = run_lpmc(experiment, *SMALL[experiment], flag, value)
     assert_one_line_error(proc)
-    assert flag in proc.stderr
+    assert unrecognized in proc.stderr
 
 
 def test_init_outside_its_modes_or_experiments_is_one_line_error(tmp_path):
     # init has two modes, and diagnostics, which never solves, takes none
-    path = tmp_path / "init.cfg"
-    path.write_text("init = foo\n")
-    proc = run_lpmc(*fast_args("--config", str(path)))
+    path = tmp_path / "init.args"
+    path.write_text("--init foo\n")
+    proc = run_lpmc(*fast_args(f"@{path}"))
     assert_one_line_error(proc)
-    assert "init must be one of" in proc.stderr and "foo" in proc.stderr
+    assert "argument --init: invalid choice: 'foo'" in proc.stderr
     proc = run_lpmc("diagnostics", "--init", "random")
     assert_one_line_error(proc)
     assert "--init" in proc.stderr
@@ -275,15 +280,20 @@ def test_run_line_counts_objective_values(monkeypatch, capsys):
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):
-    path = tmp_path / "run.cfg"
-    path.write_text("n = 24\nr = 2\ns = 4\np-grid = 0.8\n"
-                    "trials = 2\nseed = 9\n# comment line\n")
+    path = tmp_path / "run.args"
+    path.write_text("--n 24 --r 2\n--s 4   # the subspace width\n"
+                    "--p-grid 0.8 --trials 2 --seed 9\n# comment line\n")
     out = tmp_path / "run.csv"
-    assert cli.main(["single-solve", "--config", str(path),
+    assert cli.main(["single-solve", f"@{path}",
                      "--trials", "1", "--out", str(out)]) == 0
     capsys.readouterr()
     rows = [l for l in out.read_text().splitlines() if not l.startswith("#")]
     assert len(rows) == 2     # header plus the single overridden trial
+    # the file writes the bytes the same flags write typed
+    typed = tmp_path / "typed.csv"
+    assert cli.main(fast_args("--trials", "1", "--out", str(typed))) == 0
+    capsys.readouterr()
+    assert out.read_bytes() == typed.read_bytes()
 
 
 def test_repeat_runs_write_identical_files(tmp_path, capsys):

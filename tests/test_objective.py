@@ -14,7 +14,8 @@ from lpmc.objective import (ObjectiveSpec, default_tuning, factor_curvature,
                             row_hinge_penalty, row_hinge_penalty_curvature,
                             row_hinge_penalty_grad)
 from lpmc.parameterization import (SubspaceParam, adjoint, balanced_witness,
-                                   factors, theta_blocks, x_of, y_of)
+                                   factors, rectangular_param, theta_blocks,
+                                   x_of, y_of)
 from lpmc.sampling import (ObservationMask, RngState, bernoulli_mask,
                            symmetric_offdiag_mask)
 from specialized_forms import (DENSE, SPARSE, noiseless_spec,
@@ -458,17 +459,15 @@ def test_spec_validation():
     spec, _ = noiseless_spec("rectangular", 25)
     param, mask, observed = spec.param, spec.mask, spec.observed
     with pytest.raises(ValueError):
-        ObjectiveSpec(param, observed, mask, 0.0, 1.0, 1.0)     # p_hat
-    with pytest.raises(ValueError):
-        ObjectiveSpec(param, observed, mask, spec.p_hat, -1.0, 1.0)
+        ObjectiveSpec(param, observed, mask, -1.0, 1.0)
     for lam in (np.nan, np.inf):     # f would be NaN from the start
         with pytest.raises(ValueError, match="lam must be finite"):
-            ObjectiveSpec(param, observed, mask, spec.p_hat, lam, 1.0)
+            ObjectiveSpec(param, observed, mask, lam, 1.0)
     with pytest.raises(ValueError):
-        ObjectiveSpec(param, observed, mask, spec.p_hat, 1.0, -0.5)
+        ObjectiveSpec(param, observed, mask, 1.0, -0.5)
     off_support = observed + 1.0      # leaks outside the mask
     with pytest.raises(ValueError):
-        ObjectiveSpec(param, off_support, mask, spec.p_hat, 1.0, 1.0)
+        ObjectiveSpec(param, off_support, mask, 1.0, 1.0)
 
 
 def test_spec_accepts_alpha_extremes():
@@ -486,16 +485,28 @@ def test_make_spec_rejects_empty_mask():
         make_spec(param, mask, np.zeros((6, 5)))
 
 
+def test_spec_derives_its_observed_fraction_from_the_mask():
+    rng = RngState(37).derive("fraction")
+    n1, n2 = 9, 7
+    param, m_star = rectangular_instance(n1, n2, 2, rng.derive("i"))
+    empty = bernoulli_mask(n1, n2, 0.0, rng.derive("e"))
+    with pytest.raises(ValueError, match=r"empty mask: .* p = 0\.0"):
+        ObjectiveSpec(param, np.zeros((n1, n2)), empty, 1.0, 1.0)
+    mask = bernoulli_mask(n1, n2, 0.5, rng.derive("m"))
+    spec = ObjectiveSpec(param, m_star * mask.matrix, mask, 1.0, 1.0)
+    assert spec.p_hat == mask.count / (n1 * n2)
+    other = rectangular_param(n1, n2, 1)
+    assert dataclasses.replace(spec, param=other).p_hat == spec.p_hat
+
+
 def test_spec_entries_equal_the_nonzero_route():
     rng = RngState(71).derive("entries")
     param, m_star = rectangular_instance(9, 9, 2, rng.derive("i"))
     masks = [bernoulli_mask(9, 9, 0.4, rng.derive("b")),
-             symmetric_offdiag_mask(9, 0.4, rng.derive("s")),
-             bernoulli_mask(9, 9, 0.0, rng.derive("e"))]
-    assert masks[-1].count == 0
+             symmetric_offdiag_mask(9, 0.4, rng.derive("s"))]
     for mask in masks:
         observed = m_star * mask.matrix
-        spec = ObjectiveSpec(param, observed, mask, 0.5, 1.0, 1.0)
+        spec = ObjectiveSpec(param, observed, mask, 1.0, 1.0)
         # the dense kernel reads none of them, so none is built
         objective_grad(spec, np.ones(param.d))
         assert not {"rows", "cols", "vals"} & vars(spec).keys()
@@ -504,10 +515,9 @@ def test_spec_entries_equal_the_nonzero_route():
                           (spec.vals, observed[rows, cols])):
             assert got.dtype == want.dtype and np.array_equal(got, want)
             assert not got.flags.writeable
-        if mask.count:
-            made = make_spec(param, mask, m_star)
-            assert np.array_equal(made.vals, spec.vals)
-            assert np.array_equal(made.observed, observed)
+        made = make_spec(param, mask, m_star)
+        assert np.array_equal(made.vals, spec.vals)
+        assert np.array_equal(made.observed, observed)
 
 
 def test_spec_rejects_off_support_and_non_finite_observed():
@@ -519,20 +529,20 @@ def test_spec_rejects_off_support_and_non_finite_observed():
         leak = spec.observed.copy()
         leak[i, j] = value
         with pytest.raises(ValueError, match="off the mask"):
-            ObjectiveSpec(param, leak, mask, spec.p_hat, 1.0, 1.0)
+            ObjectiveSpec(param, leak, mask, 1.0, 1.0)
     # an observed zero does not hide an entry off the mask
     swap = spec.observed.copy()
     swap[k, m], swap[i, j] = 0.0, 1.0
     with pytest.raises(ValueError, match="off the mask"):
-        ObjectiveSpec(param, swap, mask, spec.p_hat, 1.0, 1.0)
+        ObjectiveSpec(param, swap, mask, 1.0, 1.0)
     for where in ((i, j), (k, m)):
         bad = spec.observed.copy()
         bad[where] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
-            ObjectiveSpec(param, bad, mask, spec.p_hat, 1.0, 1.0)
+            ObjectiveSpec(param, bad, mask, 1.0, 1.0)
     signed_zero = spec.observed.copy()
     signed_zero[i, j] = -0.0
-    ObjectiveSpec(param, signed_zero, mask, spec.p_hat, 1.0, 1.0)
+    ObjectiveSpec(param, signed_zero, mask, 1.0, 1.0)
 
 
 def test_observed_matrix_is_frozen():
