@@ -62,12 +62,15 @@ _FLAGS = {
 
 
 def main(argv=None):
+    # allow_abbrev=False: a prefix such as --tri is an error, not --trials,
+    # so a saved @file keeps its meaning when a flag is added
     parser = _Parser(prog="lpmc", fromfile_prefix_chars="@",
+                     allow_abbrev=False,
                      description="matrix completion sweeps and landscape "
                                  "diagnostics")
     subs = parser.add_subparsers(dest="command", required=True)
     for name in EXPERIMENTS:
-        sub = subs.add_parser(name)
+        sub = subs.add_parser(name, allow_abbrev=False)
         for key, (_, readers) in SETTINGS.items():
             if name in readers:
                 sub.add_argument("--" + key.replace("_", "-"), dest=key,

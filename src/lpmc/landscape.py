@@ -18,6 +18,18 @@ with xi a balanced witness, into a quartic factor term, a sampling deviation
 term, a penalty term and a noise term; the bound holding is the workhorse
 inequality behind the no-spurious-minima argument, and here it is checked
 numerically, instance by instance.
+
+The certificates take a leading stack axis, so a caller with many points
+makes one call: param_curvature_gap takes c x d stacks of theta and delta
+and sends all 5c stencil points to objective_value as one stack, and
+factor_curvature_gap takes c x n x r stacks of factors; each returns an
+array of the c gaps (parameterization.balanced_witness takes a stack of
+theta too). Numpy runs a stacked matmul, svd or eigvalsh as the routine of
+one matrix on each item, so each item's products equal its point's own.
+The reductions whose sum would round in another order over a whole stack
+stay item by item: np.vdot, np.linalg.norm and the row hinge's row norms.
+So a stacked gap equals, bit for bit, the gap of its point alone, and the
+diagnostics report is the same text however its points are grouped.
 """
 
 import math
@@ -26,7 +38,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import as_matrix, reduced_svd, spectral_norm, two_inf_norm
-from .objective import (factor_curvature, factor_grad, objective_value,
+# _evaluate, _dots and _chunks: the one Evaluation a factor-level gap shares
+# between its gradient and its curvature, its per-item inner products, and
+# the split of a long stack
+from .objective import (_chunks, _dots, _evaluate, factor_curvature,
+                        factor_grad, objective_value,
                         row_hinge_penalty_curvature, row_hinge_penalty_grad)
 from .parameterization import x_of, y_of
 from .sampling import project_observed
@@ -66,10 +82,18 @@ def ground_truth_profile(m_star, r):
 
 
 def factor_curvature_gap(x, y, dx, dy, spec):
-    """K at the factor level, from the closed-form Hessian quadratic form."""
-    gx, gy = factor_grad(x, y, spec)
-    quad = factor_curvature(x, y, dx, dy, spec)
-    return quad - 4.0 * (float(np.vdot(gx, dx)) + float(np.vdot(gy, dy)))
+    """K at the factor level, from the closed-form Hessian quadratic form;
+    at stacked factors an array of the items' gaps, in chunks as
+    objective_value splits a stack. The gradient and the curvature read one
+    Evaluation at (X, Y), so the masked residual is formed once."""
+    parts = _chunks(spec, len(x)) if x.ndim > 2 else ()
+    if len(parts) > 1:
+        return np.concatenate([factor_curvature_gap(x[s], y[s], dx[s], dy[s],
+                                                    spec) for s in parts])
+    ev = _evaluate(x, y, spec)
+    gx, gy = factor_grad(x, y, spec, ev)
+    quad = factor_curvature(x, y, dx, dy, spec, ev)
+    return quad - 4.0 * (_dots(gx, dx) + _dots(gy, dy))
 
 
 PARAM_GAP_STEP = 1e-2
@@ -85,16 +109,17 @@ def param_curvature_gap(spec, theta, delta):
     leaves an O(step^4) error: against factor_curvature_gap, at most 4.1e-4
     relative with a row on the hinge (lam = 1, every kind) and 1.5e-4 over
     the diagnostics' draws at the in-window tuning lam = 20, alpha = 1.7.
+
+    The five points theta + t delta go to objective_value as one stack, and
+    stacked theta and delta (c x d) give the c gaps from one stack of 5c.
     """
-    theta = np.asarray(theta, dtype=np.float64).reshape(-1)
-    delta = np.asarray(delta, dtype=np.float64).reshape(-1)
+    theta = np.asarray(theta, dtype=np.float64)
+    delta = np.asarray(delta, dtype=np.float64)
     h = PARAM_GAP_STEP
-
-    def g(t):
-        return objective_value(spec, theta + t * delta)
-
-    g0 = g(0.0)
-    gp1, gm1, gp2, gm2 = g(h), g(-h), g(2.0 * h), g(-2.0 * h)
+    t = np.array([0.0, h, -h, 2.0 * h, -2.0 * h])
+    points = theta[..., None, :] + t[:, None] * delta[..., None, :]
+    g = objective_value(spec, points.reshape(-1, theta.shape[-1]))
+    g0, gp1, gm1, gp2, gm2 = g.reshape(points.shape[:-1]).T
     d2 = (-gp2 + 16.0 * gp1 - 30.0 * g0 + 16.0 * gm1 - gm2) / (12.0 * h ** 2)
     d1 = (gm2 - 8.0 * gm1 + 8.0 * gp1 - gp2) / (12.0 * h)
     return d2 - 4.0 * d1

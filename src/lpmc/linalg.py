@@ -22,6 +22,13 @@ def as_matrix(a, name="a"):
     return m
 
 
+def _mT(a):
+    """a with its last two axes swapped: the transpose of a matrix, and of
+    each matrix of a stack (numpy's matmul then runs the routine of one
+    matrix on each item)."""
+    return a.swapaxes(-1, -2)
+
+
 def two_inf_norm(a):
     """Largest euclidean row norm of a."""
     m = as_matrix(a)

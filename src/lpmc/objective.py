@@ -52,6 +52,12 @@ gradient called without one builds it first. So a descent that accepts a
 line-search candidate never builds its residual or its row norms twice. The
 dense residual can also be written into a caller's buffer (out), which lets
 a descent allocate it once per solve.
+
+objective_value, factor_grad and factor_curvature also take a stack of
+points, one leading axis of c (theta c x d, factors c x n x r), and return
+c values, gradients or forms. The products run on the whole stack and the
+sums of squares item by item, so each item's result is bit for bit the one
+its point gives alone (the landscape module says which reductions and why).
 """
 
 from dataclasses import dataclass, field
@@ -60,7 +66,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import as_matrix
+from .linalg import _mT, as_matrix
 from .parameterization import adjoint, theta_blocks
 from .sampling import ObservationMask, observed_fraction, project_observed
 
@@ -88,6 +94,21 @@ def default_tuning(n1, n2, p_hat):
 # 0.03: moving it changes which kernel, and so which rounding, a cell runs
 # with.
 _ENTRY_KERNEL_BELOW = 0.03
+
+# Entries of one dense n1 x n2 array of a stacked call: a longer stack is
+# evaluated in chunks, so its dense arrays hold about 2 MB each whatever the
+# size. At desk scale a stack is one call (n = 24: 50 points, 28,800
+# entries). A diagnostics report at n = 300 peaked at 78 MB with whole
+# stacks, 57 MB in these chunks (2 points) and 51 MB point by point, and
+# whole stacks ran it no faster than chunks.
+_STACK_ENTRIES = 2 ** 18
+
+
+def _chunks(spec, c):
+    """Slices that split a stack of c points on spec into calls whose dense
+    arrays have at most _STACK_ENTRIES entries (one point at least)."""
+    step = max(1, _STACK_ENTRIES // (spec.param.n1 * spec.param.n2))
+    return [slice(i, i + step) for i in range(0, c, step)]
 
 
 @dataclass(frozen=True)
@@ -181,7 +202,8 @@ _NO_HINGE = _RowHinge(0.0, None, None, None)
 def _inside_alpha(frob_sq, alpha):
     """Whether ||x||_F^2 = frob_sq puts every row of x within alpha."""
     # every row norm is at most ||x||_F; the margin covers the rounding of
-    # both sums for n r up to about 1e7 (a negative alpha reaches every row)
+    # both sums, in any order, for n r up to about 1e7 (a negative alpha
+    # reaches every row)
     return alpha > 0.0 and frob_sq < alpha ** 2 * (1.0 - 1e-8)
 
 
@@ -206,6 +228,38 @@ def _hinge_grad(x, hinge):
     return x * coef[:, None]
 
 
+def _hinge_curvature(x, dx, hinge):
+    """The Hessian quadratic form of G at x along dx from its _RowHinge;
+    on a stack, an array of the forms of its items."""
+    if x.ndim > 2:
+        return np.array([_hinge_curvature(*item)
+                         for item in zip(x, dx, hinge)])
+    if hinge.rows is None:
+        return 0.0
+    xa, da = x[hinge.rows], dx[hinge.rows]
+    na, s = hinge.norms, hinge.excess
+    cross = np.einsum("ij,ij->i", xa, da)
+    dsq = np.einsum("ij,ij->i", da, da)
+    radial = cross ** 2 / na ** 2
+    return float(np.sum(12.0 * s ** 2 * radial
+                        + 4.0 * s ** 3 * (dsq - radial) / na))
+
+
+def _row_hinges(f, spec):
+    """The _RowHinge of the factor f under spec's penalty (none at lam =
+    0); on a stack, a tuple with one per item. The stack's Frobenius test
+    is one einsum, whose order of summation the margin of _inside_alpha
+    covers, so an item it rules out gets the hinge _row_hinge gives it."""
+    if f.ndim == 2:
+        return _row_hinge(f, spec.alpha) if spec.lam else _NO_HINGE
+    if not spec.lam:
+        return (_NO_HINGE,) * len(f)
+    frob_sq = np.einsum("kij,kij->k", f, f)
+    return tuple([_NO_HINGE if _inside_alpha(v, spec.alpha)
+                  else _row_hinge(item, spec.alpha)
+                  for item, v in zip(f, frob_sq)])
+
+
 def row_hinge_penalty(x, alpha):
     """G(x) = sum_i max(||x_i|| - alpha, 0)^4."""
     return _row_hinge(x, alpha).value
@@ -218,20 +272,29 @@ def row_hinge_penalty_grad(x, alpha):
 
 def row_hinge_penalty_curvature(x, dx, alpha):
     """Hessian quadratic form of G at x along dx (exact; G is C^2)."""
-    hinge = _row_hinge(x, alpha)
-    if hinge.rows is None:
-        return 0.0
-    xa, da = x[hinge.rows], dx[hinge.rows]
-    na, s = hinge.norms, hinge.excess
-    cross = np.einsum("ij,ij->i", xa, da)
-    dsq = np.einsum("ij,ij->i", da, da)
-    radial = cross ** 2 / na ** 2
-    return float(np.sum(12.0 * s ** 2 * radial + 4.0 * s ** 3 * (dsq - radial) / na))
+    return _hinge_curvature(x, dx, _row_hinge(x, alpha))
+
+
+def _dots(a, b):
+    """<a, b> as a float, by np.vdot; on stacks of matrices an array of the
+    items' products, since one np.vdot over the stack sums in another
+    order."""
+    if a.ndim > 2:
+        return np.array([_dots(*item) for item in zip(a, b)])
+    return float(np.vdot(a, b))
+
+
+def _row_dots(a, b):
+    """<a_i, b_i> for each row i, by one einsum per matrix of a stack."""
+    if a.ndim > 2:
+        return np.array([_row_dots(*item) for item in zip(a, b)])
+    return np.einsum("ij,ij->i", a, b)
 
 
 def _masked_residual(x, y, spec, out=None):
-    """P(X Y^T - M), built in one n1 x n2 buffer: out when given."""
-    t = np.matmul(x, y.T, out=out)
+    """P(X Y^T - M), built in one n1 x n2 buffer (per item of stacked
+    factors): out when given."""
+    t = np.matmul(x, _mT(y), out=out)
     t -= spec.observed
     np.multiply(t, spec.mask.matrix, out=t)
     return t
@@ -239,12 +302,15 @@ def _masked_residual(x, y, spec, out=None):
 
 def _entry_residual(x, y, spec):
     """(X Y^T - M) at the observed entries, with the gathered factor rows."""
-    xr, yc = x[spec.rows], y[spec.cols]
-    return np.einsum("ij,ij->i", xr, yc) - spec.vals, xr, yc
+    xr, yc = x[..., spec.rows, :], y[..., spec.cols, :]
+    return _row_dots(xr, yc) - spec.vals, xr, yc
 
 
 def _scatter(index, weights, n):
-    """out[i] = sum of weights[k] over the k with index[k] == i."""
+    """out[i] = sum of weights[k] over the k with index[k] == i, per item
+    of a stack."""
+    if weights.ndim > 2:
+        return np.array([_scatter(index, w, n) for w in weights])
     return np.column_stack([np.bincount(index, weights=w, minlength=n)
                             for w in weights.T])
 
@@ -255,7 +321,10 @@ class Evaluation(NamedTuple):
     observed entries), the balance matrix X^T X - Y^T Y and the row hinges
     of X and Y (neither with a row beyond alpha when lam = 0). In block
     coordinates core is (Theta_A, Theta_B, gram_A Theta_A, gram_B Theta_B)
-    and x, y are None unless that factor's hinge formed it."""
+    and x, y are None unless that factor's hinge formed it. At stacked
+    points value and the arrays are stacks and each hinge is a tuple over
+    the items; objective_value keeps no such Evaluation, factor_grad and
+    factor_curvature read one."""
 
     value: float
     x: np.ndarray
@@ -272,7 +341,11 @@ class Evaluation(NamedTuple):
 
 
 def _value(r, b, hinges, spec):
-    """f from the fit residual r, the balance matrix b and the row hinges."""
+    """f from the fit residual r, the balance matrix b and the row hinges;
+    at stacked points an array of the items' values."""
+    if b.ndim > 2:
+        return np.array([_value(*item, spec)
+                         for item in zip(r, b, zip(*hinges))])
     fit = 0.5 / spec.p_hat * float(np.vdot(r, r))
     bal = 0.125 * float(np.vdot(b, b))
     reg = 0.0
@@ -282,42 +355,52 @@ def _value(r, b, hinges, spec):
 
 
 def _evaluate(x, y, spec, out=None):
-    """The Evaluation of f at explicit factors."""
+    """The Evaluation of f at explicit factors, or at stacks of them."""
     if spec.p_hat < _ENTRY_KERNEL_BELOW:
         resid = _entry_residual(x, y, spec)
         r = resid[0]
     else:
         resid = r = _masked_residual(x, y, spec, out)
-    b = x.T @ x - y.T @ y
-    hinges = (_NO_HINGE, _NO_HINGE)
-    if spec.lam:
-        hinges = (_row_hinge(x, spec.alpha), _row_hinge(y, spec.alpha))
+    b = _mT(x) @ x - _mT(y) @ y
+    hinges = (_row_hinges(x, spec), _row_hinges(y, spec))
     return Evaluation(_value(r, b, hinges, spec), x, y, resid, b, hinges)
 
 
-def _core_hinge(side, t, gt, alpha):
-    """(G at F = side.basis @ t, F or None): F is formed only when
-    ||F||_F^2 = <t, gram t> does not put every row within alpha."""
-    if _inside_alpha(np.vdot(t, gt), alpha):
+def _core_hinge(side, t, gt, spec):
+    """(G at F = side.basis @ t, F or None): F is formed only when lam > 0
+    and ||F||_F^2 = <t, gram t> does not put every row within alpha. On a
+    stack, (a tuple of G at each item, None)."""
+    if t.ndim > 2:
+        return tuple([_core_hinge(side, *item, spec)[0]
+                      for item in zip(t, gt)]), None
+    if not spec.lam or _inside_alpha(np.vdot(t, gt), spec.alpha):
         return _NO_HINGE, None
     f = side.basis @ t
-    return _row_hinge(f, alpha), f
+    return _row_hinge(f, spec.alpha), f
 
 
 def _core_evaluate(ta, tb, spec):
     """The Evaluation of f at blocks in the entry core's coordinates."""
     su, sv = spec.core
     xr, yc = su.rows @ ta, sv.rows @ tb
-    r = np.einsum("ij,ij->i", xr, yc) - spec.vals
+    r = _row_dots(xr, yc) - spec.vals
     gta, gtb = su.gram @ ta, sv.gram @ tb
-    b = ta.T @ gta - tb.T @ gtb
-    hinges, x, y = (_NO_HINGE, _NO_HINGE), None, None
-    if spec.lam:
-        hx, x = _core_hinge(su, ta, gta, spec.alpha)
-        hy, y = _core_hinge(sv, tb, gtb, spec.alpha)
-        hinges = (hx, hy)
-    return Evaluation(_value(r, b, hinges, spec), x, y, (r, xr, yc), b,
-                      hinges, (ta, tb, gta, gtb))
+    b = _mT(ta) @ gta - _mT(tb) @ gtb
+    hx, x = _core_hinge(su, ta, gta, spec)
+    hy, y = _core_hinge(sv, tb, gtb, spec)
+    return Evaluation(_value(r, b, (hx, hy), spec), x, y, (r, xr, yc), b,
+                      (hx, hy), (ta, tb, gta, gtb))
+
+
+def _plus_hinge_grad(g, x, hinge, lam):
+    """g plus lam times the gradient of G at x where a row of x is beyond
+    alpha; item by item on a stack."""
+    if x.ndim > 2:
+        return np.array([_plus_hinge_grad(*item, lam)
+                         for item in zip(g, x, hinge)])
+    if hinge.rows is None:
+        return g
+    return g + lam * _hinge_grad(x, hinge)
 
 
 def _factor_grad(ev, spec):
@@ -325,23 +408,22 @@ def _factor_grad(ev, spec):
     x, y, b = ev.x, ev.y, ev.balance
     if spec.p_hat < _ENTRY_KERNEL_BELOW:
         resid, xr, yc = ev.resid
-        fit_x = _scatter(spec.rows, resid[:, None] * yc, x.shape[0])
-        fit_y = _scatter(spec.cols, resid[:, None] * xr, y.shape[0])
+        fit_x = _scatter(spec.rows, resid[..., None] * yc, x.shape[-2])
+        fit_y = _scatter(spec.cols, resid[..., None] * xr, y.shape[-2])
     else:
-        fit_x, fit_y = ev.resid @ y, ev.resid.T @ x
+        fit_x, fit_y = ev.resid @ y, _mT(ev.resid) @ x
     gx = (1.0 / spec.p_hat) * fit_x + 0.5 * (x @ b)
     gy = (1.0 / spec.p_hat) * fit_y - 0.5 * (y @ b)
     hx, hy = ev.hinges
-    if hx.rows is not None:
-        gx = gx + spec.lam * _hinge_grad(x, hx)
-    if hy.rows is not None:
-        gy = gy + spec.lam * _hinge_grad(y, hy)
-    return gx, gy
+    return (_plus_hinge_grad(gx, x, hx, spec.lam),
+            _plus_hinge_grad(gy, y, hy, spec.lam))
 
 
-def factor_grad(x, y, spec):
-    """Gradients of f with respect to X and Y."""
-    return _factor_grad(_evaluate(x, y, spec), spec)
+def factor_grad(x, y, spec, ev=None):
+    """Gradients of f with respect to X and Y, or stacks of them at stacked
+    factors. ev, the Evaluation at (X, Y) when given, lends its residual,
+    balance matrix and row hinges."""
+    return _factor_grad(_evaluate(x, y, spec) if ev is None else ev, spec)
 
 
 def _core_grad(ev, spec):
@@ -360,21 +442,29 @@ def _core_grad(ev, spec):
     return np.concatenate((ga.reshape(-1), gb.reshape(-1)))
 
 
-def factor_curvature(x, y, dx, dy, spec):
-    """Hessian quadratic form of f at (X, Y) along (DX, DY), in closed form."""
-    resid = _masked_residual(x, y, spec)
-    lin = dx @ y.T + x @ dy.T
+def factor_curvature(x, y, dx, dy, spec, ev=None):
+    """Hessian quadratic form of f at (X, Y) along (DX, DY), in closed form;
+    at stacked factors an array of the items' forms. It reads the masked
+    residual, the balance matrix and the row hinges from ev, the Evaluation
+    at (X, Y), built here unless given; the entry kernel's residual lies on
+    the observed entries alone, so there the dense one is formed."""
+    if ev is None:
+        ev = _evaluate(x, y, spec)
+    resid = ev.resid
+    if spec.p_hat < _ENTRY_KERNEL_BELOW:
+        resid = _masked_residual(x, y, spec)
+    lin = dx @ _mT(y) + x @ _mT(dy)
     np.multiply(lin, spec.mask.matrix, out=lin)
-    fit = (1.0 / spec.p_hat) * (float(np.vdot(lin, lin))
-                                + 2.0 * float(np.vdot(resid, dx @ dy.T)))
-    b = x.T @ x - y.T @ y
-    c = dx.T @ x + x.T @ dx - dy.T @ y - y.T @ dy
-    e = dx.T @ dx - dy.T @ dy
-    bal = 0.25 * float(np.vdot(c, c)) + 0.5 * float(np.vdot(b, e))
+    fit = (1.0 / spec.p_hat) * (_dots(lin, lin)
+                                + 2.0 * _dots(resid, dx @ _mT(dy)))
+    c = _mT(dx) @ x + _mT(x) @ dx - _mT(dy) @ y - _mT(y) @ dy
+    e = _mT(dx) @ dx - _mT(dy) @ dy
+    bal = 0.25 * _dots(c, c) + 0.5 * _dots(ev.balance, e)
     reg = 0.0
     if spec.lam:
-        reg = spec.lam * (row_hinge_penalty_curvature(x, dx, spec.alpha)
-                          + row_hinge_penalty_curvature(y, dy, spec.alpha))
+        hx, hy = ev.hinges
+        reg = spec.lam * (_hinge_curvature(x, dx, hx)
+                          + _hinge_curvature(y, dy, hy))
     return fit + bal + reg
 
 
@@ -382,8 +472,18 @@ def objective_value(spec, theta, keep=False, out=None):
     """f composed with the parameterization's factor map; with keep=True the
     whole Evaluation, which objective_grad at the same theta can reuse. out,
     an n1 x n2 float array, takes the dense kernel's residual instead of a
-    new array."""
+    new array. A stack of theta (c x d) gives an array of the c values, each
+    the one its point gives alone; it takes neither keep nor out."""
     blocks = theta_blocks(spec.param, theta)
+    if blocks[0].ndim > 2:
+        if keep or out is not None or blocks[0].ndim > 3:
+            raise ValueError("theta must be one point, or a c x d stack, "
+                             "which takes neither keep nor out")
+        parts = _chunks(spec, len(blocks[0]))
+        if len(parts) > 1:
+            theta = np.asarray(theta, dtype=np.float64)
+            return np.concatenate([objective_value(spec, theta[s])
+                                   for s in parts])
     if spec.core is not None:
         ev = _core_evaluate(*blocks, spec)
     else:

@@ -52,8 +52,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NumericError
-from .linalg import (ReducedSvd, as_matrix, randomized_range, reduced_svd,
-                     youla_decompose)
+from .linalg import (ReducedSvd, _mT, as_matrix, randomized_range,
+                     reduced_svd, youla_decompose)
 
 KINDS = ("rectangular", "psd", "subspace", "skew")
 
@@ -103,13 +103,13 @@ class LinearParam:
 
     def align(self, theta, root):
         """The root's blocks, each times the one orthogonal T that makes
-        sum_i Theta_i^T root_i T symmetric PSD, packed into a witness. The
-        root is not modified, so it can be aligned at any number of
-        points."""
+        sum_i Theta_i^T root_i T symmetric PSD, packed into a witness (one
+        per item of a stack of theta). The root is not modified, so it can
+        be aligned at any number of points."""
         blocks = theta_blocks(self, theta)
-        corr = blocks[0].T @ root[0]
+        corr = _mT(blocks[0]) @ root[0]
         for t, b in zip(blocks[1:], root[1:]):
-            corr = corr + t.T @ b
+            corr = corr + _mT(t) @ b
         rot = _align(corr)
         return pack_blocks(self, *(b @ rot for b in root))
 
@@ -265,7 +265,8 @@ class SkewParam(LinearParam):
         return ((self.n1, self.r // 2), (self.n1, self.r // 2))
 
     def factors(self, ta, tb):
-        return np.hstack([ta, -tb]), np.hstack([tb, ta])
+        return (np.concatenate([ta, -tb], axis=-1),
+                np.concatenate([tb, ta], axis=-1))
 
     def adjoint(self, gx, gy):
         h = self.r // 2
@@ -290,17 +291,21 @@ class SkewParam(LinearParam):
     def align(self, theta, root):
         """Z* is rotated by the unitary polar factor of
         (Theta_A + i Theta_B)^H Z* so the correlation with theta is PSD. The
-        rotation is applied through its real embedding."""
+        rotation is applied through its real embedding. A stack of theta
+        raises when the rotation of any item lost unitarity."""
         xi_a, xi_b = root
         ta, tb = theta_blocks(self, theta)
-        h = (ta - 1j * tb).T @ (xi_a + 1j * xi_b)
+        h = _mT(ta - 1j * tb) @ (xi_a + 1j * xi_b)
         a, _, bh = np.linalg.svd(h)
-        rc = bh.conj().T @ a.conj().T          # unitary, h @ rc Hermitian PSD
+        rc = _mT(bh.conj()) @ _mT(a.conj())   # unitary, h @ rc Hermitian PSD
         r1, r2 = rc.real, rc.imag
         emb = np.block([[r1, -r2], [r2, r1]])
-        if np.linalg.norm(emb.T @ emb - np.eye(self.r)) > 1e-8:
-            raise NumericError("rotation lost unitarity",
-                               best_estimate=emb)
+        gap = _mT(emb) @ emb - np.eye(self.r)
+        for item, e in zip(gap.reshape(-1, self.r, self.r),
+                           emb.reshape(-1, self.r, self.r)):
+            if np.linalg.norm(item) > 1e-8:
+                raise NumericError("rotation lost unitarity",
+                                   best_estimate=e)
         return pack_blocks(self, xi_a @ r1 - xi_b @ r2, xi_a @ r2 + xi_b @ r1)
 
     def spectral_start(self, observed, p_hat, theta, gen):
@@ -334,29 +339,34 @@ def skew_param(n, r):
 
 
 def theta_blocks(param, theta):
-    """Split a flat theta into its parameter blocks."""
-    t = np.asarray(theta, dtype=np.float64).reshape(-1)
-    if t.size != param.d:
-        raise ValueError(f"theta has size {t.size}, expected {param.d}")
-    return tuple([t[lo:hi].reshape(shape) for lo, hi, shape in
+    """Split a flat theta into its parameter blocks, views of theta. A stack
+    of theta (leading axes before the last, of size d) gives stacks of
+    blocks with the same leading axes."""
+    t = np.asarray(theta, dtype=np.float64)
+    if t.ndim == 0 or t.shape[-1] != param.d:
+        raise ValueError(f"theta has shape {t.shape}, expected (..., "
+                         f"{param.d})")
+    lead = t.shape[:-1]
+    return tuple([t[..., lo:hi].reshape(lead + shape) for lo, hi, shape in
                   param.block_layout])
 
 
 def pack_blocks(param, *blocks):
-    """Inverse of theta_blocks."""
+    """Inverse of theta_blocks, stacks included."""
     shapes = param.block_shapes()
     if len(blocks) != len(shapes):
         raise ValueError(f"expected {len(shapes)} blocks, got {len(blocks)}")
+    lead = np.shape(blocks[0])[:-2]
     for b, shape in zip(blocks, shapes):
-        if b.shape != shape:
+        if b.shape != lead + shape:
             raise ValueError(f"block shape {b.shape} does not match {shape}")
-    return np.concatenate([np.asarray(b, dtype=np.float64).reshape(-1)
-                           for b in blocks])
+    return np.concatenate([np.asarray(b, dtype=np.float64).reshape(
+        lead + (-1,)) for b in blocks], axis=-1)
 
 
 def factors(param, theta):
     """The factor pair (X(theta), Y(theta)), fresh n1 x r and n2 x r
-    arrays."""
+    arrays, or stacks of them for a stack of theta."""
     return param.factors(*theta_blocks(param, theta))
 
 
@@ -390,6 +400,8 @@ class WitnessCertificate:
     Frobenius norm of X(xi)^T X(xi) - Y(xi)^T Y(xi); min_corr_eig is the
     smallest eigenvalue of the symmetric part of
     X(theta)^T X(xi) + Y(theta)^T Y(xi), with corr_scale its Frobenius norm.
+    For a stack of theta, xi and every residual are arrays with one item
+    per point, and so is passes.
     """
 
     xi: np.ndarray
@@ -401,26 +413,38 @@ class WitnessCertificate:
 
     @property
     def passes(self):
-        return (self.residual_fit <= FIT_TOL
-                and self.residual_balance <= BALANCE_TOL * max(self.m_star_norm, 1e-300)
-                and self.min_corr_eig >= -CORR_TOL * self.corr_scale)
+        return ((self.residual_fit <= FIT_TOL)
+                & (self.residual_balance
+                   <= BALANCE_TOL * max(self.m_star_norm, 1e-300))
+                & (self.min_corr_eig >= -CORR_TOL * self.corr_scale))
 
 
 def certify(param, theta, xi, m_star):
-    """Build the certificate for an arbitrary candidate witness."""
+    """Build the certificate for an arbitrary candidate witness, or for a
+    stack of theta and xi. The products and eigenvalues run on the whole
+    stack; each Frobenius norm is taken item by item, as one point's is."""
     m = as_matrix(m_star, "m_star")
     xw, yw = factors(param, xi)
     xt, yt = factors(param, theta)
     m_norm = float(np.linalg.norm(m))
-    fit = float(np.linalg.norm(xw @ yw.T - m)) / max(m_norm, 1e-300)
-    balance = float(np.linalg.norm(xw.T @ xw - yw.T @ yw))
-    corr = xt.T @ xw + yt.T @ yw
-    sym = 0.5 * (corr + corr.T)
+    fit = _norms(xw @ _mT(yw) - m) / max(m_norm, 1e-300)
+    balance = _norms(_mT(xw) @ xw - _mT(yw) @ yw)
+    corr = _mT(xt) @ xw + _mT(yt) @ yw
+    sym = 0.5 * (corr + _mT(corr))
     eigs = np.linalg.eigvalsh(sym)
     return WitnessCertificate(
         xi=xi, residual_fit=fit, residual_balance=balance,
-        min_corr_eig=float(eigs[0]) if eigs.size else 0.0,
-        m_star_norm=m_norm, corr_scale=float(np.linalg.norm(corr)))
+        min_corr_eig=eigs[..., 0] if eigs.ndim > 1 else float(eigs[0]),
+        m_star_norm=m_norm, corr_scale=_norms(corr))
+
+
+def _norms(a):
+    """The Frobenius norm of a matrix as a float, or of each matrix of a
+    stack as an array; np.linalg.norm over a whole stack would sum in
+    another order."""
+    if a.ndim == 2:
+        return float(np.linalg.norm(a))
+    return np.array([_norms(item) for item in a])
 
 
 def _balanced_pair_root(param, m):
@@ -468,9 +492,10 @@ def _spectral_theta(param, dirs, values, top, p_hat, theta):
 
 
 def _align(corr):
-    """Orthogonal T maximizing <corr, T>; corr @ T is then symmetric PSD."""
+    """Orthogonal T maximizing <corr, T>; corr @ T is then symmetric PSD.
+    Each of a stack of corr gets its own."""
     u, _, vt = np.linalg.svd(corr)
-    return vt.T @ u.T
+    return _mT(vt) @ _mT(u)
 
 
 def balanced_witness(param, theta, m_star, root=None):
@@ -479,7 +504,9 @@ def balanced_witness(param, theta, m_star, root=None):
     root, param.witness_root(m_star) when given, skips the decomposition, so
     witnesses at many points of one truth decompose it once; the witness is
     then the same as without it. A root of another truth gives a witness
-    that fails the certificate.
+    that fails the certificate. A stack of theta (c x d) gives one
+    certificate whose fields hold the c witnesses' values, each equal to
+    that point's own.
     """
     m = as_matrix(m_star, "m_star")
     if m.shape != (param.n1, param.n2):

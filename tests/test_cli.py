@@ -111,6 +111,23 @@ def test_unknown_kind_in_config_file_is_one_line_error(tmp_path):
     assert "argument --kind: invalid choice: 'foo'" in proc.stderr
 
 
+def test_flag_prefix_typed_is_one_line_error():
+    # a prefix is not its flag: --tri would silently be --trials
+    proc = run_lpmc(*fast_args("--tri", "1"))
+    assert_one_line_error(proc)
+    assert "unrecognized arguments: --tri 1" in proc.stderr
+
+
+def test_flag_prefix_in_config_file_is_one_line_error(tmp_path):
+    # a saved file must not change meaning when a flag sharing the prefix
+    # is added later
+    path = tmp_path / "prefix.args"
+    path.write_text("--lam 5\n")
+    proc = run_lpmc(*fast_args(f"@{path}"))
+    assert_one_line_error(proc)
+    assert "unrecognized arguments: --lam 5" in proc.stderr
+
+
 @pytest.mark.parametrize("grid", [("--s", "4,4", "--p-grid", "0.5"),
                                   ("--s", "4", "--p-grid", "0.5,0.5")],
                          ids=["s", "p_grid"])

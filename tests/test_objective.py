@@ -7,7 +7,8 @@ import pytest
 
 import lpmc.objective as objective
 from lpmc.instances import rectangular_instance
-from lpmc.landscape import factor_curvature_gap, param_curvature_gap
+from lpmc.landscape import (PARAM_GAP_STEP, factor_curvature_gap,
+                            param_curvature_gap)
 from lpmc.objective import (ObjectiveSpec, default_tuning, factor_curvature,
                             factor_grad, make_spec,
                             objective_grad, objective_value,
@@ -410,6 +411,137 @@ def test_subspace_entry_kernel_forms_no_factor_while_the_hinge_is_skipped(
     assert np.array_equal(ev.x, x) and np.array_equal(ev.y, y)
     for h, f in zip(ev.hinges, (x, y)):
         assert h.value == reference_row_hinge_penalty(f, alpha)
+
+
+# ------------------------------------------------------------ stacked points
+
+STACK_KINDS = ("subspace", "rectangular", "psd", "skew")
+# the standard tuning (alpha = 100, no row near it), no penalty, and a small
+# alpha that some of the stack's items cross and some stay inside
+STACK_TUNINGS = ({}, dict(lam=0.0), dict(lam=0.4, alpha=1.0))
+
+
+def stack_cases(seed):
+    """(spec, m_star, thetas, deltas) for every kind, kernel and tuning: 5
+    points per stack, at scales from well inside alpha = 1 to beyond it."""
+    gen = np.random.default_rng(seed)
+    scale = np.array([0.05, 0.3, 1.0, 1.5, 0.1])[:, None]
+    for density in (DENSE, SPARSE):
+        for kind in STACK_KINDS:
+            for tuning in STACK_TUNINGS:
+                spec, m_star = noiseless_spec(kind, seed, **tuning,
+                                              **density)
+                d = spec.param.d
+                yield (spec, m_star, scale * gen.standard_normal((5, d)),
+                       gen.standard_normal((5, d)))
+
+
+def test_stacked_values_equal_the_points():
+    for spec, _, thetas, _ in stack_cases(81):
+        values = objective_value(spec, thetas)
+        assert values.shape == (5,)
+        assert np.array_equal(values, [objective_value(spec, t)
+                                       for t in thetas]), spec.param.kind
+        assert np.array_equal(objective_value(spec, thetas[:1]),
+                              [objective_value(spec, thetas[0])])
+
+
+def test_stacked_stencil_equals_the_points():
+    h = PARAM_GAP_STEP
+    for spec, _, thetas, deltas in stack_cases(83):
+        gaps = param_curvature_gap(spec, thetas, deltas)
+        assert gaps.shape == (5,)
+        one = [param_curvature_gap(spec, t, d)
+               for t, d in zip(thetas, deltas)]
+        assert np.array_equal(gaps, one), spec.param.kind
+        assert np.array_equal(param_curvature_gap(spec, thetas[:1],
+                                                  deltas[:1]), one[:1])
+        # each point's 5-point stack gives what 5 separate values give
+        t, d = thetas[2], deltas[2]
+        g0, gp1, gm1, gp2, gm2 = (objective_value(spec, t + s * d)
+                                  for s in (0.0, h, -h, 2.0 * h, -2.0 * h))
+        d2 = (-gp2 + 16.0 * gp1 - 30.0 * g0 + 16.0 * gm1 - gm2) / (
+            12.0 * h ** 2)
+        d1 = (gm2 - 8.0 * gm1 + 8.0 * gp1 - gp2) / (12.0 * h)
+        assert one[2] == d2 - 4.0 * d1
+
+
+def test_stacked_factor_forms_equal_the_points():
+    for spec, _, thetas, deltas in stack_cases(85):
+        param = spec.param
+        x, y = factors(param, thetas)
+        dx, dy = factors(param, deltas)
+        assert x.shape == (5, param.n1, param.r)
+        gx, gy = factor_grad(x, y, spec)
+        quad = factor_curvature(x, y, dx, dy, spec)
+        gaps = factor_curvature_gap(x, y, dx, dy, spec)
+        for i in range(5):
+            gxi, gyi = factor_grad(x[i], y[i], spec)
+            assert np.array_equal(gx[i], gxi) and np.array_equal(gy[i], gyi)
+            assert quad[i] == factor_curvature(x[i], y[i], dx[i], dy[i],
+                                               spec), param.kind
+            assert gaps[i] == factor_curvature_gap(x[i], y[i], dx[i], dy[i],
+                                                   spec), param.kind
+        assert np.array_equal(
+            factor_curvature_gap(x[:1], y[:1], dx[:1], dy[:1], spec),
+            [factor_curvature_gap(x[0], y[0], dx[0], dy[0], spec)])
+
+
+def test_stacked_witnesses_equal_the_points():
+    fields = ("residual_fit", "residual_balance", "min_corr_eig",
+              "corr_scale")
+    for spec, m_star, thetas, _ in stack_cases(87):
+        param = spec.param
+        root = param.witness_root(m_star)
+        cert = balanced_witness(param, thetas, m_star, root)
+        assert cert.xi.shape == (5, param.d)
+        assert cert.passes.all(), param.kind
+        for theta, xi, passes, *values in zip(
+                thetas, cert.xi, cert.passes,
+                *(getattr(cert, f) for f in fields)):
+            one = balanced_witness(param, theta, m_star, root)
+            assert np.array_equal(xi, one.xi), param.kind
+            assert passes == one.passes
+            assert values == [getattr(one, f) for f in fields], param.kind
+            assert cert.m_star_norm == one.m_star_norm
+        first = balanced_witness(param, thetas[:1], m_star)
+        one = balanced_witness(param, thetas[0], m_star)
+        assert np.array_equal(first.xi, one.xi[None])
+        for f in fields:
+            assert np.array_equal(getattr(first, f), [getattr(one, f)])
+
+
+def test_chunked_stacks_equal_the_points(monkeypatch):
+    # a stack longer than a chunk is evaluated chunk by chunk, each point
+    # still giving its own value and gap
+    spec, _ = noiseless_spec("rectangular", 91, lam=0.4, alpha=1.0)
+    param = spec.param
+    gen = np.random.default_rng(91)
+    thetas, deltas = gen.standard_normal((2, 7, param.d))
+    monkeypatch.setattr(objective, "_STACK_ENTRIES",
+                        3 * param.n1 * param.n2)
+    assert len(objective._chunks(spec, 7)) == 3
+    assert np.array_equal(objective_value(spec, thetas),
+                          [objective_value(spec, t) for t in thetas])
+    assert np.array_equal(param_curvature_gap(spec, thetas, deltas),
+                          [param_curvature_gap(spec, t, d)
+                           for t, d in zip(thetas, deltas)])
+    x, y = factors(param, thetas)
+    dx, dy = factors(param, deltas)
+    assert np.array_equal(factor_curvature_gap(x, y, dx, dy, spec),
+                          [factor_curvature_gap(*f, spec)
+                           for f in zip(x, y, dx, dy)])
+
+
+def test_stack_takes_neither_keep_nor_out():
+    spec, _ = noiseless_spec("rectangular", 89)
+    thetas = np.zeros((3, spec.param.d))
+    with pytest.raises(ValueError, match="keep"):
+        objective_value(spec, thetas, keep=True)
+    with pytest.raises(ValueError, match="keep"):
+        objective_value(spec, thetas, out=np.empty(spec.observed.shape))
+    with pytest.raises(ValueError, match="c x d stack"):
+        objective_value(spec, np.zeros((2, 3, spec.param.d)))
 
 
 # ---------------------------------------------------------- specialized forms

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from lpmc.errors import NumericError
 from lpmc.instances import (orthonormal_vectors, psd_instance,
                             rectangular_instance, skew_instance,
                             subspace_instance)
@@ -389,6 +390,21 @@ def test_theta_blocks_roundtrip():
         assert param.block_layout[-1][1] == param.d
 
 
+def test_stacked_blocks_and_factors_equal_the_points():
+    gen = np.random.default_rng(9)
+    for param in every_param():
+        thetas = gen.standard_normal((3, param.d))
+        blocks = theta_blocks(param, thetas)
+        assert [b.shape for b in blocks] == [(3,) + shape for shape in
+                                             param.block_shapes()]
+        assert np.array_equal(pack_blocks(param, *blocks), thetas)
+        x, y = factors(param, thetas)
+        for theta, xi, yi in zip(thetas, x, y):
+            xp, yp = factors(param, theta)
+            assert np.array_equal(xi, xp) and np.array_equal(yi, yp), (
+                param.kind)
+
+
 # ---------------------------------------- witness roots and their alignments
 
 def one_truth_per_kind(seed):
@@ -450,3 +466,26 @@ def test_root_of_another_truth_fails_the_certificate():
                                 root=param.witness_root(m_star))
         assert not cert.passes, param.kind
         assert cert.residual_fit > 1e-2, param.kind
+
+
+def test_skew_stack_raises_when_one_rotation_loses_unitarity(monkeypatch):
+    # an item whose rotation is not unitary would give a witness that only
+    # looks balanced; the stack raises as that point alone does
+    param, m_star = skew_instance(10, 4, RngState(71).derive("sk"))
+    root = param.witness_root(m_star)
+    thetas = np.random.default_rng(71).standard_normal((5, param.d))
+    svd = np.linalg.svd
+
+    def stretched(h, *args, **kwargs):
+        # item 3 of a stack gets a factor that is not unitary
+        a, s, bh = svd(h, *args, **kwargs)
+        if a.ndim == 3:
+            a = a.copy()
+            a[3] *= 1.5
+        return a, s, bh
+
+    monkeypatch.setattr(np.linalg, "svd", stretched)
+    assert balanced_witness(param, thetas[3], m_star, root).passes
+    with pytest.raises(NumericError, match="unitarity") as exc:
+        balanced_witness(param, thetas, m_star, root)
+    assert exc.value.best_estimate.shape == (param.r, param.r)
