@@ -5,12 +5,14 @@ any number per line, '#' starting a comment; a later flag overrides an
 earlier one.
 
 Exit status: 0 on success, 1 on argument and IO errors, 2 when a run fails a
-hard invariant (diagnostics FAIL or a numeric failure inside a solve).
+hard invariant (diagnostics FAIL, a NumericError or numpy's LinAlgError).
 """
 
 import argparse
 import shlex
 import sys
+
+import numpy as np
 
 from .errors import NumericError
 from .experiments import (EXPERIMENTS, SETTINGS, default_config,
@@ -95,7 +97,9 @@ def main(argv=None):
             print(f"wrote {len(records)} records to {config.out}")
         else:
             sys.stdout.write(render_csv([], summaries))
-    except NumericError as exc:
+    # before ValueError, which LinAlgError subclasses: a failed LAPACK call
+    # is numeric; lpmc's argument checks all run before any LAPACK call
+    except (NumericError, np.linalg.LinAlgError) as exc:
         print(f"lpmc: numeric failure: {exc}", file=sys.stderr)
         return 2
     except (OSError, ValueError) as exc:

@@ -2,8 +2,8 @@
 
 
 class NumericError(RuntimeError):
-    """A numerical routine failed: SVD non-convergence, a non-finite
-    objective or a rotation that lost unitarity.
+    """A numerical routine failed: a non-finite objective or a rotation that
+    lost unitarity (a failed LAPACK call raises numpy's LinAlgError).
 
     Carries the best available estimate so callers can inspect it.
     """

@@ -481,6 +481,23 @@ def _diag_instances(config, master):
                           rng.derive("skew"))]
 
 
+# Entries of one dense n1 x n2 array of a stacked certificate call: the
+# report stacks its draws in groups of _STACK_ENTRIES // (5 n1 n2), 5 for a
+# draw's stencil points, so each array holds about 2 MB (n = 24: one group
+# of 10 draws, 28,800 entries). Peak RSS of a default-seed report, fresh
+# process, one BLAS thread: n = 300 78 MB in whole stacks, 57 MB with only
+# the stencils and factor gaps split, 52 MB in these groups, 51 MB point by
+# point; n = 500 89 MB split, 74 MB grouped, at the same wall time.
+_STACK_ENTRIES = 2 ** 18
+
+
+def _groups(param, count):
+    """Slices that split count draws on param into groups of
+    _STACK_ENTRIES // (5 n1 n2) draws, one at least."""
+    step = max(1, _STACK_ENTRIES // (5 * param.n1 * param.n2))
+    return [slice(i, i + step) for i in range(0, count, step)]
+
+
 def run_diagnostics(config):
     """Run the invariant battery at desk scale and emit a key: value report.
 
@@ -504,29 +521,32 @@ def run_diagnostics(config):
     roots = [param.witness_root(m_star) for param, m_star in instances]
 
     # witness certificates and two-route curvature agreement, each kind's
-    # draws as one stack: a call per kind, each point's values its own
+    # draws as stacks: a call per group, each point's values its own
     for (param, m_star), root in zip(instances, roots):
         tag = param.kind
         gen = master.derive("diagnostics", "theta", tag).generator()
         worst_fit = worst_bal = worst_corr = worst_id = 0.0
-        draws = 10
+        draws, passes = 10, 0
         mask = _mask(param, p, master.derive("diagnostics", "mask", tag))
         spec = assemble(param, m_star, mask)
         # drawn theta_1, delta_1, theta_2, ...: one call draws them in order
         pairs = gen.standard_normal((draws, 2, param.d))
-        thetas, deltas = pairs[:, 0], pairs[:, 1]
-        cert = balanced_witness(param, thetas, m_star, root)
-        passes = int(np.count_nonzero(cert.passes))
-        kp = param_curvature_gap(spec, thetas, deltas)
-        kf = factor_curvature_gap(x_of(param, thetas), y_of(param, thetas),
-                                  x_of(param, deltas), y_of(param, deltas),
-                                  spec)
-        # folded in draw order, as max and min treat a NaN by its position
-        for i in range(draws):
-            worst_fit = max(worst_fit, cert.residual_fit[i])
-            worst_bal = max(worst_bal, cert.residual_balance[i])
-            worst_corr = min(worst_corr, cert.min_corr_eig[i])
-            worst_id = max(worst_id, abs(kp[i] - kf[i]) / (1.0 + abs(kf[i])))
+        for group in _groups(param, draws):
+            thetas, deltas = pairs[group, 0], pairs[group, 1]
+            cert = balanced_witness(param, thetas, m_star, root)
+            passes += int(np.count_nonzero(cert.passes))
+            kp = param_curvature_gap(spec, thetas, deltas)
+            kf = factor_curvature_gap(
+                x_of(param, thetas), y_of(param, thetas),
+                x_of(param, deltas), y_of(param, deltas), spec)
+            # folded in draw order, as max and min treat a NaN by its
+            # position
+            for i in range(len(kp)):
+                worst_fit = max(worst_fit, cert.residual_fit[i])
+                worst_bal = max(worst_bal, cert.residual_balance[i])
+                worst_corr = min(worst_corr, cert.min_corr_eig[i])
+                worst_id = max(worst_id,
+                               abs(kp[i] - kf[i]) / (1.0 + abs(kf[i])))
         emit(f"witness.{tag}.passes", f"{passes}/{draws}")
         emit(f"witness.{tag}.worst_fit", f"{worst_fit:.3e}")
         emit(f"witness.{tag}.worst_balance", f"{worst_bal:.3e}")
@@ -542,10 +562,12 @@ def run_diagnostics(config):
     noise_terms = []
     trials = 5
     cells = [master.derive("diagnostics", "gap", t) for t in range(trials)]
-    # the witnesses need no spec, so the five are one stack
+    # the witnesses need no spec, so the five are stacks in groups
     thetas = np.array([cell.generator().standard_normal(param.d)
                        for cell in cells])
-    xis = balanced_witness(param, thetas, m_star, roots[0]).xi
+    xis = np.concatenate([
+        balanced_witness(param, thetas[group], m_star, roots[0]).xi
+        for group in _groups(param, trials)])
     for cell, theta, xi in zip(cells, thetas, xis):
         mask = _mask(param, p, cell.derive("mask"))
         noise = _noise(param, config.sigma, cell.derive("noise"))

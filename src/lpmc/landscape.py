@@ -27,9 +27,11 @@ array of the c gaps (parameterization.balanced_witness takes a stack of
 theta too). Numpy runs a stacked matmul, svd or eigvalsh as the routine of
 one matrix on each item, so each item's products equal its point's own.
 The reductions whose sum would round in another order over a whole stack
-stay item by item: np.vdot, np.linalg.norm and the row hinge's row norms.
-So a stacked gap equals, bit for bit, the gap of its point alone, and the
-diagnostics report is the same text however its points are grouped.
+stay item by item: np.vdot, the Frobenius norms (its roots) and the row
+hinge's row norms. So a stacked gap equals, bit for bit, the gap of its
+point alone, and the diagnostics report is the same text however its
+points are grouped. Each function takes the whole stack it is given in one
+pass; its caller bounds the stack's size, as the report does by grouping.
 """
 
 import math
@@ -37,13 +39,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, reduced_svd, spectral_norm, two_inf_norm
-# _evaluate, _dots and _chunks: the one Evaluation a factor-level gap shares
-# between its gradient and its curvature, its per-item inner products, and
-# the split of a long stack
-from .objective import (_chunks, _dots, _evaluate, factor_curvature,
-                        factor_grad, objective_value,
-                        row_hinge_penalty_curvature, row_hinge_penalty_grad)
+from .linalg import (_dots, as_matrix, reduced_svd, spectral_norm,
+                     two_inf_norm)
+# _evaluate: the one Evaluation a factor-level gap shares between its
+# gradient and its curvature
+from .objective import (_evaluate, factor_curvature, factor_grad,
+                        objective_value, row_hinge_penalty_curvature,
+                        row_hinge_penalty_grad)
 from .parameterization import x_of, y_of
 from .sampling import project_observed
 
@@ -83,13 +85,9 @@ def ground_truth_profile(m_star, r):
 
 def factor_curvature_gap(x, y, dx, dy, spec):
     """K at the factor level, from the closed-form Hessian quadratic form;
-    at stacked factors an array of the items' gaps, in chunks as
-    objective_value splits a stack. The gradient and the curvature read one
-    Evaluation at (X, Y), so the masked residual is formed once."""
-    parts = _chunks(spec, len(x)) if x.ndim > 2 else ()
-    if len(parts) > 1:
-        return np.concatenate([factor_curvature_gap(x[s], y[s], dx[s], dy[s],
-                                                    spec) for s in parts])
+    at stacked factors an array of the items' gaps. The gradient and the
+    curvature read one Evaluation at (X, Y), so the masked residual is
+    formed once."""
     ev = _evaluate(x, y, spec)
     gx, gy = factor_grad(x, y, spec, ev)
     quad = factor_curvature(x, y, dx, dy, spec, ev)

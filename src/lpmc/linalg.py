@@ -6,8 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError
-
 SKETCH_EXTRA = 10       # randomized_range columns beyond r
 POWER_PASSES = 2        # randomized_range passes through a^T and a
 
@@ -27,6 +25,15 @@ def _mT(a):
     each matrix of a stack (numpy's matmul then runs the routine of one
     matrix on each item)."""
     return a.swapaxes(-1, -2)
+
+
+def _dots(a, b):
+    """<a, b> as a float, by np.vdot; on stacks of matrices an array of the
+    items' products, since one np.vdot over the stack sums in another
+    order."""
+    if a.ndim > 2:
+        return np.array([_dots(*item) for item in zip(a, b)])
+    return float(np.vdot(a, b))
 
 
 def two_inf_norm(a):
@@ -58,10 +65,7 @@ def reduced_svd(a):
     Returns a ReducedSvd; a numerically zero matrix yields rank 0.
     """
     m = as_matrix(a)
-    try:
-        u, s, vt = np.linalg.svd(m, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"svd did not converge: {exc}") from exc
+    u, s, vt = np.linalg.svd(m, full_matrices=False)
     k = int(np.sum(s > 1e-10 * (s[0] if s.size else 0.0)))
     return ReducedSvd(u[:, :k].copy(), s[:k].copy(), vt[:k].T.copy())
 

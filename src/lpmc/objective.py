@@ -66,7 +66,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import _mT, as_matrix
+from .linalg import _dots, _mT, as_matrix
 from .parameterization import adjoint, theta_blocks
 from .sampling import ObservationMask, observed_fraction, project_observed
 
@@ -94,22 +94,6 @@ def default_tuning(n1, n2, p_hat):
 # 0.03: moving it changes which kernel, and so which rounding, a cell runs
 # with.
 _ENTRY_KERNEL_BELOW = 0.03
-
-# Entries of one dense n1 x n2 array of a stacked call: a longer stack is
-# evaluated in chunks, so its dense arrays hold about 2 MB each whatever the
-# size. At desk scale a stack is one call (n = 24: 50 points, 28,800
-# entries). A diagnostics report at n = 300 peaked at 78 MB with whole
-# stacks, 57 MB in these chunks (2 points) and 51 MB point by point, and
-# whole stacks ran it no faster than chunks.
-_STACK_ENTRIES = 2 ** 18
-
-
-def _chunks(spec, c):
-    """Slices that split a stack of c points on spec into calls whose dense
-    arrays have at most _STACK_ENTRIES entries (one point at least)."""
-    step = max(1, _STACK_ENTRIES // (spec.param.n1 * spec.param.n2))
-    return [slice(i, i + step) for i in range(0, c, step)]
-
 
 @dataclass(frozen=True)
 class ObjectiveSpec:
@@ -273,15 +257,6 @@ def row_hinge_penalty_grad(x, alpha):
 def row_hinge_penalty_curvature(x, dx, alpha):
     """Hessian quadratic form of G at x along dx (exact; G is C^2)."""
     return _hinge_curvature(x, dx, _row_hinge(x, alpha))
-
-
-def _dots(a, b):
-    """<a, b> as a float, by np.vdot; on stacks of matrices an array of the
-    items' products, since one np.vdot over the stack sums in another
-    order."""
-    if a.ndim > 2:
-        return np.array([_dots(*item) for item in zip(a, b)])
-    return float(np.vdot(a, b))
 
 
 def _row_dots(a, b):
@@ -479,11 +454,6 @@ def objective_value(spec, theta, keep=False, out=None):
         if keep or out is not None or blocks[0].ndim > 3:
             raise ValueError("theta must be one point, or a c x d stack, "
                              "which takes neither keep nor out")
-        parts = _chunks(spec, len(blocks[0]))
-        if len(parts) > 1:
-            theta = np.asarray(theta, dtype=np.float64)
-            return np.concatenate([objective_value(spec, theta[s])
-                                   for s in parts])
     if spec.core is not None:
         ev = _core_evaluate(*blocks, spec)
     else:

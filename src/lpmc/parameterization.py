@@ -52,7 +52,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NumericError
-from .linalg import (ReducedSvd, _mT, as_matrix, randomized_range,
+from .linalg import (ReducedSvd, _dots, _mT, as_matrix, randomized_range,
                      reduced_svd, youla_decompose)
 
 KINDS = ("rectangular", "psd", "subspace", "skew")
@@ -439,12 +439,10 @@ def certify(param, theta, xi, m_star):
 
 
 def _norms(a):
-    """The Frobenius norm of a matrix as a float, or of each matrix of a
-    stack as an array; np.linalg.norm over a whole stack would sum in
-    another order."""
-    if a.ndim == 2:
-        return float(np.linalg.norm(a))
-    return np.array([_norms(item) for item in a])
+    """The Frobenius norm of a matrix, or of each matrix of a stack, as the
+    root of _dots: on a C-contiguous array np.linalg.norm takes the root of
+    the same dot product."""
+    return np.sqrt(_dots(a, a))
 
 
 def _balanced_pair_root(param, m):

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import lpmc.cli as cli
@@ -61,6 +62,22 @@ def test_numeric_failure_returns_two(monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_experiment", boom)
     assert cli.main(fast_args()) == 2
     assert "numeric failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("routine", ["svd", "eigvalsh"])
+def test_lapack_failure_returns_two(monkeypatch, capsys, routine):
+    # numpy's LinAlgError is a ValueError, yet a failed LAPACK call is a
+    # numeric failure, not an argument error; the report calls both
+    # routines, in its witness roots and alignments and in certify
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError(f"{routine} did not converge")
+
+    monkeypatch.setattr(np.linalg, routine, fail)
+    assert cli.main(["diagnostics"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"lpmc: numeric failure: {routine} did not "
+                            "converge\n")
 
 
 def run_lpmc(*argv):

@@ -11,6 +11,7 @@ from lpmc.errors import NumericError
 from lpmc.experiments import (CellSummary, TrialRecord, default_config,
                               render_csv, run_diagnostics, run_experiment,
                               summarize, write_csv)
+from lpmc.parameterization import balanced_witness
 
 
 def tiny_phase(**overrides):
@@ -501,3 +502,39 @@ def test_diagnostics_noiseless_noise_lines_vanish():
     fields = dict(l.split(": ", 1) for l in text.splitlines())
     assert all(float(v) == 0.0 for v in fields["gap.noise_terms"].split())
     assert fields["noise.surrogate"].startswith("0.000000e+00")
+
+
+def test_diagnostics_report_is_the_same_in_any_groups(monkeypatch):
+    # each kind's draws, and the gap section's witnesses, are stacked in
+    # groups bounded by _STACK_ENTRIES; every stacked item is its point's
+    # own value and the worst values fold in draw order, so the grouping
+    # leaves the report's bytes as they are
+    sizes = []
+
+    def witness(param, thetas, *args):
+        sizes.append(len(thetas))
+        return balanced_witness(param, thetas, *args)
+
+    monkeypatch.setattr(experiments, "balanced_witness", witness)
+    default = experiments._STACK_ENTRIES
+
+    def report(n, entries):
+        monkeypatch.setattr(experiments, "_STACK_ENTRIES", entries)
+        sizes.clear()
+        config = default_config("diagnostics", n1=n, n2=n, master_seed=6)
+        return run_diagnostics(config)[0], list(sizes)
+
+    # n = 24: the default makes one group of each kind's 10 draws and of
+    # the gap's 5 witnesses
+    whole, whole_sizes = report(24, default)
+    assert whole_sizes == [10, 10, 10, 10, 5]
+    # groups of 1, then of 3 draws of the 24 x 24 kinds (the psd and skew
+    # truths are 12 x 12), the last group of each shorter
+    assert report(24, 1) == (whole, [1] * 45)
+    assert report(24, 3 * 5 * 24 * 24) == (
+        whole, [3, 3, 3, 1] * 2 + [10, 10] + [3, 2])
+    # n = 100: the default rule makes groups of 5 draws of the 100 x 100
+    # kinds
+    grouped, grouped_sizes = report(100, default)
+    assert grouped_sizes == [5, 5, 5, 5, 10, 10, 5]
+    assert report(100, 2 ** 40) == (grouped, [10, 10, 10, 10, 5])

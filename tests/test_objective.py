@@ -511,28 +511,6 @@ def test_stacked_witnesses_equal_the_points():
             assert np.array_equal(getattr(first, f), [getattr(one, f)])
 
 
-def test_chunked_stacks_equal_the_points(monkeypatch):
-    # a stack longer than a chunk is evaluated chunk by chunk, each point
-    # still giving its own value and gap
-    spec, _ = noiseless_spec("rectangular", 91, lam=0.4, alpha=1.0)
-    param = spec.param
-    gen = np.random.default_rng(91)
-    thetas, deltas = gen.standard_normal((2, 7, param.d))
-    monkeypatch.setattr(objective, "_STACK_ENTRIES",
-                        3 * param.n1 * param.n2)
-    assert len(objective._chunks(spec, 7)) == 3
-    assert np.array_equal(objective_value(spec, thetas),
-                          [objective_value(spec, t) for t in thetas])
-    assert np.array_equal(param_curvature_gap(spec, thetas, deltas),
-                          [param_curvature_gap(spec, t, d)
-                           for t, d in zip(thetas, deltas)])
-    x, y = factors(param, thetas)
-    dx, dy = factors(param, deltas)
-    assert np.array_equal(factor_curvature_gap(x, y, dx, dy, spec),
-                          [factor_curvature_gap(*f, spec)
-                           for f in zip(x, y, dx, dy)])
-
-
 def test_stack_takes_neither_keep_nor_out():
     spec, _ = noiseless_spec("rectangular", 89)
     thetas = np.zeros((3, spec.param.d))
