@@ -18,8 +18,6 @@ from .errors import NumericError
 from .experiments import (EXPERIMENTS, SETTINGS, default_config,
                           run_diagnostics, run_experiment, render_csv,
                           write_csv)
-from .optimizer import INITS
-from .parameterization import KINDS
 
 
 class _Parser(argparse.ArgumentParser):
@@ -32,37 +30,6 @@ class _Parser(argparse.ArgumentParser):
         return shlex.split(arg_line, comments=True)
 
 
-def _ints(text):
-    return tuple(int(v) for v in text.split(",") if v)
-
-
-def _floats(text):
-    return tuple(float(v) for v in text.split(",") if v)
-
-
-# argparse settings of every key in experiments.SETTINGS, which says what
-# fields each key sets and which experiments take it
-_FLAGS = {
-    "n": dict(type=int, help="side length (n1 = n2 = n)"),
-    "r": dict(type=int, help="target rank"),
-    "s": dict(type=_ints, help="subspace widths (or skew-compare ranks), "
-                               "comma separated"),
-    "p_grid": dict(type=_floats, help="sampling rates, comma separated"),
-    "sigma": dict(type=float, help="noise level"),
-    "trials": dict(type=int, help="trials per cell"),
-    "seed": dict(type=int, help="master seed"),
-    "lambda": dict(type=float,
-                   help="penalty weight (default: standard rule)"),
-    "alpha": dict(type=float,
-                  help="row-norm threshold (default: standard rule)"),
-    "max_iters": dict(type=int, help="gradient-step cap"),
-    "init": dict(choices=INITS, help="solver start: the spectral estimate "
-                                     "of the data (default) or N(0, 1)"),
-    "out": dict(help="output path (CSV, or text report for diagnostics)"),
-    "kind": dict(choices=KINDS, help="parameterization to solve with"),
-}
-
-
 def main(argv=None):
     # allow_abbrev=False: a prefix such as --tri is an error, not --trials,
     # so a saved @file keeps its meaning when a flag is added
@@ -73,10 +40,10 @@ def main(argv=None):
     subs = parser.add_subparsers(dest="command", required=True)
     for name in EXPERIMENTS:
         sub = subs.add_parser(name, allow_abbrev=False)
-        for key, (_, readers) in SETTINGS.items():
+        for key, (_, readers, flag) in SETTINGS.items():
             if name in readers:
                 sub.add_argument("--" + key.replace("_", "-"), dest=key,
-                                 **_FLAGS[key])
+                                 **flag)
     args = parser.parse_args(argv)
 
     try:
@@ -84,6 +51,10 @@ def main(argv=None):
             field: value for key, value in vars(args).items()
             if key in SETTINGS and value is not None
             for field in SETTINGS[key][0]})
+        if config.out:
+            # append mode creates the file but keeps its bytes: a bad path
+            # fails before the run, and a failed run leaves the file as it was
+            open(config.out, "a").close()
         if config.experiment == "diagnostics":
             text, ok = run_diagnostics(config)
             sys.stdout.write(text)

@@ -54,7 +54,7 @@ from .landscape import (concentration_report, curvature_gap_decomposition,
 # not called here, but perfbench's tracer wraps this name (ROADMAP Standing,
 # tracer binding)
 from .objective import make_spec
-from .optimizer import SolveConfig, solve
+from .optimizer import INITS, SolveConfig, solve
 from .parameterization import (KINDS, balanced_witness, rectangular_param,
                                subspace_param, x_of, y_of)
 from .sampling import (RngState, bernoulli_mask, gaussian_noise,
@@ -68,24 +68,48 @@ SUCCESS_REL_ERR = 1e-3     # unsquared relative Frobenius error
 
 _SOLVING = tuple(e for e in EXPERIMENTS if e != "diagnostics")
 
+
+def _ints(text):
+    return tuple(int(v) for v in text.split(",") if v)
+
+
+def _floats(text):
+    return tuple(float(v) for v in text.split(",") if v)
+
+
 # Every setting, declared once: its key (the CLI flag is --key with '_'
-# written '-'), the ExperimentConfig fields it sets, and the experiments that
-# read them. An experiment that does not read a field takes it only at that
-# experiment's default.
+# written '-'), the ExperimentConfig fields it sets, the experiments that
+# read them, and the flag's argparse settings. An experiment that does not
+# read a field takes it only at that experiment's default.
 SETTINGS = {
-    "n": (("n1", "n2"), EXPERIMENTS),
-    "r": (("r",), tuple(e for e in EXPERIMENTS if e != "skew-compare")),
-    "s": (("sweep",), EXPERIMENTS),
-    "p_grid": (("p_grid",), EXPERIMENTS),
-    "sigma": (("sigma",), EXPERIMENTS),
-    "trials": (("trials",), _SOLVING),
-    "seed": (("master_seed",), EXPERIMENTS),
-    "lambda": (("lam",), _SOLVING),
-    "alpha": (("alpha",), _SOLVING),
-    "max_iters": (("max_iters",), _SOLVING),
-    "init": (("init",), _SOLVING),
-    "out": (("out",), EXPERIMENTS),
-    "kind": (("kind",), ("single-solve",)),
+    "n": (("n1", "n2"), EXPERIMENTS,
+          dict(type=int, help="side length (n1 = n2 = n)")),
+    "r": (("r",), tuple(e for e in EXPERIMENTS if e != "skew-compare"),
+          dict(type=int, help="target rank")),
+    "s": (("sweep",), EXPERIMENTS,
+          dict(type=_ints, help="subspace widths (or skew-compare ranks), "
+                                "comma separated")),
+    "p_grid": (("p_grid",), EXPERIMENTS,
+               dict(type=_floats, help="sampling rates, comma separated")),
+    "sigma": (("sigma",), EXPERIMENTS, dict(type=float, help="noise level")),
+    "trials": (("trials",), _SOLVING, dict(type=int, help="trials per cell")),
+    "seed": (("master_seed",), EXPERIMENTS,
+             dict(type=int, help="master seed")),
+    "lambda": (("lam",), _SOLVING,
+               dict(type=float,
+                    help="penalty weight (default: standard rule)")),
+    "alpha": (("alpha",), _SOLVING,
+              dict(type=float,
+                   help="row-norm threshold (default: standard rule)")),
+    "max_iters": (("max_iters",), _SOLVING,
+                  dict(type=int, help="gradient-step cap")),
+    "init": (("init",), _SOLVING,
+             dict(choices=INITS, help="solver start: the spectral estimate "
+                                      "of the data (default) or N(0, 1)")),
+    "out": (("out",), EXPERIMENTS,
+            dict(help="output path (CSV, or text report for diagnostics)")),
+    "kind": (("kind",), ("single-solve",),
+             dict(choices=KINDS, help="parameterization to solve with")),
 }
 
 # Full-scale defaults of each experiment; fields left out take the
@@ -130,7 +154,7 @@ class ExperimentConfig:
             raise ValueError(f"unknown experiment {self.experiment!r}")
         defaults = {f.name: f.default for f in fields(self)}
         defaults.update(_DEFAULTS[self.experiment])
-        for key, (names, readers) in SETTINGS.items():
+        for key, (names, readers, _) in SETTINGS.items():
             if self.experiment not in readers and any(
                     getattr(self, name) != defaults[name] for name in names):
                 raise ValueError(f"{self.experiment} takes no key {key!r}")
@@ -364,7 +388,9 @@ def _solve_workers(solvers, entries):
     blas = cpus
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
         value = os.environ.get(var, "")
-        if value.isdigit() and int(value) > 0:
+        # ASCII digits only: str.isdigit also takes superscript digits,
+        # which int() rejects
+        if value.isascii() and value.isdigit() and int(value) > 0:
             blas = int(value)
             break
     return max(1, min(solvers, cpus // blas))

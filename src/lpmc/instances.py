@@ -67,16 +67,15 @@ def skew_instance(n, r, rng, unit_blocks=False):
     the odd columns (the paired-solver sweeps use this, one rng per rank);
     otherwise the truth is A B^T - B A^T with Gaussian blocks of width r/2.
     """
-    if r % 2:
-        raise ValueError("skew rank must be even")
+    param = skew_param(n, r)      # checks r, so before any draw
     if unit_blocks:
         q = orthonormal_vectors(n, r, rng)
         u, v = q[:, 0::2], q[:, 1::2]
-        return skew_param(n, r), u @ v.T - v @ u.T
+        return param, u @ v.T - v @ u.T
     gen = rng.generator()
     a = gen.standard_normal((n, r // 2)) / np.sqrt(r)
     b = gen.standard_normal((n, r // 2)) / np.sqrt(r)
-    return skew_param(n, r), a @ b.T - b @ a.T
+    return param, a @ b.T - b @ a.T
 
 
 def assemble(param, m_star, mask, noise=None, lam=None, alpha=None):

@@ -16,10 +16,11 @@ factor-level value/gradient/curvature live here so landscape diagnostics can
 use the same closed forms; everything is exact, including the penalty terms
 (G is C^2, its Hessian is continuous across the hinge).
 
-Below an observed fraction of _ENTRY_KERNEL_BELOW the value and gradient
-evaluate the fit term on the spec's observed entries (rows, cols, vals)
-alone; at or above it they use dense n1 x n2 mask arithmetic, with the
-masked residual built in one buffer. The curvature is always dense.
+Below an observed fraction of _ENTRY_KERNEL_BELOW (a spec's entry_kernel)
+the value and gradient evaluate the fit term on the spec's observed entries
+(rows, cols, vals) alone; at or above it they use dense n1 x n2 mask
+arithmetic, with the masked residual built in one buffer. The curvature is
+always dense.
 
 On the entry kernel a parameterization whose entry_core gives block
 coordinates (the subspace kind, X = U Theta_A and Y = V Theta_B) is
@@ -106,6 +107,8 @@ class ObjectiveSpec:
     alpha: float
     # the mask's observed fraction
     p_hat: float = field(init=False)
+    # p_hat < _ENTRY_KERNEL_BELOW: the fit term runs on the observed entries
+    entry_kernel: bool = field(init=False)
     # the param's entry_core on the entry kernel, else None
     core: tuple = field(init=False, repr=False, compare=False)
 
@@ -135,9 +138,11 @@ class ObjectiveSpec:
         # disables it; both are legitimate
         if np.isnan(self.alpha) or self.alpha < 0.0:
             raise ValueError("alpha must be nonnegative")
+        object.__setattr__(self, "entry_kernel",
+                           self.p_hat < _ENTRY_KERNEL_BELOW)
         object.__setattr__(self, "core", (
             self.param.entry_core(self.rows, self.cols)
-            if self.p_hat < _ENTRY_KERNEL_BELOW else None))
+            if self.entry_kernel else None))
 
     # The observed entries in row-major order, observed[rows[k], cols[k]] =
     # vals[k], read-only; built on first use, which the dense kernel never
@@ -230,10 +235,12 @@ def _hinge_curvature(x, dx, hinge):
 
 
 def _row_hinges(f, spec):
-    """The _RowHinge of the factor f under spec's penalty (none at lam =
-    0); on a stack, a tuple with one per item. The stack's Frobenius test
-    is one einsum, whose order of summation the margin of _inside_alpha
-    covers, so an item it rules out gets the hinge _row_hinge gives it."""
+    """The _RowHinge of the factor f under spec's penalty; on a stack, a
+    tuple with one per item. At lam = 0 there is none: this and _core_hinge
+    turn the penalty off, so the value and the curvature add lam times 0.
+    The stack's Frobenius test is one einsum, whose order of summation the
+    margin of _inside_alpha covers, so an item it rules out gets the hinge
+    _row_hinge gives it."""
     if f.ndim == 2:
         return _row_hinge(f, spec.alpha) if spec.lam else _NO_HINGE
     if not spec.lam:
@@ -323,15 +330,12 @@ def _value(r, b, hinges, spec):
                          for item in zip(r, b, zip(*hinges))])
     fit = 0.5 / spec.p_hat * float(np.vdot(r, r))
     bal = 0.125 * float(np.vdot(b, b))
-    reg = 0.0
-    if spec.lam:
-        reg = spec.lam * (hinges[0].value + hinges[1].value)
-    return fit + bal + reg
+    return fit + bal + spec.lam * (hinges[0].value + hinges[1].value)
 
 
 def _evaluate(x, y, spec, out=None):
     """The Evaluation of f at explicit factors, or at stacks of them."""
-    if spec.p_hat < _ENTRY_KERNEL_BELOW:
+    if spec.entry_kernel:
         resid = _entry_residual(x, y, spec)
         r = resid[0]
     else:
@@ -381,7 +385,7 @@ def _plus_hinge_grad(g, x, hinge, lam):
 def _factor_grad(ev, spec):
     """Gradients of f with respect to X and Y, from the Evaluation there."""
     x, y, b = ev.x, ev.y, ev.balance
-    if spec.p_hat < _ENTRY_KERNEL_BELOW:
+    if spec.entry_kernel:
         resid, xr, yc = ev.resid
         fit_x = _scatter(spec.rows, resid[..., None] * yc, x.shape[-2])
         fit_y = _scatter(spec.cols, resid[..., None] * xr, y.shape[-2])
@@ -426,7 +430,7 @@ def factor_curvature(x, y, dx, dy, spec, ev=None):
     if ev is None:
         ev = _evaluate(x, y, spec)
     resid = ev.resid
-    if spec.p_hat < _ENTRY_KERNEL_BELOW:
+    if spec.entry_kernel:
         resid = _masked_residual(x, y, spec)
     lin = dx @ _mT(y) + x @ _mT(dy)
     np.multiply(lin, spec.mask.matrix, out=lin)
@@ -435,12 +439,9 @@ def factor_curvature(x, y, dx, dy, spec, ev=None):
     c = _mT(dx) @ x + _mT(x) @ dx - _mT(dy) @ y - _mT(y) @ dy
     e = _mT(dx) @ dx - _mT(dy) @ dy
     bal = 0.25 * _dots(c, c) + 0.5 * _dots(ev.balance, e)
-    reg = 0.0
-    if spec.lam:
-        hx, hy = ev.hinges
-        reg = spec.lam * (_hinge_curvature(x, dx, hx)
-                          + _hinge_curvature(y, dy, hy))
-    return fit + bal + reg
+    hx, hy = ev.hinges
+    return fit + bal + spec.lam * (_hinge_curvature(x, dx, hx)
+                                   + _hinge_curvature(y, dy, hy))
 
 
 def objective_value(spec, theta, keep=False, out=None):

@@ -136,10 +136,10 @@ def solve(spec, config):
     value_evals, hinge_evals = 1, int(ev.hinged)
     while True:
         grad = objective_grad(spec, theta, ev)
-        # the line search writes its candidates' dense residuals, and the
-        # solve its estimate, into this point's buffer, so a solve allocates
-        # one
-        buf = ev.resid if isinstance(ev.resid, np.ndarray) else None
+        # on the dense kernel the line search writes its candidates'
+        # residuals, and the solve its estimate, into this point's residual,
+        # so a solve allocates one
+        buf = None if spec.entry_kernel else ev.resid
         ev = None
         grad_sq = float(grad @ grad)
         if grad_sq <= GRAD_TOL_SQ or iterations == config.max_iters:

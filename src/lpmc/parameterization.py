@@ -66,23 +66,23 @@ CORR_TOL = 1e-8
 class LinearParam:
     """Sizes shared by every kind. kind names the subclass, which defines
     block_shapes(), factors(*blocks), adjoint(gx, gy), witness_root(m) and
-    spectral_start(observed, p_hat, theta, gen), and gram, the c with
-    adjoint(factors(theta)) = c theta."""
+    spectral_start(observed, p_hat, theta, gen), gram, the c with
+    adjoint(factors(theta)) = c theta, and square, whether it needs n1 ==
+    n2."""
 
     n1: int
     n2: int
     r: int
     kind = None
     gram = None
+    square = False
 
     def __post_init__(self):
         if min(self.n1, self.n2, self.r) < 1:
             raise ValueError("dimensions must be positive")
         if self.r > min(self.n1, self.n2):
             raise ValueError(f"r={self.r} exceeds min(n1, n2)")
-
-    def _require_square(self):
-        if self.n1 != self.n2:
+        if self.square and self.n1 != self.n2:
             raise ValueError(f"{self.kind} parameterization needs a square "
                              "target")
 
@@ -156,10 +156,7 @@ class RectangularParam(LinearParam):
 class PsdParam(LinearParam):
     kind = "psd"
     gram = 2
-
-    def __post_init__(self):
-        super().__post_init__()
-        self._require_square()
+    square = True
 
     def block_shapes(self):
         return ((self.n1, self.r),)
@@ -254,10 +251,10 @@ class SubspaceParam(LinearParam):
 class SkewParam(LinearParam):
     kind = "skew"
     gram = 2
+    square = True
 
     def __post_init__(self):
         super().__post_init__()
-        self._require_square()
         if self.r % 2:
             raise ValueError("skew parameterization needs even r")
 

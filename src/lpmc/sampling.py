@@ -92,8 +92,6 @@ class ObservationMask:
 
 def bernoulli_mask(n1, n2, p, rng):
     """Independent Bernoulli(p) observation of each entry."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must be in [0, 1], got {p}")
     g = rng.generator()
     ind = g.random((n1, n2)) < p
     return ObservationMask(ind, "bernoulli-rect", float(p))
@@ -101,8 +99,6 @@ def bernoulli_mask(n1, n2, p, rng):
 
 def symmetric_offdiag_mask(n, p, rng):
     """One Bernoulli(p) draw per unordered off-diagonal pair, mirrored."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must be in [0, 1], got {p}")
     g = rng.generator()
     draw = g.random((n, n)) < p
     upper = np.triu(draw, 1)

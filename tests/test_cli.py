@@ -2,6 +2,7 @@
 output modes, and exit codes."""
 
 import os
+import re
 import subprocess
 import sys
 
@@ -10,7 +11,7 @@ import pytest
 
 import lpmc.cli as cli
 from lpmc.errors import NumericError
-from lpmc.experiments import run_experiment
+from lpmc.experiments import EXPERIMENTS, SETTINGS, run_experiment
 
 
 def fast_args(*extra):
@@ -201,7 +202,7 @@ def test_empty_diagnostics_mask_names_its_rate():
 
 def test_unopenable_out_path_is_one_line_error(tmp_path):
     # a NUL byte reaches --out only through an argument file; open() raises
-    # ValueError for it after the sweep has run
+    # ValueError for it before the sweep runs
     path = tmp_path / "nul.args"
     path.write_text("--out a\0b.csv\n")
     proc = run_lpmc(*fast_args(f"@{path}"))
@@ -265,6 +266,52 @@ def test_kind_flag_choices_are_the_kinds(capsys):
         cli.main(fast_args("--kind", "foo"))
     assert exc.value.code == 1
     assert "rectangular" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [fast_args(), ["diagnostics"]])
+@pytest.mark.parametrize("out", ["missing/x.csv", "."])
+def test_bad_out_path_fails_before_the_run(monkeypatch, capsys, tmp_path,
+                                           argv, out):
+    # a directory that does not exist, and a directory as the file
+    def run(config):
+        raise AssertionError("ran with an output path it cannot write")
+
+    monkeypatch.setattr(cli, "run_experiment", run)
+    monkeypatch.setattr(cli, "run_diagnostics", run)
+    assert cli.main(argv + ["--out", str(tmp_path / out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("lpmc: ")
+    assert len(captured.err.splitlines()) == 1
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("argv, runner", [(fast_args(), "run_experiment"),
+                                          (["diagnostics"], "run_diagnostics")])
+def test_failed_run_leaves_the_out_file_as_it_was(monkeypatch, capsys,
+                                                   tmp_path, argv, runner):
+    def boom(config):
+        raise NumericError("sour")
+
+    out = tmp_path / "kept.csv"
+    out.write_bytes(b"earlier run\n")
+    monkeypatch.setattr(cli, runner, boom)
+    assert cli.main(argv + ["--out", str(out)]) == 2
+    assert cli.main(argv + ["--out", str(out), "--sigma", "-1"]) == 1
+    capsys.readouterr()
+    assert out.read_bytes() == b"earlier run\n"
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_help_lists_the_flags_its_settings_give(capsys, experiment):
+    # argparse formats the help strings only when it renders the help
+    with pytest.raises(SystemExit) as exc:
+        cli.main([experiment, "--help"])
+    assert exc.value.code == 0
+    flags = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+    assert flags == {"--help"} | {
+        "--" + key.replace("_", "-")
+        for key, (_, readers, _) in SETTINGS.items() if experiment in readers}
 
 
 def test_failing_diagnostics_return_two(monkeypatch, capsys):

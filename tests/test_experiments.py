@@ -339,6 +339,8 @@ def test_a_solver_error_leaves_the_run_as_in_the_serial_loop(monkeypatch):
     ({0}, {"OPENBLAS_NUM_THREADS": "1"}, 2, 1),      # one usable CPU
     ({0, 1, 2, 3}, {"OPENBLAS_NUM_THREADS": "2"}, 2, 2),
     ({0, 1, 2}, {"OPENBLAS_NUM_THREADS": "4"}, 2, 1),
+    ({0, 1}, {"OPENBLAS_NUM_THREADS": "²"}, 2, 1),  # a digit int() rejects
+    ({0, 1}, {"OPENBLAS_NUM_THREADS": "²", "OMP_NUM_THREADS": "1"}, 2, 2),
 ])
 def test_solve_workers_fill_the_cpus_blas_leaves(monkeypatch, cpus, env,
                                                    solvers, workers):

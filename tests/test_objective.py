@@ -15,10 +15,8 @@ from lpmc.objective import (ObjectiveSpec, default_tuning, factor_curvature,
                             row_hinge_penalty, row_hinge_penalty_curvature,
                             row_hinge_penalty_grad)
 from lpmc.parameterization import (SubspaceParam, adjoint, balanced_witness,
-                                   factors, rectangular_param, theta_blocks,
-                                   x_of, y_of)
-from lpmc.sampling import (ObservationMask, RngState, bernoulli_mask,
-                           symmetric_offdiag_mask)
+                                   factors, rectangular_param, x_of, y_of)
+from lpmc.sampling import RngState, bernoulli_mask, symmetric_offdiag_mask
 from specialized_forms import (DENSE, SPARSE, noiseless_spec,
                                psd_objective_value,
                                reference_row_hinge_penalty,

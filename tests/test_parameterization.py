@@ -7,8 +7,9 @@ from lpmc.errors import NumericError
 from lpmc.instances import (orthonormal_vectors, psd_instance,
                             rectangular_instance, skew_instance,
                             subspace_instance)
-from lpmc.parameterization import (KINDS, adjoint, balanced_witness, certify,
-                                   factors, pack_blocks, psd_param,
+from lpmc.parameterization import (KINDS, PsdParam, RectangularParam,
+                                   SkewParam, adjoint, balanced_witness,
+                                   certify, factors, pack_blocks, psd_param,
                                    rectangular_param, skew_param, subspace_param,
                                    theta_blocks, x_of, y_of)
 from lpmc.sampling import RngState
@@ -164,6 +165,19 @@ def test_factors_match_x_of_and_y_of():
 
 
 # ------------------------------------------------------- parameter validation
+
+@pytest.mark.parametrize("cls", [PsdParam, SkewParam])
+def test_square_kinds_reject_a_non_square_target(cls):
+    assert cls.square
+    with pytest.raises(ValueError, match="needs a square target"):
+        cls(4, 5, 2)
+
+
+def test_rectangular_kind_takes_a_non_square_target():
+    param = RectangularParam(4, 5, 2)
+    assert not param.square
+    assert param.block_shapes() == ((4, 2), (5, 2))
+
 
 def test_param_validation_errors():
     with pytest.raises(ValueError):

@@ -68,6 +68,13 @@ def test_bernoulli_rejects_bad_p():
         bernoulli_mask(3, 3, -0.1, RNG)
 
 
+@pytest.mark.parametrize("p", [1.2, -0.1, float("nan")])
+def test_symmetric_mask_rejects_bad_p(p):
+    # the rate range is ObservationMask's one check, which both draws reach
+    with pytest.raises(ValueError, match=r"nominal_p must be in \[0, 1\]"):
+        symmetric_offdiag_mask(3, p, RNG)
+
+
 def test_full_symmetric_mask():
     mask = symmetric_offdiag_mask(4, 1.0, RNG.derive("symfull"))
     assert mask.count == 12
