@@ -9,6 +9,8 @@ hard invariant (diagnostics FAIL, a NumericError or numpy's LinAlgError).
 """
 
 import argparse
+import contextlib
+import os
 import shlex
 import sys
 
@@ -46,21 +48,30 @@ def main(argv=None):
                                  **flag)
     args = parser.parse_args(argv)
 
+    # the --out file this run created and has not yet written, which a
+    # failed run removes
+    new_out = None
     try:
         config = default_config(args.command, **{
             field: value for key, value in vars(args).items()
             if key in SETTINGS and value is not None
             for field in SETTINGS[key][0]})
         if config.out:
-            # append mode creates the file but keeps its bytes: a bad path
-            # fails before the run, and a failed run leaves the file as it was
-            open(config.out, "a").close()
+            # the path is opened before the run, so a bad one fails first;
+            # a file that is there already keeps its bytes (append mode)
+            # until the run succeeds
+            try:
+                open(config.out, "x").close()
+                new_out = config.out
+            except FileExistsError:
+                open(config.out, "a").close()
         if config.experiment == "diagnostics":
             text, ok = run_diagnostics(config)
             sys.stdout.write(text)
             if config.out:
                 with open(config.out, "w") as fh:
                     fh.write(text)
+            new_out = None
             return 0 if ok else 2
         records, summaries = run_experiment(config)
         if config.out:
@@ -68,6 +79,7 @@ def main(argv=None):
             print(f"wrote {len(records)} records to {config.out}")
         else:
             sys.stdout.write(render_csv([], summaries))
+        new_out = None
     # before ValueError, which LinAlgError subclasses: a failed LAPACK call
     # is numeric; lpmc's argument checks all run before any LAPACK call
     except (NumericError, np.linalg.LinAlgError) as exc:
@@ -76,6 +88,10 @@ def main(argv=None):
     except (OSError, ValueError) as exc:
         print(f"lpmc: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if new_out:
+            with contextlib.suppress(OSError):
+                os.remove(new_out)
     total = sum(r.wall_time for r in records)
     values = sum(r.value_evals for r in records)
     print(f"{len(records)} solves in {total:.1f}s, {values} objective "

@@ -26,12 +26,18 @@ factor_curvature_gap takes c x n x r stacks of factors; each returns an
 array of the c gaps (parameterization.balanced_witness takes a stack of
 theta too). Numpy runs a stacked matmul, svd or eigvalsh as the routine of
 one matrix on each item, so each item's products equal its point's own.
-The reductions whose sum would round in another order over a whole stack
-stay item by item: np.vdot, the Frobenius norms (its roots) and the row
-hinge's row norms. So a stacked gap equals, bit for bit, the gap of its
-point alone, and the diagnostics report is the same text however its
-points are grouped. Each function takes the whole stack it is given in one
-pass; its caller bounds the stack's size, as the report does by grouping.
+The inner products (values, curvature forms, Frobenius norms and tests)
+are one call per stack too: linalg._item_dots multiplies the items as
+1 x N rows by N x 1 columns, and numpy hands each such product to the dot
+routine np.vdot calls on the flattened item, so each keeps its bits; a
+stack with no row beyond alpha adds its hinge terms as zeros at once. What
+one call would sum in another order stays item by item: the row norms of
+an item with a row beyond alpha and the hinge terms they feed, and the
+observed-entry kernel's row products and scatter. So a stacked gap equals,
+bit for bit, the gap of its point alone, and the diagnostics report is the
+same text however its points are grouped. Each function takes the whole
+stack it is given in one pass; its caller bounds the stack's size, as the
+report does by grouping.
 """
 
 import math
@@ -323,21 +329,25 @@ class DeviationCheck:
                 and self.factor_bound <= self.sum_bound + slack)
 
 
-def sampled_deviation_check(mask, a, b, c, d, gap_norm=None):
+def sampled_deviation_check(mask, a, b, c, d):
     """Evaluate |<(Omega - E Omega) o AC^T, BD^T>|, the deviation of the
     sampled inner product from its model mean, against its two bounds.
 
     A, B have n1 rows, C, D have n2 rows. The first bound is gap_norm
     sqrt(sum_i ||a_i||^2 ||b_i||^2) sqrt(sum_j ||c_j||^2 ||d_j||^2) over
-    rows i, j, with gap_norm = mask_gap_norm(mask) unless given (so many
-    tuples on one mask share it); the second replaces the product of roots
-    by half their squared sum.
+    rows i, j, with gap_norm = mask_gap_norm(mask); the second replaces the
+    product of roots by half their squared sum.
     """
     if a.shape[0] != mask.rows or c.shape[0] != mask.cols:
         raise ValueError("A needs n1 rows and C n2 rows")
-    if gap_norm is None:
-        gap_norm = mask_gap_norm(mask)
-    lhs = abs(float(np.vdot(_centered_indicator(mask) * (a @ c.T), b @ d.T)))
+    g = _centered_indicator(mask)
+    return _deviation_check(g, spectral_norm(g), a, b, c, d)
+
+
+def _deviation_check(g, gap_norm, a, b, c, d):
+    """sampled_deviation_check from the centered indicator g of the mask,
+    which many tuples on one mask share."""
+    lhs = abs(float(np.vdot(g * (a @ c.T), b @ d.T)))
     rows_ab = float(np.sum(np.einsum("ij,ij->i", a, a)
                            * np.einsum("ij,ij->i", b, b)))
     rows_cd = float(np.sum(np.einsum("ij,ij->i", c, c)
@@ -406,7 +416,8 @@ def concentration_report(mask, rng):
     pair, with p = mask.nominal_p."""
     tuples, r = 10, 3
     p = mask.nominal_p
-    gap = mask_gap_norm(mask)
+    centered = _centered_indicator(mask)
+    gap = spectral_norm(centered)
     gen = rng.generator()
     checks = []
     for _ in range(tuples):
@@ -414,7 +425,7 @@ def concentration_report(mask, rng):
         b = gen.standard_normal((mask.rows, r))
         c = gen.standard_normal((mask.cols, r))
         d = gen.standard_normal((mask.cols, r))
-        checks.append(sampled_deviation_check(mask, a, b, c, d, gap))
+        checks.append(_deviation_check(centered, gap, a, b, c, d))
     ratios = []
     if p > 0.0:
         uf, _ = np.linalg.qr(gen.standard_normal((mask.rows, r)))

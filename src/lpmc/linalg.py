@@ -2,6 +2,7 @@
 matrices by one Hermitian eigenproblem, LAPACK spectral norm, row-norm
 maximum, randomized range finder."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,11 +30,20 @@ def _mT(a):
 
 def _dots(a, b):
     """<a, b> as a float, by np.vdot; on stacks of matrices an array of the
-    items' products, since one np.vdot over the stack sums in another
-    order."""
+    items' products, by _item_dots."""
     if a.ndim > 2:
-        return np.array([_dots(*item) for item in zip(a, b)])
+        return _item_dots(a, b)
     return float(np.vdot(a, b))
+
+
+def _item_dots(a, b):
+    """np.vdot(a[i], b[i]) for each item i of two stacks, whatever the
+    items' shape, by one matmul of the items as 1 x N rows and N x 1
+    columns. Numpy hands each such product to the dtype's dot routine, the
+    one np.vdot calls on the flattened operands, so each item keeps its own
+    bits; one np.vdot over the whole stack would sum in another order."""
+    k, n = len(a), math.prod(a.shape[1:])
+    return (a.reshape(k, 1, n) @ b.reshape(k, n, 1))[:, 0, 0]
 
 
 def two_inf_norm(a):

@@ -56,18 +56,21 @@ a descent allocate it once per solve.
 
 objective_value, factor_grad and factor_curvature also take a stack of
 points, one leading axis of c (theta c x d, factors c x n x r), and return
-c values, gradients or forms. The products run on the whole stack and the
-sums of squares item by item, so each item's result is bit for bit the one
-its point gives alone (the landscape module says which reductions and why).
+c values, gradients or forms. The products and the sums of squares run on
+the whole stack, the sums as one matmul with each item's np.vdot bits
+(linalg._item_dots), and the row passes item by item where a row is beyond
+alpha, so each item's result is bit for bit the one its point gives alone
+(the landscape module says which reductions and why).
 """
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import _dots, _mT, as_matrix
+from .linalg import _dots, _item_dots, _mT, as_matrix
 from .parameterization import adjoint, theta_blocks
 from .sampling import ObservationMask, observed_fraction, project_observed
 
@@ -189,7 +192,8 @@ _NO_HINGE = _RowHinge(0.0, None, None, None)
 
 
 def _inside_alpha(frob_sq, alpha):
-    """Whether ||x||_F^2 = frob_sq puts every row of x within alpha."""
+    """Whether ||x||_F^2 = frob_sq puts every row of x within alpha; on an
+    array of such sums, np.all of it says whether every one does."""
     # every row norm is at most ||x||_F; the margin covers the rounding of
     # both sums, in any order, for n r up to about 1e7 (a negative alpha
     # reaches every row)
@@ -217,10 +221,18 @@ def _hinge_grad(x, hinge):
     return x * coef[:, None]
 
 
+def _unhinged(hinges):
+    """Whether no item of a stack's tuple of _RowHinge has a row beyond
+    alpha (every such item's hinge is _NO_HINGE itself)."""
+    return all(h is _NO_HINGE for h in hinges)
+
+
 def _hinge_curvature(x, dx, hinge):
     """The Hessian quadratic form of G at x along dx from its _RowHinge;
     on a stack, an array of the forms of its items."""
     if x.ndim > 2:
+        if _unhinged(hinge):
+            return np.zeros(len(x))
         return np.array([_hinge_curvature(*item)
                          for item in zip(x, dx, hinge)])
     if hinge.rows is None:
@@ -238,17 +250,14 @@ def _row_hinges(f, spec):
     """The _RowHinge of the factor f under spec's penalty; on a stack, a
     tuple with one per item. At lam = 0 there is none: this and _core_hinge
     turn the penalty off, so the value and the curvature add lam times 0.
-    The stack's Frobenius test is one einsum, whose order of summation the
-    margin of _inside_alpha covers, so an item it rules out gets the hinge
-    _row_hinge gives it."""
+    The stack's Frobenius test is one _item_dots, with the bits of each
+    item's own np.vdot, so a stack it rules out whole gets the hinges
+    _row_hinge would give its items, with no call per item."""
     if f.ndim == 2:
         return _row_hinge(f, spec.alpha) if spec.lam else _NO_HINGE
-    if not spec.lam:
+    if not spec.lam or np.all(_inside_alpha(_item_dots(f, f), spec.alpha)):
         return (_NO_HINGE,) * len(f)
-    frob_sq = np.einsum("kij,kij->k", f, f)
-    return tuple([_NO_HINGE if _inside_alpha(v, spec.alpha)
-                  else _row_hinge(item, spec.alpha)
-                  for item, v in zip(f, frob_sq)])
+    return tuple([_row_hinge(item, spec.alpha) for item in f])
 
 
 def row_hinge_penalty(x, alpha):
@@ -324,10 +333,15 @@ class Evaluation(NamedTuple):
 
 def _value(r, b, hinges, spec):
     """f from the fit residual r, the balance matrix b and the row hinges;
-    at stacked points an array of the items' values."""
+    at stacked points an array of the items' values, from the items' dots
+    (r is c x K on the entry kernel, so the stack is its leading axis
+    whatever its rank) and the items' hinge values, in the order of one
+    point's sum."""
     if b.ndim > 2:
-        return np.array([_value(*item, spec)
-                         for item in zip(r, b, zip(*hinges))])
+        gx, gy = (np.fromiter(map(attrgetter("value"), side), float,
+                              len(side)) for side in hinges)
+        return (0.5 / spec.p_hat * _item_dots(r, r)
+                + 0.125 * _item_dots(b, b) + spec.lam * (gx + gy))
     fit = 0.5 / spec.p_hat * float(np.vdot(r, r))
     bal = 0.125 * float(np.vdot(b, b))
     return fit + bal + spec.lam * (hinges[0].value + hinges[1].value)
@@ -350,6 +364,9 @@ def _core_hinge(side, t, gt, spec):
     and ||F||_F^2 = <t, gram t> does not put every row within alpha. On a
     stack, (a tuple of G at each item, None)."""
     if t.ndim > 2:
+        if not spec.lam or np.all(_inside_alpha(_item_dots(t, gt),
+                                                spec.alpha)):
+            return (_NO_HINGE,) * len(t), None
         return tuple([_core_hinge(side, *item, spec)[0]
                       for item in zip(t, gt)]), None
     if not spec.lam or _inside_alpha(np.vdot(t, gt), spec.alpha):
@@ -375,6 +392,8 @@ def _plus_hinge_grad(g, x, hinge, lam):
     """g plus lam times the gradient of G at x where a row of x is beyond
     alpha; item by item on a stack."""
     if x.ndim > 2:
+        if _unhinged(hinge):
+            return g
         return np.array([_plus_hinge_grad(*item, lam)
                          for item in zip(g, x, hinge)])
     if hinge.rows is None:

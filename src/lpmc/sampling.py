@@ -64,10 +64,7 @@ class ObservationMask:
                 or m.diagonal().any()):
             raise ValueError("a symmetric-offdiag mask must be square, "
                              "symmetric and empty on the diagonal")
-        # p = 0 names the (typically empty) degenerate draw; keep it legal so
-        # the concentration checks can exercise the trivial case
-        if not 0.0 <= self.nominal_p <= 1.0:
-            raise ValueError(f"nominal_p must be in [0, 1], got {self.nominal_p}")
+        _check_rate(self.nominal_p)
 
     @property
     def rows(self):
@@ -90,8 +87,18 @@ class ObservationMask:
         return int(self.entries.size)
 
 
+def _check_rate(p):
+    """Raise ValueError unless p is a sampling rate in [0, 1]; the draws
+    check it before they draw."""
+    # p = 0 names the (typically empty) degenerate draw; keep it legal so
+    # the concentration checks can exercise the trivial case
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"nominal_p must be in [0, 1], got {p}")
+
+
 def bernoulli_mask(n1, n2, p, rng):
     """Independent Bernoulli(p) observation of each entry."""
+    _check_rate(p)
     g = rng.generator()
     ind = g.random((n1, n2)) < p
     return ObservationMask(ind, "bernoulli-rect", float(p))
@@ -99,6 +106,7 @@ def bernoulli_mask(n1, n2, p, rng):
 
 def symmetric_offdiag_mask(n, p, rng):
     """One Bernoulli(p) draw per unordered off-diagonal pair, mirrored."""
+    _check_rate(p)
     g = rng.generator()
     draw = g.random((n, n)) < p
     upper = np.triu(draw, 1)

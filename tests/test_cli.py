@@ -302,6 +302,28 @@ def test_failed_run_leaves_the_out_file_as_it_was(monkeypatch, capsys,
     assert out.read_bytes() == b"earlier run\n"
 
 
+@pytest.mark.parametrize("argv, runner", [(fast_args(), "run_experiment"),
+                                          (["diagnostics"], "run_diagnostics")])
+def test_failed_run_leaves_no_new_out_file(monkeypatch, capsys, tmp_path,
+                                           argv, runner):
+    def boom(config):
+        raise NumericError("sour")
+
+    monkeypatch.setattr(cli, runner, boom)
+    assert cli.main(argv + ["--out", str(tmp_path / "new.csv")]) == 2
+    capsys.readouterr()
+    assert os.listdir(tmp_path) == []
+
+
+def test_odd_skew_rank_leaves_no_new_out_file(capsys, tmp_path):
+    # the run's set-up rejects the rank after --out is opened
+    assert cli.main(["single-solve", "--kind", "skew", "--n", "24", "--r",
+                     "3", "--p-grid", "0.8",
+                     "--out", str(tmp_path / "new.csv")]) == 1
+    assert "even r" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
 @pytest.mark.parametrize("experiment", EXPERIMENTS)
 def test_help_lists_the_flags_its_settings_give(capsys, experiment):
     # argparse formats the help strings only when it renders the help

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 import lpmc
-from lpmc.linalg import (randomized_range, reduced_svd, spectral_norm,
-                         two_inf_norm, youla_decompose)
+from lpmc.linalg import (_dots, _item_dots, _mT, randomized_range,
+                         reduced_svd, spectral_norm, two_inf_norm,
+                         youla_decompose)
 
 
 def random_skew(n, lambdas, gen):
@@ -280,3 +281,19 @@ def test_randomized_range_finds_the_top_singular_space():
     q = randomized_range(a, 2, np.random.default_rng(8))
     top = u[:, :4]
     assert np.linalg.norm(top - q @ (q.T @ top)) <= 1e-8
+
+
+@pytest.mark.parametrize("layout, shape", [
+    ("contiguous", (5, 37, 6)), ("transposed", (5, 6, 37)),
+    ("vectors", (5, 211)), ("one", (1, 29, 7))])
+def test_stacked_dots_have_each_items_vdot_bits(layout, shape):
+    # long enough items that another order of summation rounds differently
+    gen = np.random.default_rng(12)
+    a, b = gen.standard_normal(shape), gen.standard_normal(shape)
+    if layout == "transposed":
+        a, b = _mT(a), _mT(b)
+    want = [np.vdot(x, y) for x, y in zip(a, b)]
+    assert np.array_equal(_item_dots(a, b), want)
+    if a.ndim > 2:
+        assert np.array_equal(_dots(a, b), want)
+    assert _item_dots(a[:0], b[:0]).shape == (0,)

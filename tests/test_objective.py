@@ -417,6 +417,8 @@ STACK_KINDS = ("subspace", "rectangular", "psd", "skew")
 # the standard tuning (alpha = 100, no row near it), no penalty, and a small
 # alpha that some of the stack's items cross and some stay inside
 STACK_TUNINGS = ({}, dict(lam=0.0), dict(lam=0.4, alpha=1.0))
+# an alpha that every item of the stack crosses, drawn after the others
+BEYOND_ALPHA = dict(lam=0.4, alpha=0.02)
 
 
 def stack_cases(seed):
@@ -424,14 +426,22 @@ def stack_cases(seed):
     points per stack, at scales from well inside alpha = 1 to beyond it."""
     gen = np.random.default_rng(seed)
     scale = np.array([0.05, 0.3, 1.0, 1.5, 0.1])[:, None]
-    for density in (DENSE, SPARSE):
-        for kind in STACK_KINDS:
-            for tuning in STACK_TUNINGS:
-                spec, m_star = noiseless_spec(kind, seed, **tuning,
-                                              **density)
-                d = spec.param.d
-                yield (spec, m_star, scale * gen.standard_normal((5, d)),
-                       gen.standard_normal((5, d)))
+    cases = [(density, kind, tuning) for density in (DENSE, SPARSE)
+             for kind in STACK_KINDS for tuning in STACK_TUNINGS]
+    cases += [(density, kind, BEYOND_ALPHA) for density in (DENSE, SPARSE)
+              for kind in STACK_KINDS]
+    for density, kind, tuning in cases:
+        spec, m_star = noiseless_spec(kind, seed, **tuning, **density)
+        d = spec.param.d
+        yield (spec, m_star, scale * gen.standard_normal((5, d)),
+               gen.standard_normal((5, d)))
+
+
+def test_every_item_crosses_the_smallest_alpha():
+    for spec, _, thetas, _ in stack_cases(81):
+        if spec.alpha == BEYOND_ALPHA["alpha"]:
+            assert all(objective_value(spec, t, keep=True).hinged
+                       for t in thetas), spec.param.kind
 
 
 def test_stacked_values_equal_the_points():

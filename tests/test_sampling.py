@@ -61,18 +61,24 @@ def test_bernoulli_fraction_concentrates():
         assert abs(observed_fraction(mask) - 0.3) <= bound
 
 
+class _NoDraw(RngState):
+    def generator(self):
+        raise AssertionError("drew a mask for a bad rate")
+
+
 def test_bernoulli_rejects_bad_p():
-    with pytest.raises(ValueError):
-        bernoulli_mask(3, 3, 1.2, RNG)
-    with pytest.raises(ValueError):
-        bernoulli_mask(3, 3, -0.1, RNG)
+    # _check_rate runs before the draw, so no generator is built
+    for p in (1.2, -0.1, float("nan")):
+        with pytest.raises(ValueError,
+                           match=r"nominal_p must be in \[0, 1\]"):
+            bernoulli_mask(3, 3, p, _NoDraw(0))
 
 
 @pytest.mark.parametrize("p", [1.2, -0.1, float("nan")])
 def test_symmetric_mask_rejects_bad_p(p):
-    # the rate range is ObservationMask's one check, which both draws reach
+    # _check_rate runs before the draw, so no generator is built
     with pytest.raises(ValueError, match=r"nominal_p must be in \[0, 1\]"):
-        symmetric_offdiag_mask(3, p, RNG)
+        symmetric_offdiag_mask(3, p, _NoDraw(0))
 
 
 def test_full_symmetric_mask():
