@@ -54,6 +54,16 @@ line-search candidate never builds its residual or its row norms twice. The
 dense residual can also be written into a caller's buffer (out), which lets
 a descent allocate it once per solve.
 
+A value given above=v (objective_value(..., above=v)) computes the fit
+term first and returns None as soon as that term exceeds v; otherwise it
+goes on, with the same float, to the Evaluation it builds without above.
+The stop is exact: every later term of f, the balance 1/8 ||b||^2 and lam
+times the hinges with lam >= 0, is nonnegative, and rounded addition is
+monotone, so the computed f exceeds v too. The line search passes f at its
+base point, so a rejected candidate costs its fit residual and one sum of
+squares, with no Gram product, balance matrix or row pass. A term of f that
+can be negative would break this, and the stop would have to go.
+
 objective_value, factor_grad and factor_curvature also take a stack of
 points, one leading axis of c (theta c x d, factors c x n x r), and return
 c values, gradients or forms. The products and the sums of squares run on
@@ -331,32 +341,42 @@ class Evaluation(NamedTuple):
         return any(h.rows is not None for h in self.hinges)
 
 
-def _value(r, b, hinges, spec):
-    """f from the fit residual r, the balance matrix b and the row hinges;
-    at stacked points an array of the items' values, from the items' dots
-    (r is c x K on the entry kernel, so the stack is its leading axis
-    whatever its rank) and the items' hinge values, in the order of one
-    point's sum."""
+def _fit(r, stacked, spec):
+    """The fit term 1/(2 p_hat) ||r||^2 of f from the fit residual r; at
+    stacked points an array of the items' terms, from the items' dots (r is
+    c x K on the entry kernel, so the stack is its leading axis whatever
+    its rank)."""
+    if stacked:
+        return 0.5 / spec.p_hat * _item_dots(r, r)
+    return 0.5 / spec.p_hat * float(np.vdot(r, r))
+
+
+def _value(fit, b, hinges, spec):
+    """f from its fit term, the balance matrix b and the row hinges; at
+    stacked points an array of the items' values, from the items' dots and
+    hinge values, in the order of one point's sum."""
     if b.ndim > 2:
         gx, gy = (np.fromiter(map(attrgetter("value"), side), float,
                               len(side)) for side in hinges)
-        return (0.5 / spec.p_hat * _item_dots(r, r)
-                + 0.125 * _item_dots(b, b) + spec.lam * (gx + gy))
-    fit = 0.5 / spec.p_hat * float(np.vdot(r, r))
+        return fit + 0.125 * _item_dots(b, b) + spec.lam * (gx + gy)
     bal = 0.125 * float(np.vdot(b, b))
     return fit + bal + spec.lam * (hinges[0].value + hinges[1].value)
 
 
-def _evaluate(x, y, spec, out=None):
-    """The Evaluation of f at explicit factors, or at stacks of them."""
+def _evaluate(x, y, spec, out=None, above=None):
+    """The Evaluation of f at explicit factors, or at stacks of them; None
+    at a point whose fit term exceeds above."""
     if spec.entry_kernel:
         resid = _entry_residual(x, y, spec)
         r = resid[0]
     else:
         resid = r = _masked_residual(x, y, spec, out)
+    fit = _fit(r, x.ndim > 2, spec)
+    if above is not None and fit > above:
+        return None
     b = _mT(x) @ x - _mT(y) @ y
     hinges = (_row_hinges(x, spec), _row_hinges(y, spec))
-    return Evaluation(_value(r, b, hinges, spec), x, y, resid, b, hinges)
+    return Evaluation(_value(fit, b, hinges, spec), x, y, resid, b, hinges)
 
 
 def _core_hinge(side, t, gt, spec):
@@ -375,16 +395,20 @@ def _core_hinge(side, t, gt, spec):
     return _row_hinge(f, spec.alpha), f
 
 
-def _core_evaluate(ta, tb, spec):
-    """The Evaluation of f at blocks in the entry core's coordinates."""
+def _core_evaluate(ta, tb, spec, above=None):
+    """The Evaluation of f at blocks in the entry core's coordinates; None
+    at a point whose fit term exceeds above."""
     su, sv = spec.core
     xr, yc = su.rows @ ta, sv.rows @ tb
     r = _row_dots(xr, yc) - spec.vals
+    fit = _fit(r, ta.ndim > 2, spec)
+    if above is not None and fit > above:
+        return None
     gta, gtb = su.gram @ ta, sv.gram @ tb
     b = _mT(ta) @ gta - _mT(tb) @ gtb
     hx, x = _core_hinge(su, ta, gta, spec)
     hy, y = _core_hinge(sv, tb, gtb, spec)
-    return Evaluation(_value(r, b, (hx, hy), spec), x, y, (r, xr, yc), b,
+    return Evaluation(_value(fit, b, (hx, hy), spec), x, y, (r, xr, yc), b,
                       (hx, hy), (ta, tb, gta, gtb))
 
 
@@ -463,22 +487,26 @@ def factor_curvature(x, y, dx, dy, spec, ev=None):
                                    + _hinge_curvature(y, dy, hy))
 
 
-def objective_value(spec, theta, keep=False, out=None):
+def objective_value(spec, theta, keep=False, out=None, above=None):
     """f composed with the parameterization's factor map; with keep=True the
     whole Evaluation, which objective_grad at the same theta can reuse. out,
     an n1 x n2 float array, takes the dense kernel's residual instead of a
-    new array. A stack of theta (c x d) gives an array of the c values, each
-    the one its point gives alone; it takes neither keep nor out."""
+    new array. Given above, a float, it returns None as soon as the fit
+    term exceeds it (see the module docstring), otherwise what it returns
+    without above, bit for bit. A stack of theta (c x d) gives an array of
+    the c values, each the one its point gives alone; it takes none of
+    keep, out and above."""
     blocks = theta_blocks(spec.param, theta)
     if blocks[0].ndim > 2:
-        if keep or out is not None or blocks[0].ndim > 3:
+        if (keep or out is not None or above is not None
+                or blocks[0].ndim > 3):
             raise ValueError("theta must be one point, or a c x d stack, "
-                             "which takes neither keep nor out")
+                             "which takes none of keep, out and above")
     if spec.core is not None:
-        ev = _core_evaluate(*blocks, spec)
+        ev = _core_evaluate(*blocks, spec, above)
     else:
-        ev = _evaluate(*spec.param.factors(*blocks), spec, out)
-    return ev if keep else ev.value
+        ev = _evaluate(*spec.param.factors(*blocks), spec, out, above)
+    return ev if keep or ev is None else ev.value
 
 
 def objective_grad(spec, theta, ev=None):

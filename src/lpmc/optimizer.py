@@ -26,8 +26,11 @@ line search hands back the Evaluation of the candidate it accepts, and the
 gradient there reads its residual, balance matrix and row hinges, so the
 arithmetic (and every output) is that of a fresh gradient at each iterate.
 On the dense kernel every candidate's residual, and at the end the estimate
-m_hat, is written into one buffer per solve. solve counts its value
-evaluations, and the values at which the row penalty was active.
+m_hat, is written into one buffer per solve. A candidate whose fit term
+alone exceeds f(theta) is rejected there, unevaluated beyond it; the other
+terms of f are nonnegative, so the search decides as full evaluations
+would. solve counts its value evaluations, those candidates included, and
+the fully evaluated values at which the row penalty was active.
 """
 
 import time
@@ -70,7 +73,9 @@ class SolveResult:
     termination: str          # "grad-tol" or "iter-cap"
     clamped_steps: int
     value_evals: int          # objective values, the start's and candidates'
-    hinge_evals: int          # values with lam > 0 and a row beyond alpha
+    # fully evaluated values with lam > 0 and a row beyond alpha; a
+    # candidate rejected at its fit term builds no hinge
+    hinge_evals: int
     wall_time: float
 
 
@@ -79,13 +84,18 @@ def halving_line_search(spec, theta, grad, value, out=None):
     the first of 2^-t / spec.param.gram, t = 0, 1, ..., at which f does not
     increase (see the module docstring).
 
+    Each candidate but the unconditional clamp step is evaluated with
+    above=value, so one whose fit term alone exceeds value stops there,
+    before its Gram products, balance matrix and row hinges are built.
+
     Returns (step, new_theta, evaluation, candidates, hinged): evaluation is
     objective_value's Evaluation at new_theta (its .value the new objective),
-    candidates the number of points evaluated and hinged the number of them
-    at which the row penalty was active. The search clamped exactly when
-    step == MIN_STEP, since every halving it accepts is at least 2^-33. out,
-    when given, is the n1 x n2 buffer that every candidate's dense residual
-    is written into.
+    candidates the number of points evaluated (a candidate rejected at its
+    fit term counts) and hinged the number of fully evaluated ones at which
+    the row penalty was active. The search clamped exactly when step ==
+    MIN_STEP, since every halving it accepts is at least 2^-33. out, when
+    given, is the n1 x n2 buffer that every candidate's dense residual is
+    written into.
     """
     gram = spec.param.gram
     t = 0
@@ -93,10 +103,13 @@ def halving_line_search(spec, theta, grad, value, out=None):
     hinged = 0
     while True:
         cand = theta - step * grad
-        ev = objective_value(spec, cand, keep=True, out=out)
-        hinged += ev.hinged
-        if ev.value <= value or step == MIN_STEP:
-            return step, cand, ev, t + 1, hinged
+        clamp = step == MIN_STEP
+        ev = objective_value(spec, cand, keep=True, out=out,
+                             above=None if clamp else value)
+        if ev is not None:
+            hinged += ev.hinged
+            if ev.value <= value or clamp:
+                return step, cand, ev, t + 1, hinged
         del ev                # a rejected record is not kept alive
         t += 1
         step = max(2.0 ** -t / gram, MIN_STEP)

@@ -526,8 +526,65 @@ def test_stack_takes_neither_keep_nor_out():
         objective_value(spec, thetas, keep=True)
     with pytest.raises(ValueError, match="keep"):
         objective_value(spec, thetas, out=np.empty(spec.observed.shape))
+    with pytest.raises(ValueError, match="above"):
+        objective_value(spec, thetas, above=1.0)
     with pytest.raises(ValueError, match="c x d stack"):
         objective_value(spec, np.zeros((2, 3, spec.param.d)))
+
+
+# ------------------------------------------------------- the fit-term stop
+
+def _fit_term(spec, ev):
+    """The fit term 1/(2 p_hat) ||P(X Y^T - M)||^2 of a full Evaluation."""
+    r = ev.resid[0] if isinstance(ev.resid, tuple) else ev.resid
+    return 0.5 / spec.p_hat * float(np.vdot(r, r))
+
+
+def _assert_same_record(a, b):
+    assert a.value == b.value
+    assert (a.x is None) == (b.x is None) and (a.y is None) == (b.y is None)
+    for f, g in ((a.x, b.x), (a.y, b.y)):
+        assert f is None or np.array_equal(f, g)
+    if isinstance(a.resid, tuple):      # (resid, xr, yc), entry kernel
+        assert all(map(np.array_equal, a.resid, b.resid))
+    else:
+        assert np.array_equal(a.resid, b.resid)
+    assert np.array_equal(a.balance, b.balance)
+    for h, k in zip(a.hinges, b.hinges):
+        assert h.value == k.value
+        for u, v in zip(h[1:], k[1:]):
+            assert (u is None) == (v is None)
+            assert u is None or np.array_equal(u, v)
+    assert (a.core is None) == (b.core is None)
+    assert a.core is None or all(map(np.array_equal, a.core, b.core))
+
+
+def test_value_above_stops_at_the_fit_term():
+    # above = v gives None exactly when the full Evaluation's fit term
+    # exceeds v, and otherwise that Evaluation bit for bit, on both kernels
+    # (subspace at SPARSE in block coordinates), with the penalty off, and
+    # with every row hinge active
+    gen = np.random.default_rng(91)
+    scale = np.array([0.05, 0.3, 1.0, 1.5])[:, None]
+    for density in (DENSE, SPARSE):
+        for kind in STACK_KINDS:
+            for tuning in ({}, dict(lam=0.0), BEYOND_ALPHA):
+                spec, _ = noiseless_spec(kind, 91, **tuning, **density)
+                for theta in scale * gen.standard_normal((4, spec.param.d)):
+                    full = objective_value(spec, theta, keep=True)
+                    assert full.hinged == (tuning is BEYOND_ALPHA)
+                    fit, value = _fit_term(spec, full), full.value
+                    assert fit <= value
+                    for v in (-1.0, 0.0, np.nextafter(fit, -np.inf), fit,
+                              np.nextafter(fit, np.inf), 0.5 * (fit + value),
+                              value, np.inf):
+                        ev = objective_value(spec, theta, keep=True, above=v)
+                        bare = objective_value(spec, theta, above=v)
+                        if fit > v:
+                            assert ev is None and bare is None, (kind, v)
+                        else:
+                            _assert_same_record(ev, full)
+                            assert bare == value
 
 
 # ---------------------------------------------------------- specialized forms

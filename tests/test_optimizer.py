@@ -140,6 +140,80 @@ def test_line_search_returns_evaluation_at_candidate():
             assert (ev.resid is out) == (dense and out is not None)
 
 
+def full_evaluation_search(spec, theta, grad, value, out=None):
+    """halving_line_search with every candidate fully evaluated: the
+    reference the search must match."""
+    gram = spec.param.gram
+    t = 0
+    step = 1.0 / gram
+    hinged = 0
+    while True:
+        cand = theta - step * grad
+        ev = objective_value(spec, cand, keep=True, out=out)
+        hinged += ev.hinged
+        if ev.value <= value or step == MIN_STEP:
+            return step, cand, ev, t + 1, hinged
+        del ev
+        t += 1
+        step = max(2.0 ** -t / gram, MIN_STEP)
+
+
+def test_line_search_matches_full_evaluations(monkeypatch):
+    # stopping a candidate at its fit term takes the steps full evaluations
+    # take, on both kernels, along descent and ascent directions, with the
+    # row penalty idle and active; hinged counts the fully evaluated
+    # candidates with a row beyond alpha. An all-rejected search still hands
+    # back the clamp's full Evaluation, and the sparse subspace search
+    # (block coordinates) does stop candidates at the fit term
+    returned = []
+
+    def recording(*args, **kwargs):
+        returned.append(value_fn(*args, **kwargs))
+        return returned[-1]
+
+    value_fn = optimizer.objective_value
+    monkeypatch.setattr(optimizer, "objective_value", recording)
+    gen = np.random.default_rng(17)
+    stopped = {}
+    for kind, density in itertools.product(KINDS, (DENSE, SPARSE)):
+        case = (kind, density is SPARSE)
+        stopped[case] = clamps = 0
+        for tuning in ({}, dict(lam=0.5, alpha=0.5)):
+            spec, m_star = noiseless_spec(kind, 19, **density, **tuning)
+            hinged_searches = 0
+            for _ in range(25):
+                theta = gen.standard_normal(spec.param.d)
+                value = objective_value(spec, theta)
+                grad = objective_grad(spec, theta)
+                for direction in (grad, -grad):
+                    returned.clear()
+                    step, cand, ev, candidates, hinged = (
+                        halving_line_search(spec, theta, direction, value))
+                    ref = full_evaluation_search(spec, theta, direction,
+                                                 value)
+                    assert (step, cand.tobytes(), ev.value, candidates) == (
+                        ref[0], ref[1].tobytes(), ref[2].value, ref[3]), case
+                    assert len(returned) == candidates
+                    assert hinged == sum(e.hinged for e in returned
+                                         if e is not None) <= ref[4]
+                    stopped[case] += returned.count(None)
+                    clamps += step == MIN_STEP
+                    hinged_searches += hinged > 0
+            assert (hinged_searches > 0) == bool(tuning), case
+        assert clamps > 0, case
+        # every candidate rejected: the clamp comes fully evaluated
+        clamp_at = 35 if spec.param.gram == 1 else 34
+        exact = dataclasses.replace(spec, lam=0.0, alpha=np.inf)
+        xi = balanced_witness(spec.param, theta, m_star).xi
+        at_xi = objective_value(exact, xi)
+        step, cand, ev, candidates, _ = halving_line_search(
+            exact, xi, np.ones(spec.param.d), at_xi)
+        assert (step, candidates) == (MIN_STEP, clamp_at)
+        assert isinstance(ev, objective.Evaluation) and ev.value > at_xi
+        _same_evaluation(exact, ev, cand)
+    assert stopped["subspace", True] > 0, stopped
+
+
 # --------------------------------------------------------------------- solver
 
 def test_solve_zero_start_on_zero_data_stops_immediately():
@@ -235,12 +309,14 @@ def test_dense_estimate_is_written_into_the_residual_buffer(density,
                                                             monkeypatch):
     # the estimate is X Y^T byte for byte; on the dense kernel it takes the
     # buffer the solve's residuals were written into, so a solve allocates
-    # one n1 x n2 array for both
+    # one n1 x n2 array for both (a candidate rejected at its fit term
+    # returns no Evaluation)
     residuals = []
 
     def recording(*args, **kwargs):
         ev = value(*args, **kwargs)
-        residuals.append(ev.resid)
+        if ev is not None:
+            residuals.append(ev.resid)
         return ev
 
     value = optimizer.objective_value
@@ -291,7 +367,8 @@ def test_solve_counts_its_evaluations(monkeypatch):
         def wrapper(*args, **kwargs):
             calls[name] += 1
             out = fn(*args, **kwargs)
-            if name == "value":
+            # a candidate rejected at its fit term (None) builds no hinge
+            if name == "value" and out is not None:
                 calls["hinged"] += out.hinged
             return out
         return wrapper

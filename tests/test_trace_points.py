@@ -7,6 +7,7 @@ per-layer metrics go silent."""
 import importlib
 import importlib.util
 import os
+from collections import Counter
 
 from lpmc import experiments
 
@@ -43,3 +44,32 @@ def test_diagnostics_spans_stay_fed():
     want |= {f"parameterization.witness.{kind}"
              for kind in ("rectangular", "psd", "subspace", "skew")}
     assert not want - seen, sorted(want - seen)
+
+
+def test_sweep_spans_stay_fed():
+    # each solve records one objective.value span per line-search candidate,
+    # a candidate stopped at its fit term included, and one objective.grad
+    # span per gradient: on the observed-entry kernel in block coordinates
+    # (subspace at p = 0.02) and on the dense kernel
+    configs = (
+        experiments.default_config("subspace-phase", n1=60, n2=60,
+                                   sweep=(6, 10), p_grid=(0.02,), trials=2),
+        experiments.default_config("single-solve"))
+    for config in configs:
+        rec = load_tracer().Tracer()
+        with rec.installed():
+            records, _ = experiments.run_experiment(config)
+        spans = rec.spans
+        # (name, parent) -> spans of that name under that parent
+        children = Counter((span[0], span[3]) for span in spans)
+        solves = [i for i, span in enumerate(spans)
+                  if span[0] == "optimizer.solve"]
+        assert len(solves) == len(records) > 0
+        for i, record in zip(solves, records):
+            searches = [j for j, span in enumerate(spans)
+                        if span[0] == "optimizer.line_search"
+                        and span[3] == i]
+            assert len(searches) == record.iterations
+            assert sum(children["objective.value", j] for j in searches) == (
+                record.value_evals - 1)
+            assert children["objective.grad", i] == record.iterations + 1
