@@ -164,8 +164,10 @@ class ExperimentConfig:
             raise ValueError("trials must be positive")
         # the solver's settings, checked where every solve checks them
         SolveConfig(max_iters=self.max_iters, init=self.init)
-        if not self.sigma >= 0.0:
-            raise ValueError(f"sigma must be nonnegative, got {self.sigma}")
+        # sigma = inf would fill the observed matrix with non-finite entries
+        if not 0.0 <= self.sigma < np.inf:
+            raise ValueError(f"sigma must be finite and nonnegative, got "
+                             f"{self.sigma}")
         if not self.sweep:
             raise ValueError("sweep must be nonempty")
         for name in ("sweep", "p_grid"):

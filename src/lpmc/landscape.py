@@ -29,15 +29,16 @@ one matrix on each item, so each item's products equal its point's own.
 The inner products (values, curvature forms, Frobenius norms and tests)
 are one call per stack too: linalg._item_dots multiplies the items as
 1 x N rows by N x 1 columns, and numpy hands each such product to the dot
-routine np.vdot calls on the flattened item, so each keeps its bits; a
-stack with no row beyond alpha adds its hinge terms as zeros at once. What
-one call would sum in another order stays item by item: the row norms of
-an item with a row beyond alpha and the hinge terms they feed, and the
-observed-entry kernel's row products and scatter. So a stacked gap equals,
-bit for bit, the gap of its point alone, and the diagnostics report is the
-same text however its points are grouped. Each function takes the whole
-stack it is given in one pass; its caller bounds the stack's size, as the
-report does by grouping.
+routine np.vdot calls on the flattened item, so each keeps its bits. The
+row norms of a row beyond alpha and the observed-entry kernel's row
+products and scatter, which one call would sum in another order, run only
+at points: by the one stack rule, objective._one_pass, a stack of factors
+takes one pass on the dense kernel with no row beyond alpha (or lam = 0)
+and otherwise goes point by point, for the value, the gradient, the
+curvature and the gap alike. So a stacked gap equals, bit for bit, the
+gap of its point alone, and the diagnostics report is the same text however
+its points are grouped. Each function takes the whole stack it is given;
+its caller bounds the stack's size, as the report does by grouping.
 """
 
 import math
@@ -48,8 +49,8 @@ import numpy as np
 from .linalg import (_dots, as_matrix, reduced_svd, spectral_norm,
                      two_inf_norm)
 # _evaluate: the one Evaluation a factor-level gap shares between its
-# gradient and its curvature
-from .objective import (_evaluate, factor_curvature, factor_grad,
+# gradient and its curvature; _one_pass: the stack rule
+from .objective import (_evaluate, _one_pass, factor_curvature, factor_grad,
                         objective_value, row_hinge_penalty_curvature,
                         row_hinge_penalty_grad)
 from .parameterization import x_of, y_of
@@ -91,9 +92,12 @@ def ground_truth_profile(m_star, r):
 
 def factor_curvature_gap(x, y, dx, dy, spec):
     """K at the factor level, from the closed-form Hessian quadratic form;
-    at stacked factors an array of the items' gaps. The gradient and the
-    curvature read one Evaluation at (X, Y), so the masked residual is
-    formed once."""
+    at stacked factors an array of the items' gaps (by the stack rule,
+    objective._one_pass). The gradient and the curvature read one
+    Evaluation at (X, Y), so the masked residual is formed once."""
+    if x.ndim > 2 and not _one_pass(x, y, spec):
+        return np.array([factor_curvature_gap(*item, spec)
+                         for item in zip(x, y, dx, dy)])
     ev = _evaluate(x, y, spec)
     gx, gy = factor_grad(x, y, spec, ev)
     quad = factor_curvature(x, y, dx, dy, spec, ev)

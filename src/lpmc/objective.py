@@ -66,16 +66,17 @@ can be negative would break this, and the stop would have to go.
 
 objective_value, factor_grad and factor_curvature also take a stack of
 points, one leading axis of c (theta c x d, factors c x n x r), and return
-c values, gradients or forms. The products and the sums of squares run on
-the whole stack, the sums as one matmul with each item's np.vdot bits
-(linalg._item_dots), and the row passes item by item where a row is beyond
-alpha, so each item's result is bit for bit the one its point gives alone
-(the landscape module says which reductions and why).
+c values, gradients or forms, each bit for bit the one its point gives
+alone. One rule, _one_pass, says how: on the dense kernel, with lam = 0 or
+every item's Frobenius test putting its rows within alpha, the stack takes
+one pass, its products and sums of squares on the whole stack and the sums
+as one matmul with each item's np.vdot bits (linalg._item_dots), and no
+row hinge; any other stack goes point by point through the single-point
+code (the landscape module says which reductions and why).
 """
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -231,20 +232,8 @@ def _hinge_grad(x, hinge):
     return x * coef[:, None]
 
 
-def _unhinged(hinges):
-    """Whether no item of a stack's tuple of _RowHinge has a row beyond
-    alpha (every such item's hinge is _NO_HINGE itself)."""
-    return all(h is _NO_HINGE for h in hinges)
-
-
 def _hinge_curvature(x, dx, hinge):
-    """The Hessian quadratic form of G at x along dx from its _RowHinge;
-    on a stack, an array of the forms of its items."""
-    if x.ndim > 2:
-        if _unhinged(hinge):
-            return np.zeros(len(x))
-        return np.array([_hinge_curvature(*item)
-                         for item in zip(x, dx, hinge)])
+    """The Hessian quadratic form of G at x along dx from its _RowHinge."""
     if hinge.rows is None:
         return 0.0
     xa, da = x[hinge.rows], dx[hinge.rows]
@@ -256,18 +245,17 @@ def _hinge_curvature(x, dx, hinge):
                         + 4.0 * s ** 3 * (dsq - radial) / na))
 
 
-def _row_hinges(f, spec):
-    """The _RowHinge of the factor f under spec's penalty; on a stack, a
-    tuple with one per item. At lam = 0 there is none: this and _core_hinge
-    turn the penalty off, so the value and the curvature add lam times 0.
-    The stack's Frobenius test is one _item_dots, with the bits of each
-    item's own np.vdot, so a stack it rules out whole gets the hinges
-    _row_hinge would give its items, with no call per item."""
-    if f.ndim == 2:
-        return _row_hinge(f, spec.alpha) if spec.lam else _NO_HINGE
-    if not spec.lam or np.all(_inside_alpha(_item_dots(f, f), spec.alpha)):
-        return (_NO_HINGE,) * len(f)
-    return tuple([_row_hinge(item, spec.alpha) for item in f])
+def _one_pass(x, y, spec):
+    """The stack rule: whether stacked factors x, y (c x n x r) take one
+    pass, with no row hinge, rather than going point by point. They do on
+    the dense kernel when lam = 0 or every item's ||x||_F^2 and ||y||_F^2
+    put its rows within alpha. The test is one _item_dots per factor, with
+    the bits of each item's own np.vdot, so an item it passes is one whose
+    point _row_hinge finds no row beyond alpha in."""
+    if spec.entry_kernel:
+        return False
+    return not spec.lam or all(
+        np.all(_inside_alpha(_item_dots(f, f), spec.alpha)) for f in (x, y))
 
 
 def row_hinge_penalty(x, alpha):
@@ -286,9 +274,7 @@ def row_hinge_penalty_curvature(x, dx, alpha):
 
 
 def _row_dots(a, b):
-    """<a_i, b_i> for each row i, by one einsum per matrix of a stack."""
-    if a.ndim > 2:
-        return np.array([_row_dots(*item) for item in zip(a, b)])
+    """<a_i, b_i> for each row i."""
     return np.einsum("ij,ij->i", a, b)
 
 
@@ -303,15 +289,12 @@ def _masked_residual(x, y, spec, out=None):
 
 def _entry_residual(x, y, spec):
     """(X Y^T - M) at the observed entries, with the gathered factor rows."""
-    xr, yc = x[..., spec.rows, :], y[..., spec.cols, :]
+    xr, yc = x[spec.rows], y[spec.cols]
     return _row_dots(xr, yc) - spec.vals, xr, yc
 
 
 def _scatter(index, weights, n):
-    """out[i] = sum of weights[k] over the k with index[k] == i, per item
-    of a stack."""
-    if weights.ndim > 2:
-        return np.array([_scatter(index, w, n) for w in weights])
+    """out[i] = sum of weights[k] over the k with index[k] == i."""
     return np.column_stack([np.bincount(index, weights=w, minlength=n)
                             for w in weights.T])
 
@@ -322,10 +305,10 @@ class Evaluation(NamedTuple):
     observed entries), the balance matrix X^T X - Y^T Y and the row hinges
     of X and Y (neither with a row beyond alpha when lam = 0). In block
     coordinates core is (Theta_A, Theta_B, gram_A Theta_A, gram_B Theta_B)
-    and x, y are None unless that factor's hinge formed it. At stacked
-    points value and the arrays are stacks and each hinge is a tuple over
-    the items; objective_value keeps no such Evaluation, factor_grad and
-    factor_curvature read one."""
+    and x, y are None unless that factor's hinge formed it. A stack that
+    _one_pass lets through gives one Evaluation whose value and arrays are
+    stacks and whose hinges are (_NO_HINGE, _NO_HINGE); objective_value
+    keeps no such Evaluation, factor_grad and factor_curvature read one."""
 
     value: float
     x: np.ndarray
@@ -341,54 +324,43 @@ class Evaluation(NamedTuple):
         return any(h.rows is not None for h in self.hinges)
 
 
-def _fit(r, stacked, spec):
+def _fit(r, spec):
     """The fit term 1/(2 p_hat) ||r||^2 of f from the fit residual r; at
-    stacked points an array of the items' terms, from the items' dots (r is
-    c x K on the entry kernel, so the stack is its leading axis whatever
-    its rank)."""
-    if stacked:
-        return 0.5 / spec.p_hat * _item_dots(r, r)
-    return 0.5 / spec.p_hat * float(np.vdot(r, r))
+    stacked points an array of the items' terms."""
+    return 0.5 / spec.p_hat * _dots(r, r)
 
 
 def _value(fit, b, hinges, spec):
     """f from its fit term, the balance matrix b and the row hinges; at
-    stacked points an array of the items' values, from the items' dots and
-    hinge values, in the order of one point's sum."""
-    if b.ndim > 2:
-        gx, gy = (np.fromiter(map(attrgetter("value"), side), float,
-                              len(side)) for side in hinges)
-        return fit + 0.125 * _item_dots(b, b) + spec.lam * (gx + gy)
-    bal = 0.125 * float(np.vdot(b, b))
+    stacked points an array of the items' values."""
+    bal = 0.125 * _dots(b, b)
     return fit + bal + spec.lam * (hinges[0].value + hinges[1].value)
 
 
 def _evaluate(x, y, spec, out=None, above=None):
-    """The Evaluation of f at explicit factors, or at stacks of them; None
-    at a point whose fit term exceeds above."""
+    """The Evaluation of f at explicit factors, or at stacks of them that
+    _one_pass lets through; None at a point whose fit term exceeds above."""
     if spec.entry_kernel:
         resid = _entry_residual(x, y, spec)
         r = resid[0]
     else:
         resid = r = _masked_residual(x, y, spec, out)
-    fit = _fit(r, x.ndim > 2, spec)
+    fit = _fit(r, spec)
     if above is not None and fit > above:
         return None
     b = _mT(x) @ x - _mT(y) @ y
-    hinges = (_row_hinges(x, spec), _row_hinges(y, spec))
+    # at lam = 0 the penalty is off (here and in _core_hinge), so the value
+    # and the curvature add lam times 0; a stack has no row beyond alpha
+    if x.ndim > 2 or not spec.lam:
+        hinges = (_NO_HINGE, _NO_HINGE)
+    else:
+        hinges = (_row_hinge(x, spec.alpha), _row_hinge(y, spec.alpha))
     return Evaluation(_value(fit, b, hinges, spec), x, y, resid, b, hinges)
 
 
 def _core_hinge(side, t, gt, spec):
     """(G at F = side.basis @ t, F or None): F is formed only when lam > 0
-    and ||F||_F^2 = <t, gram t> does not put every row within alpha. On a
-    stack, (a tuple of G at each item, None)."""
-    if t.ndim > 2:
-        if not spec.lam or np.all(_inside_alpha(_item_dots(t, gt),
-                                                spec.alpha)):
-            return (_NO_HINGE,) * len(t), None
-        return tuple([_core_hinge(side, *item, spec)[0]
-                      for item in zip(t, gt)]), None
+    and ||F||_F^2 = <t, gram t> does not put every row within alpha."""
     if not spec.lam or _inside_alpha(np.vdot(t, gt), spec.alpha):
         return _NO_HINGE, None
     f = side.basis @ t
@@ -401,7 +373,7 @@ def _core_evaluate(ta, tb, spec, above=None):
     su, sv = spec.core
     xr, yc = su.rows @ ta, sv.rows @ tb
     r = _row_dots(xr, yc) - spec.vals
-    fit = _fit(r, ta.ndim > 2, spec)
+    fit = _fit(r, spec)
     if above is not None and fit > above:
         return None
     gta, gtb = su.gram @ ta, sv.gram @ tb
@@ -414,12 +386,7 @@ def _core_evaluate(ta, tb, spec, above=None):
 
 def _plus_hinge_grad(g, x, hinge, lam):
     """g plus lam times the gradient of G at x where a row of x is beyond
-    alpha; item by item on a stack."""
-    if x.ndim > 2:
-        if _unhinged(hinge):
-            return g
-        return np.array([_plus_hinge_grad(*item, lam)
-                         for item in zip(g, x, hinge)])
+    alpha."""
     if hinge.rows is None:
         return g
     return g + lam * _hinge_grad(x, hinge)
@@ -430,8 +397,8 @@ def _factor_grad(ev, spec):
     x, y, b = ev.x, ev.y, ev.balance
     if spec.entry_kernel:
         resid, xr, yc = ev.resid
-        fit_x = _scatter(spec.rows, resid[..., None] * yc, x.shape[-2])
-        fit_y = _scatter(spec.cols, resid[..., None] * xr, y.shape[-2])
+        fit_x = _scatter(spec.rows, resid[:, None] * yc, x.shape[0])
+        fit_y = _scatter(spec.cols, resid[:, None] * xr, y.shape[0])
     else:
         fit_x, fit_y = ev.resid @ y, _mT(ev.resid) @ x
     gx = (1.0 / spec.p_hat) * fit_x + 0.5 * (x @ b)
@@ -443,9 +410,14 @@ def _factor_grad(ev, spec):
 
 def factor_grad(x, y, spec, ev=None):
     """Gradients of f with respect to X and Y, or stacks of them at stacked
-    factors. ev, the Evaluation at (X, Y) when given, lends its residual,
-    balance matrix and row hinges."""
-    return _factor_grad(_evaluate(x, y, spec) if ev is None else ev, spec)
+    factors (by the stack rule, _one_pass). ev, the Evaluation at (X, Y)
+    when given, lends its residual, balance matrix and row hinges."""
+    if ev is None:
+        if x.ndim > 2 and not _one_pass(x, y, spec):
+            grads = [factor_grad(*item, spec) for item in zip(x, y)]
+            return tuple(map(np.array, zip(*grads)))
+        ev = _evaluate(x, y, spec)
+    return _factor_grad(ev, spec)
 
 
 def _core_grad(ev, spec):
@@ -466,11 +438,15 @@ def _core_grad(ev, spec):
 
 def factor_curvature(x, y, dx, dy, spec, ev=None):
     """Hessian quadratic form of f at (X, Y) along (DX, DY), in closed form;
-    at stacked factors an array of the items' forms. It reads the masked
-    residual, the balance matrix and the row hinges from ev, the Evaluation
-    at (X, Y), built here unless given; the entry kernel's residual lies on
-    the observed entries alone, so there the dense one is formed."""
+    at stacked factors an array of the items' forms (by the stack rule,
+    _one_pass). It reads the masked residual, the balance matrix and the
+    row hinges from ev, the Evaluation at (X, Y), built here unless given;
+    the entry kernel's residual lies on the observed entries alone, so
+    there the dense one is formed."""
     if ev is None:
+        if x.ndim > 2 and not _one_pass(x, y, spec):
+            return np.array([factor_curvature(*item, spec)
+                             for item in zip(x, y, dx, dy)])
         ev = _evaluate(x, y, spec)
     resid = ev.resid
     if spec.entry_kernel:
@@ -494,14 +470,18 @@ def objective_value(spec, theta, keep=False, out=None, above=None):
     new array. Given above, a float, it returns None as soon as the fit
     term exceeds it (see the module docstring), otherwise what it returns
     without above, bit for bit. A stack of theta (c x d) gives an array of
-    the c values, each the one its point gives alone; it takes none of
-    keep, out and above."""
+    the c values, each the one its point gives alone (by the stack rule,
+    _one_pass); it takes none of keep, out and above."""
     blocks = theta_blocks(spec.param, theta)
     if blocks[0].ndim > 2:
         if (keep or out is not None or above is not None
                 or blocks[0].ndim > 3):
             raise ValueError("theta must be one point, or a c x d stack, "
                              "which takes none of keep, out and above")
+        x, y = spec.param.factors(*blocks)
+        if not _one_pass(x, y, spec):
+            return np.array([objective_value(spec, t) for t in theta])
+        return _evaluate(x, y, spec).value
     if spec.core is not None:
         ev = _core_evaluate(*blocks, spec, above)
     else:

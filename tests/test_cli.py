@@ -187,6 +187,14 @@ def test_nonfinite_lambda_is_one_line_error(lam):
     assert "lam must be finite" in proc.stderr
 
 
+def test_nonfinite_sigma_is_one_line_error():
+    # rejected with the config, before any draw builds a non-finite matrix
+    proc = run_lpmc("subspace-noisy", "--n", "10", "--s", "3", "--p-grid",
+                    "0.5", "--trials", "1", "--sigma", "inf")
+    assert_one_line_error(proc)
+    assert "sigma must be finite and nonnegative, got inf" in proc.stderr
+
+
 def test_zero_max_iters_is_one_line_error():
     proc = run_lpmc(*fast_args("--max-iters", "0"))
     assert_one_line_error(proc)

@@ -48,6 +48,8 @@ def test_config_validation():
         tiny_phase(sigma=-0.5)
     with pytest.raises(ValueError):
         tiny_phase(sigma=float("nan"))
+    with pytest.raises(ValueError, match="finite and nonnegative, got inf"):
+        tiny_phase(sigma=float("inf"))
 
 
 @pytest.mark.parametrize("fields", [dict(sweep=(4, 4)),

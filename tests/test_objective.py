@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import lpmc.landscape as landscape
 import lpmc.objective as objective
 from lpmc.instances import rectangular_instance
 from lpmc.landscape import (PARAM_GAP_STEP, factor_curvature_gap,
@@ -493,6 +494,45 @@ def test_stacked_factor_forms_equal_the_points():
         assert np.array_equal(
             factor_curvature_gap(x[:1], y[:1], dx[:1], dy[:1], spec),
             [factor_curvature_gap(x[0], y[0], dx[0], dy[0], spec)])
+
+
+def test_stack_takes_one_pass_or_goes_point_by_point(monkeypatch):
+    # the stack rule: a dense stack with no row beyond alpha (the standard
+    # tuning, or no penalty) is one stacked Evaluation in each entry point;
+    # a stack on the observed-entry kernel or with an item whose Frobenius
+    # test reaches alpha is none, and one Evaluation per point
+    calls = {"stacked": 0, "point": 0}
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls["stacked" if args[0].ndim > 2 else "point"] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    evaluate = counted(objective._evaluate)
+    monkeypatch.setattr(objective, "_evaluate", evaluate)
+    monkeypatch.setattr(landscape, "_evaluate", evaluate)
+    monkeypatch.setattr(objective, "_core_evaluate",
+                        counted(objective._core_evaluate))
+    passes = set()
+    for spec, _, thetas, deltas in stack_cases(91):
+        x, y = factors(spec.param, thetas)
+        dx, dy = factors(spec.param, deltas)
+        one_pass = not spec.entry_kernel and (
+            not spec.lam or spec.alpha == 100.0)  # the standard alpha
+        expect = dict(stacked=1, point=0) if one_pass else dict(stacked=0,
+                                                                point=5)
+        for call in (lambda: objective_value(spec, thetas),
+                     lambda: factor_grad(x, y, spec),
+                     lambda: factor_curvature(x, y, dx, dy, spec),
+                     lambda: factor_curvature_gap(x, y, dx, dy, spec)):
+            calls.update(stacked=0, point=0)
+            call()
+            assert calls == expect, (spec.param.kind, spec.entry_kernel,
+                                     spec.lam, spec.alpha)
+        passes.add((spec.param.kind, one_pass))
+    # every kind takes each route
+    assert len(passes) == 2 * len(STACK_KINDS)
 
 
 def test_stacked_witnesses_equal_the_points():

@@ -359,9 +359,8 @@ def test_solve_counts_hinged_evaluations():
 
 
 def test_solve_counts_its_evaluations(monkeypatch):
-    spec, _ = small_problem(12)
     calls = {"value": 0, "grad": 0, "hinged": 0}
-    per_search = []
+    per_search, hinged_per_search = [], []
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -374,9 +373,12 @@ def test_solve_counts_its_evaluations(monkeypatch):
         return wrapper
 
     def line_search(*args):
-        before = calls["value"]
+        before = calls["value"], calls["hinged"]
         out = search(*args)
-        per_search.append(calls["value"] - before)
+        per_search.append(calls["value"] - before[0])
+        hinged_per_search.append(calls["hinged"] - before[1])
+        # the search's own count of its hinged candidates
+        assert out[4] == hinged_per_search[-1]
         return out
 
     search = optimizer.halving_line_search
@@ -385,15 +387,21 @@ def test_solve_counts_its_evaluations(monkeypatch):
     monkeypatch.setattr(optimizer, "objective_grad",
                         counted("grad", optimizer.objective_grad))
     monkeypatch.setattr(optimizer, "halving_line_search", line_search)
-    for max_iters in (5, 500):
-        calls.update(value=0, grad=0, hinged=0)
-        per_search.clear()
-        result = solve(spec, SolveConfig(seed=4, max_iters=max_iters))
-        assert len(per_search) == result.iterations
-        assert result.value_evals == 1 + sum(per_search) == calls["value"]
-        assert result.iterations + 1 == calls["grad"]
-        assert result.hinge_evals == calls["hinged"] > 0
-    assert result.termination == "grad-tol"
+    # at alpha = 2 only the start has a row beyond alpha; at alpha = 1 the
+    # line searches' candidates have them too
+    for alpha, searched in ((2.0, False), (1.0, True)):
+        spec, _ = small_problem(12, alpha=alpha)
+        for max_iters in (5, 500):
+            calls.update(value=0, grad=0, hinged=0)
+            per_search.clear()
+            hinged_per_search.clear()
+            result = solve(spec, SolveConfig(seed=4, max_iters=max_iters))
+            assert len(per_search) == result.iterations
+            assert result.value_evals == 1 + sum(per_search) == calls["value"]
+            assert result.iterations + 1 == calls["grad"]
+            assert result.hinge_evals == calls["hinged"] > 0
+            assert (sum(hinged_per_search) > 0) == searched
+        assert result.termination == "grad-tol"
 
 
 def test_solve_iter_cap_termination():
