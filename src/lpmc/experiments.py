@@ -55,9 +55,9 @@ from .landscape import (concentration_report, curvature_gap_decomposition,
 # tracer binding)
 from .objective import make_spec
 from .optimizer import INITS, SolveConfig, solve
-from .parameterization import (KINDS, balanced_witness, rectangular_param,
-                               subspace_param, x_of, y_of)
-from .sampling import (RngState, bernoulli_mask, gaussian_noise,
+from .parameterization import (KINDS, PARAM_CLASSES, balanced_witness,
+                               rectangular_param, subspace_param, x_of, y_of)
+from .sampling import (RngState, _check_sigma, bernoulli_mask, gaussian_noise,
                        skew_gaussian_noise, symmetric_offdiag_mask)
 
 EXPERIMENTS = ("subspace-noisy", "subspace-phase", "skew-compare",
@@ -164,10 +164,7 @@ class ExperimentConfig:
             raise ValueError("trials must be positive")
         # the solver's settings, checked where every solve checks them
         SolveConfig(max_iters=self.max_iters, init=self.init)
-        # sigma = inf would fill the observed matrix with non-finite entries
-        if not 0.0 <= self.sigma < np.inf:
-            raise ValueError(f"sigma must be finite and nonnegative, got "
-                             f"{self.sigma}")
+        _check_sigma(self.sigma)       # before any draw
         if not self.sweep:
             raise ValueError("sweep must be nonempty")
         for name in ("sweep", "p_grid"):
@@ -184,11 +181,10 @@ class ExperimentConfig:
                              "key 's'")
         # these build only n1 x n1 matrices, so a different n2 would be
         # ignored (kind is left at its default outside single-solve)
+        square = PARAM_CLASSES[self.kind].square
         if self.n2 != self.n1 and (
-                self.experiment in ("diagnostics", "skew-compare")
-                or self.kind in ("psd", "skew")):
-            what = (f"kind {self.kind!r}" if self.kind in ("psd", "skew")
-                    else self.experiment)
+                self.experiment in ("diagnostics", "skew-compare") or square):
+            what = f"kind {self.kind!r}" if square else self.experiment
             raise ValueError(f"{what} builds square matrices: n2={self.n2} "
                              f"must equal n1={self.n1}")
         # the sweep holds subspace widths everywhere but skew-compare and

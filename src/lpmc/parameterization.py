@@ -55,8 +55,6 @@ from .errors import NumericError
 from .linalg import (ReducedSvd, _dots, _mT, as_matrix, randomized_range,
                      reduced_svd, youla_decompose)
 
-KINDS = ("rectangular", "psd", "subspace", "skew")
-
 FIT_TOL = 1e-8
 BALANCE_TOL = 1e-8
 CORR_TOL = 1e-8
@@ -312,6 +310,11 @@ class SkewParam(LinearParam):
         top = dec.lambdas[0] if dec.n_blocks else 0.0
         return _spectral_theta(self, (q @ dec.phi, q @ dec.psi), dec.lambdas,
                                top, p_hat, theta)
+
+
+PARAM_CLASSES = {c.kind: c for c in (RectangularParam, PsdParam, SubspaceParam,
+                                     SkewParam)}
+KINDS = tuple(PARAM_CLASSES)       # the CLI's --kind choices, in this order
 
 
 def rectangular_param(n1, n2, r):

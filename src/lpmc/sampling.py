@@ -4,6 +4,9 @@ Randomness runs through RngState, a splittable handle over a counter-based
 generator (Philox). Derived states are keyed by SHA-256 of the seed and the
 derivation path, so a (master_seed, experiment, trial) triple names the same
 stream on every platform and every run.
+
+The draws check p in [0, 1] (_check_rate) and sigma in [0, inf) (_check_sigma)
+first, at each rule's one site; overflowing noise raises.
 """
 
 import hashlib
@@ -88,27 +91,29 @@ class ObservationMask:
 
 
 def _check_rate(p):
-    """Raise ValueError unless p is a sampling rate in [0, 1]; the draws
-    check it before they draw."""
-    # p = 0 names the (typically empty) degenerate draw; keep it legal so
-    # the concentration checks can exercise the trivial case
+    """Raise ValueError unless p is a sampling rate in [0, 1]; p = 0, the
+    empty draw, lets the concentration checks exercise the trivial case."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"nominal_p must be in [0, 1], got {p}")
+
+
+def _check_sigma(sigma):
+    """Raise ValueError unless sigma is in [0, inf); inf makes m non-finite."""
+    if not 0.0 <= sigma < np.inf:
+        raise ValueError(f"sigma must be finite and nonnegative, got {sigma}")
 
 
 def bernoulli_mask(n1, n2, p, rng):
     """Independent Bernoulli(p) observation of each entry."""
     _check_rate(p)
-    g = rng.generator()
-    ind = g.random((n1, n2)) < p
+    ind = rng.generator().random((n1, n2)) < p
     return ObservationMask(ind, "bernoulli-rect", float(p))
 
 
 def symmetric_offdiag_mask(n, p, rng):
     """One Bernoulli(p) draw per unordered off-diagonal pair, mirrored."""
     _check_rate(p)
-    g = rng.generator()
-    draw = g.random((n, n)) < p
+    draw = rng.generator().random((n, n)) < p
     upper = np.triu(draw, 1)
     return ObservationMask(upper | upper.T, "symmetric-offdiag", float(p))
 
@@ -131,17 +136,17 @@ def observed_fraction(mask):
 
 
 def gaussian_noise(n1, n2, sigma, rng):
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
-    return sigma * rng.generator().standard_normal((n1, n2))
+    """N(0, sigma^2) entries; ValueError where the product overflows."""
+    _check_sigma(sigma)
+    with np.errstate(over="ignore"):
+        noise = sigma * rng.generator().standard_normal((n1, n2))
+    if not np.isfinite(noise).all():
+        raise ValueError(f"sigma={sigma} overflows the noise draw")
+    return noise
 
 
 def skew_gaussian_noise(n, sigma, rng):
     """Skew-symmetric noise: N(0, sigma^2) above the diagonal, mirrored with
     negation below, zero diagonal."""
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
-    g = rng.generator().standard_normal((n, n))
-    upper = np.triu(g, 1) * sigma
+    upper = np.triu(gaussian_noise(n, n, sigma, rng), 1)
     return upper - upper.T
-

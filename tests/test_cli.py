@@ -195,6 +195,22 @@ def test_nonfinite_sigma_is_one_line_error():
     assert "sigma must be finite and nonnegative, got inf" in proc.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ("subspace-noisy", "--n", "10", "--s", "3", "--p-grid", "0.5",
+     "--trials", "1"),
+    ("skew-compare", "--n", "10", "--s", "2", "--p-grid", "0.5",
+     "--trials", "1"),
+    ("diagnostics",),
+], ids=["subspace-noisy", "skew-compare", "diagnostics"])
+def test_overflowing_sigma_is_one_line_error(argv):
+    # a finite sigma the config takes, whose noise draw overflows: the error
+    # names sigma, not the non-finite m it would have built
+    proc = run_lpmc(*argv, "--sigma", "1e308")
+    assert_one_line_error(proc)
+    assert "sigma" in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_zero_max_iters_is_one_line_error():
     proc = run_lpmc(*fast_args("--max-iters", "0"))
     assert_one_line_error(proc)

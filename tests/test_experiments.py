@@ -370,6 +370,29 @@ def test_skew_compare_produces_paired_solvers():
     assert {s.solver for s in summaries} == {"skew", "rectangular"}
 
 
+def test_noisy_skew_compare_observes_skew_data(monkeypatch):
+    # the skew truth's noise is skew-symmetric and its mask mirrored, so
+    # both solvers of every cell see a skew-symmetric observed matrix
+    observed = []
+
+    def recording_solve(spec, config):
+        observed.append(spec.observed)
+        return solve(spec, config)
+
+    solve = experiments.solve
+    monkeypatch.setattr(experiments, "solve", recording_solve)
+    grid = dict(n1=16, n2=16, sweep=(2,), p_grid=(0.7,), trials=2,
+                master_seed=5)
+    noisy = default_config("skew-compare", sigma=0.05, **grid)
+    text = render_csv(*run_experiment(noisy))
+    assert len(observed) == 4           # two solvers, two trials
+    for obs in observed:
+        assert obs.any() and np.array_equal(obs, -obs.T)
+    assert render_csv(*run_experiment(noisy)) == text
+    clean = default_config("skew-compare", sigma=0.0, **grid)
+    assert render_csv(*run_experiment(clean)) != text
+
+
 def test_noisy_sweep_prefers_narrow_search_space():
     # same data per trial, wider parameterization: more noise is absorbed
     cfg = default_config("subspace-noisy", n1=60, n2=60, sweep=(6, 18),

@@ -7,11 +7,12 @@ from lpmc.errors import NumericError
 from lpmc.instances import (orthonormal_vectors, psd_instance,
                             rectangular_instance, skew_instance,
                             subspace_instance)
-from lpmc.parameterization import (KINDS, PsdParam, RectangularParam,
-                                   SkewParam, adjoint, balanced_witness,
-                                   certify, factors, pack_blocks, psd_param,
-                                   rectangular_param, skew_param, subspace_param,
-                                   theta_blocks, x_of, y_of)
+from lpmc.parameterization import (FIT_TOL, KINDS, PARAM_CLASSES, PsdParam,
+                                   RectangularParam, SkewParam, adjoint,
+                                   balanced_witness, certify, factors,
+                                   pack_blocks, psd_param, rectangular_param,
+                                   skew_param, subspace_param, theta_blocks,
+                                   x_of, y_of)
 from lpmc.sampling import RngState
 
 
@@ -24,6 +25,12 @@ def every_param(n=10, r=2, s=4):
 
 
 # ------------------------------------------------------------------- the maps
+
+def test_kind_table_gives_the_cli_order_and_the_square_kinds():
+    assert KINDS == ("rectangular", "psd", "subspace", "skew")
+    assert [PARAM_CLASSES[kind].kind for kind in KINDS] == list(KINDS)
+    assert [k for k in KINDS if PARAM_CLASSES[k].square] == ["psd", "skew"]
+
 
 def test_zero_theta_gives_zero_factors():
     for param in every_param():
@@ -365,6 +372,32 @@ def test_witness_errors():
     sym = np.diag([2.0, 1.0, -0.5] + [0.0] * 5)
     with pytest.raises(ValueError, match="eigenvalue"):
         balanced_witness(psd_param(8, 3), np.zeros(24), sym)
+
+
+@pytest.mark.parametrize("kind", ["rectangular", "subspace"])
+def test_witness_root_truncates_a_tail_below_its_cut(kind):
+    # sigma_3 = 1e-9 sigma_1 lies below the root's 1e-8 cut, so the root of
+    # the rank-3 target keeps its leading r = 2 singular values and the
+    # witness fits the target to FIT_TOL; 1e-7 sigma_1 lies above it
+    gen = np.random.default_rng(61)
+    if kind == "rectangular":
+        param = rectangular_param(12, 9, 2)
+        u = np.linalg.qr(gen.standard_normal((12, 3)))[0]
+        v = np.linalg.qr(gen.standard_normal((9, 3)))[0]
+    else:
+        param, _ = subspace_instance(16, 14, 2, 5, 4,
+                                     RngState(61).derive("su"))
+        u, v = param.basis_u[:, :3], param.basis_v[:, :3]
+    m_star = (u * (1.0, 0.5, 1e-9)) @ v.T
+    root = param.witness_root(m_star)
+    for block in root:
+        assert block.shape[1] == 2 and np.linalg.norm(block, axis=0).all()
+    cert = balanced_witness(param, gen.standard_normal(param.d), m_star,
+                            root=root)
+    assert cert.passes
+    assert 0.0 < cert.residual_fit <= FIT_TOL
+    with pytest.raises(ValueError, match="numerical rank 3 exceeds r=2"):
+        param.witness_root((u * (1.0, 0.5, 1e-7)) @ v.T)
 
 
 def test_certify_rejects_non_witness():

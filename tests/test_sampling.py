@@ -63,7 +63,7 @@ def test_bernoulli_fraction_concentrates():
 
 class _NoDraw(RngState):
     def generator(self):
-        raise AssertionError("drew a mask for a bad rate")
+        raise AssertionError("drew for a bad rate or sigma")
 
 
 def test_bernoulli_rejects_bad_p():
@@ -256,3 +256,24 @@ def test_noise_determinism():
     b = gaussian_noise(10, 10, 0.5, RngState(3).derive("nd"))
     assert np.array_equal(a, b)
 
+
+NOISE_DRAWS = {"gaussian": lambda sigma, rng: gaussian_noise(30, 30, sigma,
+                                                             rng),
+               "skew": lambda sigma, rng: skew_gaussian_noise(30, sigma, rng)}
+
+
+@pytest.mark.parametrize("draw", NOISE_DRAWS)
+@pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -1.0])
+def test_noise_rejects_a_bad_sigma_before_drawing(draw, sigma):
+    # _check_sigma runs before the draw, so no generator is built
+    with pytest.raises(ValueError, match="sigma must be finite and "
+                                         "nonnegative, got"):
+        NOISE_DRAWS[draw](sigma, _NoDraw(0))
+
+
+@pytest.mark.parametrize("draw", NOISE_DRAWS)
+def test_noise_that_overflows_names_sigma(draw):
+    # 1e308 is a finite scale, but its product with a normal draw beyond
+    # 1.8 overflows; the draw says so instead of returning inf entries
+    with pytest.raises(ValueError, match=r"sigma=1e\+308 overflows"):
+        NOISE_DRAWS[draw](1e308, RNG.derive("over"))
