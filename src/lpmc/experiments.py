@@ -145,8 +145,8 @@ class ExperimentConfig:
     kind: str = "subspace"  # single-solve only
     lam: float = None       # None = standard tuning rule
     alpha: float = None
-    max_iters: int = 500
-    init: str = "spectral"  # solver start, one of optimizer.INITS
+    max_iters: int = SolveConfig.max_iters
+    init: str = SolveConfig.init  # solver start, one of optimizer.INITS
     out: str = None
 
     def __post_init__(self):

@@ -81,15 +81,19 @@ def test_lapack_failure_returns_two(monkeypatch, capsys, routine):
                             "converge\n")
 
 
-def run_lpmc(*argv):
+def run_lpmc(*argv, cpu=None, **env):
     """Run the CLI in a fresh interpreter, so an escaping exception shows as
-    a traceback on stderr."""
+    a traceback on stderr; env adds environment variables, and given a cpu
+    the interpreter pins itself, and no other process, to that one CPU."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH"))
                            if p)
-    return subprocess.run([sys.executable, "-m", "lpmc.cli", *argv],
+    start = ["-m", "lpmc.cli"] if cpu is None else [
+        "-c", f"import os, sys; os.sched_setaffinity(0, {{{cpu}}}); "
+              "from lpmc.cli import main; sys.exit(main())"]
+    return subprocess.run([sys.executable, *start, *argv],
                           capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=path))
+                          env=dict(os.environ, PYTHONPATH=path, **env))
 
 
 def assert_one_line_error(proc):
@@ -340,12 +344,18 @@ def test_failed_run_leaves_no_new_out_file(monkeypatch, capsys, tmp_path,
 
 
 def test_odd_skew_rank_leaves_no_new_out_file(capsys, tmp_path):
-    # the run's set-up rejects the rank after --out is opened
-    assert cli.main(["single-solve", "--kind", "skew", "--n", "24", "--r",
-                     "3", "--p-grid", "0.8",
-                     "--out", str(tmp_path / "new.csv")]) == 1
+    # the run's set-up rejects the rank after --out is opened: a new path
+    # is removed, and a file that was there keeps its bytes
+    odd = ["single-solve", "--kind", "skew", "--n", "24", "--r", "3",
+           "--p-grid", "0.8", "--out"]
+    assert cli.main(odd + [str(tmp_path / "new.csv")]) == 1
     assert "even r" in capsys.readouterr().err
     assert os.listdir(tmp_path) == []
+    kept = tmp_path / "kept.csv"
+    kept.write_bytes(b"earlier run\n")
+    assert cli.main(odd + [str(kept)]) == 1
+    assert "even r" in capsys.readouterr().err
+    assert kept.read_bytes() == b"earlier run\n"
 
 
 @pytest.mark.parametrize("experiment", EXPERIMENTS)
@@ -423,12 +433,79 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert out.read_bytes() == typed.read_bytes()
 
 
-def test_repeat_runs_write_identical_files(tmp_path, capsys):
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    assert cli.main(fast_args("--out", str(a))) == 0
-    assert cli.main(fast_args("--out", str(b))) == 0
+# One row per CLI config whose same-seed rerun must write the same bytes,
+# with what its output must show besides: "pass", a report that ends
+# "result: PASS", or "recovers", a success rate of 1.0 in every cell.
+RERUNS = {
+    "single-solve": (fast_args(), None),
+    # the report's witnesses and curvature gaps run as one stack per kind
+    "diagnostics": (["diagnostics"], "pass"),
+    # psd and skew truths at n = 15 through that stack axis
+    "diagnostics-30": (["diagnostics", "--n", "30", "--s", "10", "--seed",
+                        "3"], "pass"),
+    # 100 x 100 kinds, stacked in groups of draws under the default bound
+    "diagnostics-100": (["diagnostics", "--n", "100", "--seed", "3"],
+                        "pass"),
+    # stacks on the observed-entry kernel, so point by point
+    "diagnostics-100-entry": (["diagnostics", "--n", "100", "--p-grid",
+                               "0.02", "--seed", "3"], "pass"),
+    # the kinds whose line search starts at step 1/2
+    "single-solve-psd": (["single-solve", "--kind", "psd", "--n", "40",
+                          "--r", "2", "--p-grid", "0.5", "--trials", "3"],
+                         "recovers"),
+    "single-solve-skew": (["single-solve", "--kind", "skew", "--n", "40",
+                           "--r", "2", "--p-grid", "0.5", "--trials", "3"],
+                          "recovers"),
+    # the observed-entry kernel in block coordinates
+    "subspace-phase-entry": (["subspace-phase", "--n", "60", "--s", "6,10",
+                              "--p-grid", "0.02", "--trials", "3"], None),
+    # both kinds on the observed-entry kernel with formed factors, where a
+    # line-search candidate rejected at its fit term skips the most work
+    "skew-compare-entry": (["skew-compare", "--n", "200", "--s", "2,4",
+                            "--p-grid", "0.02", "--trials", "2"], None),
+    # skew-symmetric noise
+    "skew-compare-noisy": (["skew-compare", "--n", "30", "--s", "2,4",
+                            "--p-grid", "0.5", "--trials", "2", "--sigma",
+                            "0.05"], None),
+}
+
+
+@pytest.mark.parametrize("argv, shows", RERUNS.values(), ids=RERUNS)
+def test_reruns_write_identical_files(tmp_path, capsys, argv, shows):
+    # the flags typed, then the same flags from an argument file: the file
+    # under --out (every trial row of a sweep, or the report) must repeat
+    path = tmp_path / "run.args"
+    path.write_text(" ".join(argv[1:]) + "\n")
+    typed, filed = tmp_path / "typed.out", tmp_path / "file.out"
+    assert cli.main(argv + ["--out", str(typed)]) == 0
+    assert cli.main([argv[0], f"@{path}", "--out", str(filed)]) == 0
     capsys.readouterr()
-    assert a.read_bytes() == b.read_bytes()
+    assert typed.read_bytes() == filed.read_bytes()
+    text = typed.read_text()
+    if shows == "pass":
+        assert text.endswith("result: PASS\n")
+    if shows == "recovers":
+        # the summary rows below their header; the last field is the rate
+        rates = [line.rsplit(",", 1)[1] for line in text.splitlines()
+                 if line.startswith("#summary,")][1:]
+        assert rates and set(rates) == {"1.0"}
+
+
+def test_serial_and_threaded_cells_write_the_same_csv(tmp_path):
+    # with BLAS on one thread, a skew-compare cell of n >= 300 runs its two
+    # solvers on two threads, and on one usable CPU one after the other
+    if (not hasattr(os, "sched_setaffinity")
+            or len(os.sched_getaffinity(0)) < 2):
+        pytest.skip("needs os.sched_setaffinity and two usable CPUs")
+    argv = ("skew-compare", "--n", "300", "--s", "2,4", "--p-grid", "0.3",
+            "--trials", "2")
+    serial, threaded = tmp_path / "serial.csv", tmp_path / "threaded.csv"
+    for out, cpu in ((serial, min(os.sched_getaffinity(0))),
+                     (threaded, None)):
+        proc = run_lpmc(*argv, "--out", str(out), cpu=cpu,
+                        OPENBLAS_NUM_THREADS="1")
+        assert proc.returncode == 0, proc.stderr
+    assert serial.read_bytes() == threaded.read_bytes()
 
 
 def test_diagnostics_stdout_and_file(tmp_path, capsys):

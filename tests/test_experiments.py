@@ -2,6 +2,7 @@
 
 import threading
 import time
+import types
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from lpmc.errors import NumericError
 from lpmc.experiments import (CellSummary, TrialRecord, default_config,
                               render_csv, run_diagnostics, run_experiment,
                               summarize, write_csv)
+from lpmc.optimizer import SolveConfig
 from lpmc.parameterization import balanced_witness
 
 
@@ -142,6 +144,15 @@ def test_config_rejects_an_unknown_init():
         tiny_phase(init="scaled")
 
 
+def test_solver_defaults_are_stated_once():
+    # literals, since a test that reads SolveConfig's defaults moves with them
+    assert (SolveConfig().max_iters, SolveConfig().init) == (500, "spectral")
+    for experiment in experiments.EXPERIMENTS:
+        if experiment != "diagnostics":
+            cfg = default_config(experiment)
+            assert (cfg.max_iters, cfg.init) == (500, "spectral"), experiment
+
+
 def test_config_defaults_and_overrides():
     cfg = default_config("single-solve")
     assert cfg.n1 == cfg.n2 == 60 and cfg.trials == 1
@@ -179,6 +190,23 @@ def test_single_solve_full_observation_is_exact():
     assert records[0].success == 1
     assert records[0].relative_error <= 1e-12
     assert summaries[0].success_rate == 1.0
+
+
+@pytest.mark.parametrize("rel_err, success", [(2e-3, 0), (5e-4, 1)])
+def test_success_is_an_unsquared_relative_error_of_at_most_1e_3(
+        monkeypatch, rel_err, success):
+    # at p = 1 without noise the data are the truth, so a solve that
+    # returns them scaled by 1 + rel_err misses it by rel_err
+    def scaled_solve(spec, config):
+        return types.SimpleNamespace(
+            m_hat=(1.0 + rel_err) * spec.observed, iterations=1,
+            termination="grad-tol", wall_time=0.0, value_evals=1)
+
+    monkeypatch.setattr(experiments, "solve", scaled_solve)
+    (record,), _ = run_experiment(default_config(
+        "single-solve", n1=12, n2=12, sweep=(3,), p_grid=(1.0,)))
+    assert record.relative_error == pytest.approx(rel_err ** 2, rel=1e-6)
+    assert record.success == success
 
 
 def without_wall_time(rec):

@@ -17,7 +17,8 @@ from lpmc.objective import (ObjectiveSpec, default_tuning, factor_curvature,
                             row_hinge_penalty_grad)
 from lpmc.parameterization import (SubspaceParam, adjoint, balanced_witness,
                                    factors, rectangular_param, x_of, y_of)
-from lpmc.sampling import RngState, bernoulli_mask, symmetric_offdiag_mask
+from lpmc.sampling import (ObservationMask, RngState, bernoulli_mask,
+                           symmetric_offdiag_mask)
 from specialized_forms import (DENSE, SPARSE, noiseless_spec,
                                psd_objective_value,
                                reference_row_hinge_penalty,
@@ -313,6 +314,19 @@ def test_densities_take_both_kernels():
         sparse, _ = noiseless_spec(kind, 33, **SPARSE)
         assert dense.p_hat >= objective._ENTRY_KERNEL_BELOW, kind
         assert 0 < sparse.p_hat < objective._ENTRY_KERNEL_BELOW, kind
+
+
+@pytest.mark.parametrize("n, count, p_hat, entry_kernel",
+                         [(10, 3, 0.03, False), (100, 299, 0.0299, True)])
+def test_kernel_switches_below_an_observed_fraction_of_0_03(n, count, p_hat,
+                                                            entry_kernel):
+    # literals, since a test that reads _ENTRY_KERNEL_BELOW moves with it
+    indicator = np.zeros(n * n, dtype=bool)
+    indicator[:count] = True
+    mask = ObservationMask(indicator.reshape(n, n), "bernoulli-rect", p_hat)
+    spec = make_spec(rectangular_param(n, n, 1), mask, np.zeros((n, n)))
+    assert spec.p_hat == p_hat
+    assert spec.entry_kernel == entry_kernel
 
 
 def test_observed_entries_match_the_mask():

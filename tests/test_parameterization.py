@@ -1,5 +1,7 @@
 """Tests for the linear factor parameterizations and witness constructions."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -407,6 +409,21 @@ def test_certify_rejects_non_witness():
     cert = certify(param, np.zeros(param.d), gen.standard_normal(param.d), m_star)
     assert not cert.passes
     assert cert.residual_fit > 1e-8
+
+
+def test_certify_rejects_a_fit_residual_of_1e_6():
+    # xi scaled by 1 + 5e-7 keeps the balance and the correlation's sign
+    # and moves X Y^T by a relative 1e-6, which a fit tolerance of 1e-8
+    # rejects
+    rng = RngState(43).derive("fit")
+    param, m_star = rectangular_instance(10, 8, 2, rng)
+    theta = rng.derive("theta").generator().standard_normal(param.d)
+    cert = balanced_witness(param, theta, m_star)
+    assert cert.passes
+    scaled = certify(param, theta, (1 + 5e-7) * cert.xi, m_star)
+    assert scaled.residual_fit == pytest.approx(1e-6, rel=1e-3)
+    assert not scaled.passes
+    assert dataclasses.replace(scaled, residual_fit=0.0).passes
 
 
 def test_witness_sigma_range():
