@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (_dots, as_matrix, reduced_svd, spectral_norm,
+from .linalg import (RANK_FLOOR, _dots, as_matrix, reduced_svd, spectral_norm,
                      two_inf_norm)
 # _evaluate: the one Evaluation a factor-level gap shares between its
 # gradient and its curvature; _one_pass: the stack rule
@@ -73,15 +73,15 @@ class GroundTruthProfile:
 def ground_truth_profile(m_star, r):
     """Profile m_star at rank r.
 
-    Raises ValueError when the numerical rank of m_star falls below r
-    (sigma_r <= 1e-10 * sigma_1).
+    Raises ValueError when the numerical rank of m_star, reduced_svd's,
+    falls below r.
     """
     m = as_matrix(m_star, "m_star")
     dec = reduced_svd(m)
-    if dec.rank < r or dec.sigma[r - 1] <= 1e-10 * dec.sigma[0]:
-        have = dec.sigma[r - 1] / dec.sigma[0] if dec.rank >= r else 0.0
-        raise ValueError(f"m_star has numerical rank below r={r} "
-                         f"(sigma_r/sigma_1 = {have:.3e})")
+    if dec.rank < r:
+        raise ValueError(f"m_star has numerical rank below r={r}: rank "
+                         f"{dec.rank}, counting singular values above "
+                         f"{RANK_FLOOR:g} sigma_1")
     u = dec.u[:, :r]
     v = dec.v[:, :r]
     n1, n2 = m.shape

@@ -1,6 +1,11 @@
 """Dense linear-algebra kernels: reduced SVD, Youla pairing for skew-symmetric
 matrices by one Hermitian eigenproblem, LAPACK spectral norm, row-norm
-maximum, randomized range finder."""
+maximum, randomized range finder.
+
+RANK_FLOOR is the one relative rank floor: reduced_svd and youla_decompose
+keep the values above RANK_FLOOR times the largest, and so do the balanced
+blocks of parameterization's spectral start and witness roots (the start's
+construction of M* at p_hat = 1 with zero fill)."""
 
 import math
 from dataclasses import dataclass
@@ -9,6 +14,7 @@ import numpy as np
 
 SKETCH_EXTRA = 10       # randomized_range columns beyond r
 POWER_PASSES = 2        # randomized_range passes through a^T and a
+RANK_FLOOR = 1e-10      # the double-precision noise floor, with a wide margin
 
 
 def as_matrix(a, name="a"):
@@ -69,14 +75,13 @@ class ReducedSvd:
 
 
 def reduced_svd(a):
-    """SVD truncated to the singular values above 1e-10 * sigma_1, the
-    double-precision noise floor with a wide margin.
+    """SVD truncated to the singular values above RANK_FLOOR * sigma_1.
 
     Returns a ReducedSvd; a numerically zero matrix yields rank 0.
     """
     m = as_matrix(a)
     u, s, vt = np.linalg.svd(m, full_matrices=False)
-    k = int(np.sum(s > 1e-10 * (s[0] if s.size else 0.0)))
+    k = int(np.sum(s > RANK_FLOOR * (s[0] if s.size else 0.0)))
     return ReducedSvd(u[:, :k].copy(), s[:k].copy(), vt[:k].T.copy())
 
 
@@ -99,7 +104,7 @@ class YoulaDecomposition:
         return p @ self.psi.T - self.psi @ p.T
 
 
-def youla_decompose(s, cutoff=None):
+def youla_decompose(s):
     """Youla pairing of a skew-symmetric matrix via the Hermitian
     eigenproblem of 1j * s.
 
@@ -112,9 +117,9 @@ def youla_decompose(s, cutoff=None):
     the best-represented coordinate axis psi is zero and phi positive, so
     canonical inputs come out on canonical axes.
 
-    Blocks are those with lambda above cutoff, which defaults to
-    1e-10 * lambda_1, in descending order; a numerically zero matrix yields
-    no blocks. Raises ValueError when the numerical rank is odd.
+    Blocks are those with lambda above RANK_FLOOR * lambda_1, in descending
+    order; a numerically zero matrix yields no blocks. Raises ValueError
+    when the numerical rank is odd.
     """
     m = as_matrix(s, "s")
     n1, n2 = m.shape
@@ -124,9 +129,8 @@ def youla_decompose(s, cutoff=None):
         raise ValueError("input is not skew-symmetric within tolerance")
 
     w, z = np.linalg.eigh(1j * m)
-    if cutoff is None:
-        cutoff = 1e-10 * (w[-1] if w.size else 0.0)
-    k = int(np.sum(np.abs(w) > cutoff))
+    top = w[-1] if w.size else 0.0
+    k = int(np.sum(np.abs(w) > RANK_FLOOR * top))
     if k % 2:
         raise ValueError(f"numerical rank {k} is odd; cannot pair blocks")
     if k == 0:

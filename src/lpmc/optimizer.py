@@ -18,8 +18,8 @@ candidates are t = 0..33 for c = 1 and t = 0..32 for c = 2 (2^-34 < 1e-10);
 if none of them gives non-increase the clamp step MIN_STEP is taken
 unconditionally, which may increase the objective.
 
-solve computes the gradient at one site, the top of its loop: it stops
-there once ||grad||^2 <= GRAD_TOL_SQ ("grad-tol") or after max_iters steps
+solve computes the gradient at the start and after each step: it stops
+once ||grad||^2 <= GRAD_TOL_SQ ("grad-tol") or after max_iters steps
 ("iter-cap", unless that last gradient also meets the tolerance), so a
 solve of k steps takes k + 1 gradients. Each point is evaluated once: the
 line search hands back the Evaluation of the candidate it accepts, and the
@@ -135,28 +135,28 @@ def solve(spec, config):
     initial_theta(spec, config).
 
     Stops when ||grad||^2 <= GRAD_TOL_SQ or after max_iters gradient steps.
-    Raises NumericError (trace attached) if the objective turns non-finite.
+    Raises NumericError (trace attached) if the objective turns non-finite;
+    at the start, where data far beyond unit scale overflow, f and
+    ||grad||^2 are checked instead of letting numpy warn.
     """
     started = time.perf_counter()
     theta = initial_theta(spec, config)
-    ev = objective_value(spec, theta, keep=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ev = objective_value(spec, theta, keep=True)
+        grad = objective_grad(spec, theta, ev)
+        grad_sq = float(grad @ grad)
     value = ev.value
-    if not np.isfinite(value):
-        raise NumericError("non-finite objective at the initial point",
-                           best_estimate=[value])
+    if not (np.isfinite(value) and np.isfinite(grad_sq)):
+        raise NumericError("non-finite objective or gradient at the initial "
+                           "point", best_estimate=[value])
     trace = [value]
     clamped = iterations = 0
     value_evals, hinge_evals = 1, int(ev.hinged)
-    while True:
-        grad = objective_grad(spec, theta, ev)
-        # on the dense kernel the line search writes its candidates'
-        # residuals, and the solve its estimate, into this point's residual,
-        # so a solve allocates one
-        buf = None if spec.entry_kernel else ev.resid
-        ev = None
-        grad_sq = float(grad @ grad)
-        if grad_sq <= GRAD_TOL_SQ or iterations == config.max_iters:
-            break
+    # on the dense kernel every candidate's residual, and the estimate, is
+    # written into the start's residual, so a solve allocates one
+    buf = None if spec.entry_kernel else ev.resid
+    ev = None
+    while grad_sq > GRAD_TOL_SQ and iterations < config.max_iters:
         step, theta, ev, candidates, hinged = (
             halving_line_search(spec, theta, grad, value, buf))
         value = ev.value
@@ -168,6 +168,9 @@ def solve(spec, config):
         hinge_evals += hinged
         iterations += 1
         trace.append(value)
+        grad = objective_grad(spec, theta, ev)
+        ev = None
+        grad_sq = float(grad @ grad)
 
     x, y = factors(spec.param, theta)
     m_hat = np.matmul(x, y.T, out=buf)

@@ -32,8 +32,10 @@ WitnessCertificate with the measured residuals. The construction is split in
 two. witness_root(m_star) does everything that does not depend on theta: the
 decomposition of m_star (SVD, symmetric eigendecomposition or Youla form),
 the representability checks, and the unrotated balanced blocks, which it
-returns as the root. align(theta, root) rotates the root so that it
-correlates PSD with theta. At n = 500 the decomposition is 95-99% of a
+returns as the root: the spectral start's construction (_balanced_theta) of
+m_star at p_hat = 1 with zero fill, keeping the values above
+linalg.RANK_FLOOR times the largest. align(theta, root) rotates the root so
+that it correlates PSD with theta. At n = 500 the decomposition is 95-99% of a
 witness's cost, so a caller that builds witnesses at many points of one
 truth computes its root once and passes it to balanced_witness.
 
@@ -52,7 +54,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NumericError
-from .linalg import (ReducedSvd, _dots, _mT, as_matrix, randomized_range,
+from .linalg import (RANK_FLOOR, _dots, _mT, as_matrix, randomized_range,
                      reduced_svd, youla_decompose)
 
 FIT_TOL = 1e-8
@@ -148,7 +150,7 @@ class RectangularParam(LinearParam):
     def spectral_start(self, observed, p_hat, theta, gen):
         q = randomized_range(observed, self.r, gen)
         u, s, vt = np.linalg.svd(q.T @ observed, full_matrices=False)
-        return _spectral_theta(self, (q @ u, vt.T), s, s[0], p_hat, theta)
+        return _balanced_theta(self, (q @ u, vt.T), s, p_hat, theta)
 
 
 class PsdParam(LinearParam):
@@ -169,8 +171,8 @@ class PsdParam(LinearParam):
         return (gx + gy,)
 
     def witness_root(self, m):
-        """The symmetric eigendecomposition root Q sqrt(W) of m, one block;
-        m must be symmetric PSD of rank at most r."""
+        """The balanced block of m's eigendecomposition; m must be symmetric
+        PSD of rank at most r, counting the eigenvalues above n eps w_max."""
         scale = max(np.linalg.norm(m), 1e-300)
         if np.linalg.norm(m - m.T) > 1e-8 * scale:
             raise ValueError("m_star is not symmetric")
@@ -178,20 +180,16 @@ class PsdParam(LinearParam):
         if w.size and w[0] < -1e-8 * scale:
             raise ValueError(f"m_star has eigenvalue {w[0]:.3e}")
         w = np.clip(w, 0.0, None)
-        keep = np.flatnonzero(w > w[-1] * m.shape[0] * np.finfo(np.float64).eps)
-        if keep.size > self.r:
-            raise ValueError(f"numerical rank {keep.size} exceeds r={self.r}")
-        root = np.zeros((self.n1, self.r))
-        sel = keep[::-1]                      # descending eigenvalues
-        root[:, :sel.size] = q[:, sel] * np.sqrt(w[sel])
-        return (root,)
+        rank = int(np.sum(w > w[-1] * m.shape[0] * np.finfo(np.float64).eps))
+        if rank > self.r:
+            raise ValueError(f"numerical rank {rank} exceeds r={self.r}")
+        return _balanced_root(self, (q[:, ::-1],), w[::-1])
 
     def spectral_start(self, observed, p_hat, theta, gen):
         q = randomized_range(observed, self.r, gen)
         core = q.T @ observed @ q
         w, z = np.linalg.eigh(0.5 * (core + core.T))
-        return _spectral_theta(self, (q @ z[:, ::-1],), w[::-1],
-                               max(-w[0], w[-1]), p_hat, theta)
+        return _balanced_theta(self, (q @ z[:, ::-1],), w[::-1], p_hat, theta)
 
 
 @dataclass(frozen=True)
@@ -243,7 +241,7 @@ class SubspaceParam(LinearParam):
     def spectral_start(self, observed, p_hat, theta, gen):
         core = self.basis_u.T @ observed @ self.basis_v
         u, s, vt = np.linalg.svd(core)
-        return _spectral_theta(self, (u, vt.T), s, s[0], p_hat, theta)
+        return _balanced_theta(self, (u, vt.T), s, p_hat, theta)
 
 
 class SkewParam(LinearParam):
@@ -271,17 +269,11 @@ class SkewParam(LinearParam):
         """The Youla blocks of m scaled by sqrt(lambda): (Xi_A, Xi_B), whose
         complex factor Z* = Xi_A + i Xi_B has Z*^T Z* = 0; m must have at
         most r/2 Youla blocks."""
-        half = self.r // 2
         dec = youla_decompose(m)
-        if dec.n_blocks > half:
+        if dec.n_blocks > self.r // 2:
             raise ValueError(
-                f"{dec.n_blocks} Youla blocks exceed r/2 = {half}")
-        root = np.sqrt(dec.lambdas)
-        xi_a = np.zeros((self.n1, half))
-        xi_b = np.zeros((self.n1, half))
-        xi_a[:, :dec.n_blocks] = dec.phi * root
-        xi_b[:, :dec.n_blocks] = dec.psi * root
-        return xi_a, xi_b
+                f"{dec.n_blocks} Youla blocks exceed r/2 = {self.r // 2}")
+        return _balanced_root(self, (dec.phi, dec.psi), dec.lambdas)
 
     def align(self, theta, root):
         """Z* is rotated by the unitary polar factor of
@@ -307,9 +299,8 @@ class SkewParam(LinearParam):
         q = randomized_range(observed, self.r, gen)
         core = q.T @ observed @ q
         dec = youla_decompose(0.5 * (core - core.T))
-        top = dec.lambdas[0] if dec.n_blocks else 0.0
-        return _spectral_theta(self, (q @ dec.phi, q @ dec.psi), dec.lambdas,
-                               top, p_hat, theta)
+        return _balanced_theta(self, (q @ dec.phi, q @ dec.psi), dec.lambdas,
+                               p_hat, theta)
 
 
 PARAM_CLASSES = {c.kind: c for c in (RectangularParam, PsdParam, SubspaceParam,
@@ -447,46 +438,45 @@ def _norms(a):
 
 def _balanced_pair_root(param, m):
     """Witness root of the two-block kinds for a target m of their block
-    space: a balanced rank-r factorization m = A B^T with A^T A = B^T B, by
-    SVD; align rotates it.
-
-    Raises ValueError when the numerical rank of m exceeds r.
-    """
+    space, from m's SVD. Raises ValueError when the numerical rank of m
+    exceeds r, unless sigma_(r+1) <= 1e-8 sigma_1: the root keeps r."""
     r = param.r
     dec = reduced_svd(m)
-    if dec.rank > r:
-        if dec.sigma[r] > 1e-8 * max(dec.sigma[0], 1e-300):
-            raise ValueError(f"numerical rank {dec.rank} exceeds r={r}")
-        dec = ReducedSvd(dec.u[:, :r], dec.sigma[:r], dec.v[:, :r])
-    root = np.sqrt(dec.sigma)
-    a = np.zeros((m.shape[0], r))
-    b = np.zeros((m.shape[1], r))
-    a[:, :dec.rank] = dec.u * root
-    b[:, :dec.rank] = dec.v * root
-    return a, b
+    if dec.rank > r and dec.sigma[r] > 1e-8 * dec.sigma[0]:
+        raise ValueError(f"numerical rank {dec.rank} exceeds r={r}")
+    return _balanced_root(param, (dec.u, dec.v), dec.sigma)
 
 
-def _spectral_theta(param, dirs, values, top, p_hat, theta):
-    """The spectral start from the directions of each block (columns in
-    order of descending values) and the truncation's values, top the
-    largest magnitude in the kind's spectrum.
+def _balanced_theta(param, dirs, values, p_hat, theta):
+    """Balanced blocks from the directions of each block (columns in order
+    of descending values) and the values of a spectrum: the spectral start
+    of data A = P(M) / p_hat from A's truncation, and each witness root.
 
-    A value above 1e-10 top is kept: its column of each block is its
-    direction times sqrt(value / p_hat), so the factors are balanced. The
-    other columns (data of rank below the blocks' width, and nonpositive
-    eigenvalues for psd), where a zero pair would be a stationary point
-    descent never leaves, keep the random start theta's columns, rescaled
-    in each block by sqrt(top / (p_hat rows)): a filled column is about as
-    long as the longest kept one, and zero data gives the zero start.
+    With top the largest magnitude among the values, a value above
+    RANK_FLOOR top is kept: its column of each block is its direction times
+    sqrt(value / p_hat), so the factors are balanced. The other columns
+    (data of rank below the blocks' width, and nonpositive eigenvalues for
+    psd), where a zero pair would be a stationary point descent never
+    leaves, keep theta's columns, rescaled in each block by
+    sqrt(top / (p_hat rows)): a filled column of the random start is about
+    as long as the longest kept one, and zero data gives the zero start.
     """
+    top = float(np.max(np.abs(values), initial=0.0))
     theta = np.array(theta, dtype=np.float64)
     blocks = theta_blocks(param, theta)       # views into the copy
-    kept = min(blocks[0].shape[1], int(np.sum(values > 1e-10 * top)))
+    kept = min(blocks[0].shape[1], int(np.sum(values > RANK_FLOOR * top)))
     root = np.sqrt(values[:kept] / p_hat)
     for b, d in zip(blocks, dirs):
         b[:, :kept] = d[:, :kept] * root
         b[:, kept:] *= np.sqrt(top / (p_hat * b.shape[0]))
     return theta
+
+
+def _balanced_root(param, dirs, values):
+    """A witness root: the balanced blocks of a truth's decomposition at
+    p_hat = 1 with zero fill, as the spectral start builds them."""
+    return theta_blocks(param, _balanced_theta(param, dirs, values, 1.0,
+                                               np.zeros(param.d)))
 
 
 def _align(corr):

@@ -96,8 +96,8 @@ def run_lpmc(*argv, cpu=None, **env):
                           env=dict(os.environ, PYTHONPATH=path, **env))
 
 
-def assert_one_line_error(proc):
-    assert proc.returncode == 1
+def assert_one_line_error(proc, code=1):
+    assert proc.returncode == code
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("lpmc: ")
     assert len(proc.stderr.splitlines()) == 1
@@ -212,6 +212,17 @@ def test_overflowing_sigma_is_one_line_error(argv):
     proc = run_lpmc(*argv, "--sigma", "1e308")
     assert_one_line_error(proc)
     assert "sigma" in proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("sigma", ["1e150", "1e200"])
+def test_sigma_that_overflows_the_start_is_one_line_error(sigma):
+    # the noise draw is finite, but the start's ||grad||^2 (1e150) or its
+    # row hinge (1e200) overflows: one numeric-failure line, no warnings
+    proc = run_lpmc("subspace-noisy", "--n", "10", "--s", "3", "--p-grid",
+                    "0.5", "--trials", "1", "--sigma", sigma)
+    assert_one_line_error(proc, code=2)
+    assert "at the initial point" in proc.stderr
     assert proc.stdout == ""
 
 

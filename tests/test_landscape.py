@@ -80,8 +80,13 @@ def test_profile_bounds():
 
 def test_profile_rank_error():
     m = np.outer(np.arange(1.0, 6.0), np.ones(5))
-    with pytest.raises(ValueError, match="numerical rank below r=2"):
+    with pytest.raises(ValueError, match="numerical rank below r=2: rank 1,"):
         ground_truth_profile(m, 2)
+    # a sigma_2 below the rank floor is reported as the rank kept
+    u = np.linalg.qr(np.random.default_rng(43).standard_normal((6, 2)))[0]
+    with pytest.raises(ValueError, match="below r=2: rank 1, counting "
+                                         "singular values above 1e-10 "):
+        ground_truth_profile((u * (1.0, 1e-11)) @ u.T, 2)
 
 
 # -------------------------------------------------------------- curvature gap

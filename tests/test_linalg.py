@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import lpmc
+from lpmc import linalg
 from lpmc.linalg import (_dots, _item_dots, _mT, randomized_range,
                          reduced_svd, spectral_norm, two_inf_norm,
                          youla_decompose)
@@ -171,12 +172,13 @@ def test_youla_rejects_non_skew():
         youla_decompose(np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
-def test_youla_odd_rank_degenerate():
+def test_youla_odd_rank_degenerate(monkeypatch):
     gen = np.random.default_rng(17)
     m, _ = random_skew(3, [2.0], gen)
-    # a negative cutoff keeps the zero singular value, forcing odd rank
+    # a negative rank floor keeps the zero singular value, forcing odd rank
+    monkeypatch.setattr(linalg, "RANK_FLOOR", -1.0)
     with pytest.raises(ValueError, match="is odd"):
-        youla_decompose(m, cutoff=-1.0)
+        youla_decompose(m)
 
 
 # -------------------------------------------------------------- spectral_norm

@@ -402,6 +402,34 @@ def test_witness_root_truncates_a_tail_below_its_cut(kind):
         param.witness_root((u * (1.0, 0.5, 1e-7)) @ v.T)
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_zero_truth_has_a_zero_root_that_certifies(kind):
+    # no value is kept and the fill of zeros stays zero
+    param = next(p for p in every_param() if p.kind == kind)
+    m_star = np.zeros((param.n1, param.n2))
+    root = param.witness_root(m_star)
+    assert [b.shape for b in root] == list(param.block_shapes())
+    assert not any(b.any() for b in root)
+    theta = np.random.default_rng(73).standard_normal(param.d)
+    assert balanced_witness(param, theta, m_star, root=root).passes
+
+
+def test_psd_root_keeps_the_eigenvalues_above_the_rank_floor():
+    # 1e-12 w_max lies above the rank error's n eps w_max floor but below
+    # RANK_FLOOR, so the rank-3 truth is representable at r = 3, its root
+    # keeps 2 columns and the witness fits it within FIT_TOL
+    gen = np.random.default_rng(79)
+    q = np.linalg.qr(gen.standard_normal((10, 3)))[0]
+    m_star = (q * (1.0, 0.5, 1e-12)) @ q.T
+    param = psd_param(10, 3)
+    root = param.witness_root(m_star)
+    assert np.count_nonzero(np.linalg.norm(root[0], axis=0)) == 2
+    cert = balanced_witness(param, gen.standard_normal(param.d), m_star,
+                            root=root)
+    assert cert.passes
+    assert 0.0 < cert.residual_fit <= FIT_TOL
+
+
 def test_certify_rejects_non_witness():
     rng = RngState(37).derive("bad")
     param, m_star = rectangular_instance(10, 8, 2, rng)
