@@ -136,12 +136,13 @@ def solve(spec, config):
 
     Stops when ||grad||^2 <= GRAD_TOL_SQ or after max_iters gradient steps.
     Raises NumericError (trace attached) if the objective turns non-finite;
-    at the start, where data far beyond unit scale overflow, f and
-    ||grad||^2 are checked instead of letting numpy warn.
+    at the start, where data far beyond unit scale overflow, the start's
+    construction runs without numpy's warnings, and f and ||grad||^2 are
+    checked instead.
     """
     started = time.perf_counter()
-    theta = initial_theta(spec, config)
     with np.errstate(over="ignore", invalid="ignore"):
+        theta = initial_theta(spec, config)
         ev = objective_value(spec, theta, keep=True)
         grad = objective_grad(spec, theta, ev)
         grad_sq = float(grad @ grad)

@@ -34,10 +34,15 @@ decomposition of m_star (SVD, symmetric eigendecomposition or Youla form),
 the representability checks, and the unrotated balanced blocks, which it
 returns as the root: the spectral start's construction (_balanced_theta) of
 m_star at p_hat = 1 with zero fill, keeping the values above
-linalg.RANK_FLOOR times the largest. align(theta, root) rotates the root so
-that it correlates PSD with theta. At n = 500 the decomposition is 95-99% of a
-witness's cost, so a caller that builds witnesses at many points of one
-truth computes its root once and passes it to balanced_witness.
+linalg.RANK_FLOOR times the largest. The checks judge by the certificate's
+FIT_TOL. A kind refuses an m_star outside its space (psd: not symmetric or
+not PSD; subspace: off the bases), and every kind refuses a rank above r by
+one rule (_balanced_root): when the values beyond the blocks' width would
+leave the witness a relative fit residual above FIT_TOL. A smaller tail is
+cut. align(theta, root) rotates the root so that it correlates PSD with
+theta. At n = 500 the decomposition is 95-99% of a witness's cost, so a
+caller that builds witnesses at many points of one truth computes its root
+once and passes it to balanced_witness.
 
 The spectral start of data A = P(M) / p_hat is the parameter of balanced
 factors of the rank-r truncation of A inside the kind's space: the top-r SVD
@@ -145,7 +150,8 @@ class RectangularParam(LinearParam):
         return gx, gy
 
     def witness_root(self, m):
-        return _balanced_pair_root(self, m)
+        dec = reduced_svd(m)
+        return _balanced_root(self, (dec.u, dec.v), dec.sigma)
 
     def spectral_start(self, observed, p_hat, theta, gen):
         q = randomized_range(observed, self.r, gen)
@@ -172,18 +178,14 @@ class PsdParam(LinearParam):
 
     def witness_root(self, m):
         """The balanced block of m's eigendecomposition; m must be symmetric
-        PSD of rank at most r, counting the eigenvalues above n eps w_max."""
+        PSD."""
         scale = max(np.linalg.norm(m), 1e-300)
-        if np.linalg.norm(m - m.T) > 1e-8 * scale:
+        if np.linalg.norm(m - m.T) > FIT_TOL * scale:
             raise ValueError("m_star is not symmetric")
         w, q = np.linalg.eigh(0.5 * (m + m.T))
-        if w.size and w[0] < -1e-8 * scale:
+        if w.size and w[0] < -FIT_TOL * scale:
             raise ValueError(f"m_star has eigenvalue {w[0]:.3e}")
-        w = np.clip(w, 0.0, None)
-        rank = int(np.sum(w > w[-1] * m.shape[0] * np.finfo(np.float64).eps))
-        if rank > self.r:
-            raise ValueError(f"numerical rank {rank} exceeds r={self.r}")
-        return _balanced_root(self, (q[:, ::-1],), w[::-1])
+        return _balanced_root(self, (q[:, ::-1],), np.clip(w[::-1], 0.0, None))
 
     def spectral_start(self, observed, p_hat, theta, gen):
         q = randomized_range(observed, self.r, gen)
@@ -229,14 +231,15 @@ class SubspaceParam(LinearParam):
 
     def witness_root(self, m):
         """The rectangular root of m compressed to the bases; m must lie in
-        their span and have rank at most r."""
+        their span."""
         bu, bv = self.basis_u, self.basis_v
         core = bu.T @ m @ bv
         off = np.linalg.norm(bu @ core @ bv.T - m)
-        if off > 1e-8 * max(np.linalg.norm(m), 1e-300):
+        if off > FIT_TOL * max(np.linalg.norm(m), 1e-300):
             raise ValueError(
                 "m_star is not supported on the parameterization bases")
-        return _balanced_pair_root(self, core)
+        dec = reduced_svd(core)
+        return _balanced_root(self, (dec.u, dec.v), dec.sigma)
 
     def spectral_start(self, observed, p_hat, theta, gen):
         core = self.basis_u.T @ observed @ self.basis_v
@@ -267,12 +270,8 @@ class SkewParam(LinearParam):
 
     def witness_root(self, m):
         """The Youla blocks of m scaled by sqrt(lambda): (Xi_A, Xi_B), whose
-        complex factor Z* = Xi_A + i Xi_B has Z*^T Z* = 0; m must have at
-        most r/2 Youla blocks."""
+        complex factor Z* = Xi_A + i Xi_B has Z*^T Z* = 0."""
         dec = youla_decompose(m)
-        if dec.n_blocks > self.r // 2:
-            raise ValueError(
-                f"{dec.n_blocks} Youla blocks exceed r/2 = {self.r // 2}")
         return _balanced_root(self, (dec.phi, dec.psi), dec.lambdas)
 
     def align(self, theta, root):
@@ -374,11 +373,11 @@ def y_of(param, theta):
 def adjoint(param, gx, gy):
     """Adjoint of theta -> (X(theta), Y(theta)): the theta-vector with
     <X(delta), gx> + <Y(delta), gy> = <delta, adjoint(gx, gy)> for all
-    delta."""
-    gx, gy = as_matrix(gx, "gx"), as_matrix(gy, "gy")
+    delta. Only the shapes are checked: a non-finite gradient is the
+    solve's to report."""
     for name, g, rows in (("gx", gx, param.n1), ("gy", gy, param.n2)):
-        if g.shape != (rows, param.r):
-            raise ValueError(f"{name} has shape {g.shape}, expected "
+        if np.shape(g) != (rows, param.r):
+            raise ValueError(f"{name} has shape {np.shape(g)}, expected "
                              f"{(rows, param.r)}")
     return np.concatenate([b.reshape(-1) for b in param.adjoint(gx, gy)])
 
@@ -436,17 +435,6 @@ def _norms(a):
     return np.sqrt(_dots(a, a))
 
 
-def _balanced_pair_root(param, m):
-    """Witness root of the two-block kinds for a target m of their block
-    space, from m's SVD. Raises ValueError when the numerical rank of m
-    exceeds r, unless sigma_(r+1) <= 1e-8 sigma_1: the root keeps r."""
-    r = param.r
-    dec = reduced_svd(m)
-    if dec.rank > r and dec.sigma[r] > 1e-8 * dec.sigma[0]:
-        raise ValueError(f"numerical rank {dec.rank} exceeds r={r}")
-    return _balanced_root(param, (dec.u, dec.v), dec.sigma)
-
-
 def _balanced_theta(param, dirs, values, p_hat, theta):
     """Balanced blocks from the directions of each block (columns in order
     of descending values) and the values of a spectrum: the spectral start
@@ -474,7 +462,16 @@ def _balanced_theta(param, dirs, values, p_hat, theta):
 
 def _balanced_root(param, dirs, values):
     """A witness root: the balanced blocks of a truth's decomposition at
-    p_hat = 1 with zero fill, as the spectral start builds them."""
+    p_hat = 1 with zero fill, as the spectral start builds them.
+
+    The one representability rule: the blocks hold the first width values
+    (r, or r/2 Youla blocks for skew), and cutting the rest leaves the
+    witness a relative fit residual of ||values[width:]|| / ||values||.
+    Raises ValueError when that exceeds FIT_TOL, the certificate's bound."""
+    width = param.block_shapes()[0][1]
+    if np.linalg.norm(values[width:]) > FIT_TOL * np.linalg.norm(values):
+        rank = int(np.sum(values > RANK_FLOOR * values[0])) * param.r // width
+        raise ValueError(f"numerical rank {rank} exceeds r={param.r}")
     return theta_blocks(param, _balanced_theta(param, dirs, values, 1.0,
                                                np.zeros(param.d)))
 

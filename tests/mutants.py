@@ -1,4 +1,4 @@
-"""One-line mutants of lpmc, and what catches each.
+"""Small mutants of lpmc, a line or two each, and what catches each.
 
 Each row of MUTANTS names a mutant and gives its file, a text that must
 occur exactly once in it, and the text that replaces it. For each row the
@@ -56,6 +56,16 @@ MUTANTS = (
      "max_iters: int = 500", "max_iters: int = 400"),
     ("rank-floor-1e-12", "src/lpmc/linalg.py",
      "RANK_FLOOR = 1e-10", "RANK_FLOOR = 1e-12"),
+    ("root-tail-1e-6", "src/lpmc/parameterization.py",
+     "> FIT_TOL * np.linalg.norm(values)", "> 1e-6 * np.linalg.norm(values)"),
+    ("adjoint-as-matrix", "src/lpmc/parameterization.py",
+     "param.adjoint(gx, gy)])",
+     'param.adjoint(as_matrix(gx, "gx"), as_matrix(gy, "gy"))])'),
+    ("start-outside-errstate", "src/lpmc/optimizer.py",
+     '    with np.errstate(over="ignore", invalid="ignore"):\n'
+     "        theta = initial_theta(spec, config)\n",
+     "    theta = initial_theta(spec, config)\n"
+     '    with np.errstate(over="ignore", invalid="ignore"):\n'),
 )
 
 

@@ -12,6 +12,7 @@ import pytest
 import lpmc.cli as cli
 from lpmc.errors import NumericError
 from lpmc.experiments import EXPERIMENTS, SETTINGS, run_experiment
+from lpmc.parameterization import KINDS
 
 
 def fast_args(*extra):
@@ -215,12 +216,23 @@ def test_overflowing_sigma_is_one_line_error(argv):
     assert proc.stdout == ""
 
 
-@pytest.mark.parametrize("sigma", ["1e150", "1e200"])
-def test_sigma_that_overflows_the_start_is_one_line_error(sigma):
-    # the noise draw is finite, but the start's ||grad||^2 (1e150) or its
-    # row hinge (1e200) overflows: one numeric-failure line, no warnings
-    proc = run_lpmc("subspace-noisy", "--n", "10", "--s", "3", "--p-grid",
-                    "0.5", "--trials", "1", "--sigma", sigma)
+NOISY_10 = ("subspace-noisy", "--n", "10", "--s", "3", "--p-grid", "0.5",
+            "--trials", "1")
+SOLVE_10 = ("single-solve", "--n", "10", "--r", "2", "--p-grid", "0.5")
+
+
+@pytest.mark.parametrize("argv, sigma", [
+    (NOISY_10, "1e150"), (NOISY_10, "1e200"), (NOISY_10, "1e230"),
+    *[(SOLVE_10 + ("--kind", kind), "1e250") for kind in KINDS],
+    (SOLVE_10 + ("--kind", "skew"), "1e200"),
+], ids=["1e150", "1e200", "noisy-1e230", *[f"{k}-1e250" for k in KINDS],
+        "skew-1e200"])
+def test_sigma_that_overflows_the_start_is_one_line_error(argv, sigma):
+    # the noise draw is finite, but the start overflows: its ||grad||^2
+    # (1e150), its row hinge (1e200), its gradient (1e230, 1e250) or the
+    # skew start's Youla norm (1e200). One numeric-failure line, no
+    # warnings, and no argument error from a non-finite gradient
+    proc = run_lpmc(*argv, "--sigma", sigma)
     assert_one_line_error(proc, code=2)
     assert "at the initial point" in proc.stderr
     assert proc.stdout == ""

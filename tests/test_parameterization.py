@@ -376,12 +376,20 @@ def test_witness_errors():
         balanced_witness(psd_param(8, 3), np.zeros(24), sym)
 
 
-@pytest.mark.parametrize("kind", ["rectangular", "subspace"])
-def test_witness_root_truncates_a_tail_below_its_cut(kind):
-    # sigma_3 = 1e-9 sigma_1 lies below the root's 1e-8 cut, so the root of
-    # the rank-3 target keeps its leading r = 2 singular values and the
-    # witness fits the target to FIT_TOL; 1e-7 sigma_1 lies above it
+def tail_truth(kind, tail):
+    """A target one r = 2 root cannot hold whole: values (1, 0.5, tail)
+    (eigenvalues for psd), or Youla blocks (1, tail) for skew, whose
+    numerical rank is 3, or 4 for skew. The tail holds tail / ||values||
+    of the values' norm."""
     gen = np.random.default_rng(61)
+    if kind == "skew":
+        q = np.linalg.qr(gen.standard_normal((10, 4)))[0]
+        phi, psi = q[:, :2] * (1.0, tail), q[:, 2:]
+        return skew_param(10, 2), phi @ psi.T - psi @ phi.T
+    values = (1.0, 0.5, tail)
+    if kind == "psd":
+        q = np.linalg.qr(gen.standard_normal((10, 3)))[0]
+        return psd_param(10, 2), (q * values) @ q.T
     if kind == "rectangular":
         param = rectangular_param(12, 9, 2)
         u = np.linalg.qr(gen.standard_normal((12, 3)))[0]
@@ -390,16 +398,26 @@ def test_witness_root_truncates_a_tail_below_its_cut(kind):
         param, _ = subspace_instance(16, 14, 2, 5, 4,
                                      RngState(61).derive("su"))
         u, v = param.basis_u[:, :3], param.basis_v[:, :3]
-    m_star = (u * (1.0, 0.5, 1e-9)) @ v.T
+    return param, (u * values) @ v.T
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_witness_root_truncates_a_tail_below_its_cut(kind):
+    # a 1e-9 tail would leave the witness a fit residual below FIT_TOL, so
+    # the root cuts it and keeps the blocks' width of columns, and the
+    # witness certifies; a 1e-7 tail would not, so the root refuses
+    param, m_star = tail_truth(kind, 1e-9)
     root = param.witness_root(m_star)
-    for block in root:
-        assert block.shape[1] == 2 and np.linalg.norm(block, axis=0).all()
-    cert = balanced_witness(param, gen.standard_normal(param.d), m_star,
-                            root=root)
+    for block, shape in zip(root, param.block_shapes()):
+        assert block.shape == shape and np.linalg.norm(block, axis=0).all()
+    theta = np.random.default_rng(61).standard_normal(param.d)
+    cert = balanced_witness(param, theta, m_star, root=root)
     assert cert.passes
     assert 0.0 < cert.residual_fit <= FIT_TOL
-    with pytest.raises(ValueError, match="numerical rank 3 exceeds r=2"):
-        param.witness_root((u * (1.0, 0.5, 1e-7)) @ v.T)
+    rank = 4 if kind == "skew" else 3
+    with pytest.raises(ValueError,
+                       match=f"numerical rank {rank} exceeds r=2"):
+        param.witness_root(tail_truth(kind, 1e-7)[1])
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -415,9 +433,8 @@ def test_zero_truth_has_a_zero_root_that_certifies(kind):
 
 
 def test_psd_root_keeps_the_eigenvalues_above_the_rank_floor():
-    # 1e-12 w_max lies above the rank error's n eps w_max floor but below
-    # RANK_FLOOR, so the rank-3 truth is representable at r = 3, its root
-    # keeps 2 columns and the witness fits it within FIT_TOL
+    # 1e-12 w_max lies below RANK_FLOOR, so the root of the rank-3 truth at
+    # r = 3 keeps 2 columns and the witness fits it within FIT_TOL
     gen = np.random.default_rng(79)
     q = np.linalg.qr(gen.standard_normal((10, 3)))[0]
     m_star = (q * (1.0, 0.5, 1e-12)) @ q.T
@@ -541,7 +558,7 @@ def test_witness_root_raises_the_representability_errors():
     with pytest.raises(ValueError, match="exceeds r=2"):
         psd_param(10, 2).witness_root(wide @ wide.T)
     _, four_blocks = skew_instance(10, 4, RngState(59).derive("sk"))
-    with pytest.raises(ValueError, match="Youla blocks"):
+    with pytest.raises(ValueError, match="exceeds r=2"):
         skew_param(10, 2).witness_root(four_blocks)
 
 
