@@ -51,6 +51,7 @@ from .landscape import (concentration_report, curvature_gap_decomposition,
                         factor_curvature_gap, ground_truth_profile,
                         noise_spectral_surrogate, param_curvature_gap,
                         tuning_conditions)
+from .linalg import _groups
 # not called here, but perfbench's tracer wraps this name (ROADMAP Standing,
 # tracer binding)
 from .objective import make_spec
@@ -505,23 +506,6 @@ def _diag_instances(config, master):
                           rng.derive("skew"))]
 
 
-# Entries of one dense n1 x n2 array of a stacked certificate call: the
-# report stacks its draws in groups of _STACK_ENTRIES // (5 n1 n2), 5 for a
-# draw's stencil points, so each array holds about 2 MB (n = 24: one group
-# of 10 draws, 28,800 entries). Peak RSS of a default-seed report, fresh
-# process, one BLAS thread: n = 300 78 MB in whole stacks, 57 MB with only
-# the stencils and factor gaps split, 52 MB in these groups, 51 MB point by
-# point; n = 500 89 MB split, 74 MB grouped, at the same wall time.
-_STACK_ENTRIES = 2 ** 18
-
-
-def _groups(param, count):
-    """Slices that split count draws on param into groups of
-    _STACK_ENTRIES // (5 n1 n2) draws, one at least."""
-    step = max(1, _STACK_ENTRIES // (5 * param.n1 * param.n2))
-    return [slice(i, i + step) for i in range(0, count, step)]
-
-
 def run_diagnostics(config):
     """Run the invariant battery at desk scale and emit a key: value report.
 
@@ -545,7 +529,8 @@ def run_diagnostics(config):
     roots = [param.witness_root(m_star) for param, m_star in instances]
 
     # witness certificates and two-route curvature agreement, each kind's
-    # draws as stacks: a call per group, each point's values its own
+    # draws as stacks: a call per group (5 n1 n2 entries a draw, for its
+    # stencil points), each point's values its own
     for (param, m_star), root in zip(instances, roots):
         tag = param.kind
         gen = master.derive("diagnostics", "theta", tag).generator()
@@ -555,7 +540,7 @@ def run_diagnostics(config):
         spec = assemble(param, m_star, mask)
         # drawn theta_1, delta_1, theta_2, ...: one call draws them in order
         pairs = gen.standard_normal((draws, 2, param.d))
-        for group in _groups(param, draws):
+        for group in _groups(draws, 5 * param.n1 * param.n2):
             thetas, deltas = pairs[group, 0], pairs[group, 1]
             cert = balanced_witness(param, thetas, m_star, root)
             passes += int(np.count_nonzero(cert.passes))
@@ -579,28 +564,30 @@ def run_diagnostics(config):
         if passes < draws or worst_id > 1e-8:
             ok = False
 
-    # gap decomposition on noisy subspace instances
+    # gap decomposition on noisy subspace instances, as stacks in the
+    # groups of the certificates: a witness and a decomposition call per
+    # group
     param, m_star = instances[0]
     holds = 0
     margin = float("inf")
     noise_terms = []
     trials = 5
     cells = [master.derive("diagnostics", "gap", t) for t in range(trials)]
-    # the witnesses need no spec, so the five are stacks in groups
     thetas = np.array([cell.generator().standard_normal(param.d)
                        for cell in cells])
-    xis = np.concatenate([
-        balanced_witness(param, thetas[group], m_star, roots[0]).xi
-        for group in _groups(param, trials)])
-    for cell, theta, xi in zip(cells, thetas, xis):
-        mask = _mask(param, p, cell.derive("mask"))
-        noise = _noise(param, config.sigma, cell.derive("noise"))
-        spec = assemble(param, m_star, mask, noise)
-        report = curvature_gap_decomposition(spec, theta, xi, noise)
-        holds += report.holds()
-        margin = min(margin, (report.bound_total - report.gap_theta)
-                     / report.scale)
-        noise_terms.append(report.term_noise)
+    for group in _groups(trials, 5 * param.n1 * param.n2):
+        xis = balanced_witness(param, thetas[group], m_star, roots[0]).xi
+        masks = [_mask(param, p, cell.derive("mask")) for cell in cells[group]]
+        noises = np.array([_noise(param, config.sigma, cell.derive("noise"))
+                           for cell in cells[group]])
+        specs = [assemble(param, m_star, mask, noise)
+                 for mask, noise in zip(masks, noises)]
+        for report in curvature_gap_decomposition(specs, thetas[group], xis,
+                                                  noises):
+            holds += report.holds()
+            margin = min(margin, (report.bound_total - report.gap_theta)
+                         / report.scale)
+            noise_terms.append(report.term_noise)
     emit("gap.instances", trials)
     emit("gap.holds", f"{holds}/{trials}")
     emit("gap.min_margin", f"{margin:.3e}")
@@ -615,6 +602,7 @@ def run_diagnostics(config):
     emit("profile.cond", f"{prof.cond:.6e}")
     emit("profile.incoherence", f"{prof.incoherence:.6e}")
     # the last gap instance's spec holds the standard-rule lam and alpha
+    spec, mask, noise = specs[-1], masks[-1], noises[-1]
     tuning = tuning_conditions(prof, p, spec.lam, spec.alpha)
     emit("tuning.p", f"{p!r} floor {tuning.p_floor:.3e} "
                      f"binding {tuning.p_binding} ok {tuning.p_ok}")

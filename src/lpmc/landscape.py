@@ -24,21 +24,31 @@ makes one call: param_curvature_gap takes c x d stacks of theta and delta
 and sends all 5c stencil points to objective_value as one stack, and
 factor_curvature_gap takes c x n x r stacks of factors; each returns an
 array of the c gaps (parameterization.balanced_witness takes a stack of
-theta too). Numpy runs a stacked matmul, svd or eigvalsh as the routine of
-one matrix on each item, so each item's products equal its point's own.
-The inner products (values, curvature forms, Frobenius norms and tests)
-are one call per stack too: linalg._item_dots multiplies the items as
-1 x N rows by N x 1 columns, and numpy hands each such product to the dot
+theta too). curvature_gap_decomposition takes a stack of instances of one
+parameterization (their specs, theta, xi and noise) and computes the checks
+and the four terms for all of them at once, on their masks and
+observations stacked c x n1 x n2, and the two K routes instance by
+instance. concentration_report draws its 10 deviation tuples, and its 10
+energy draws, as blocks of its stream and checks each block as one stack.
+Numpy runs a stacked matmul, svd or eigvalsh as the routine of one matrix
+on each item, so each item's products equal its point's own. The inner
+products (values, curvature forms, terms, Frobenius norms and tests) are
+one call per stack too: linalg._item_dots multiplies the items as 1 x N
+rows by N x 1 columns, and numpy hands each such product to the dot
 routine np.vdot calls on the flattened item, so each keeps its bits. The
 row norms of a row beyond alpha and the observed-entry kernel's row
 products and scatter, which one call would sum in another order, run only
 at points: by the one stack rule, objective._one_pass, a stack of factors
 takes one pass on the dense kernel with no row beyond alpha (or lam = 0)
 and otherwise goes point by point, for the value, the gradient, the
-curvature and the gap alike. So a stacked gap equals, bit for bit, the
-gap of its point alone, and the diagnostics report is the same text however
-its points are grouped. Each function takes the whole stack it is given;
-its caller bounds the stack's size, as the report does by grouping.
+curvature and the gap alike, and the gap bound's penalty term takes the
+row passes only for an instance whose Frobenius tests let a row reach
+alpha. So a stacked gap, term or check equals, bit for bit, that of its
+point alone, and the diagnostics report is the same text however its
+points are grouped. The certificate functions and the decomposition take
+the whole stack they are given, and their caller bounds its size, as the
+report does by grouping; concentration_report, which draws its own
+stacks, groups them by the same bound (linalg._groups).
 """
 
 import math
@@ -46,14 +56,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (RANK_FLOOR, _dots, as_matrix, reduced_svd, spectral_norm,
-                     two_inf_norm)
+from .linalg import (RANK_FLOOR, _dots, _groups, _item_dots, _mT, as_matrix,
+                     reduced_svd, spectral_norm, two_inf_norm)
 # _evaluate: the one Evaluation a factor-level gap shares between its
-# gradient and its curvature; _one_pass: the stack rule
-from .objective import (_evaluate, _one_pass, factor_curvature, factor_grad,
-                        objective_value, row_hinge_penalty_curvature,
-                        row_hinge_penalty_grad)
-from .parameterization import x_of, y_of
+# gradient and its curvature; _one_pass: the stack rule; _inside_alpha: the
+# Frobenius test of a factor's rows
+from .objective import (_evaluate, _inside_alpha, _one_pass, factor_curvature,
+                        factor_grad, objective_value,
+                        row_hinge_penalty_curvature, row_hinge_penalty_grad)
+from .parameterization import _norms, x_of, y_of
 from .sampling import project_observed
 
 @dataclass(frozen=True)
@@ -168,65 +179,100 @@ def curvature_gap_decomposition(spec, theta, xi, noise=None):
     xi must be a balanced exact witness for the clean ground truth, and
     spec.observed must equal the masked (ground truth + noise); both are
     checked. noise=None means a clean instance (zero noise term).
-    """
-    x, y = x_of(spec.param, theta), y_of(spec.param, theta)
-    u, v = x_of(spec.param, xi), y_of(spec.param, xi)
-    m_star = u @ v.T
-    scale = max(float(np.linalg.norm(m_star)), 1e-300)
 
-    bal = np.linalg.norm(u.T @ u - v.T @ v)
-    if bal > 1e-6 * scale:
+    A stack of c instances of one parameterization gives a list of the c
+    GapReports: spec a sequence of c specs, theta and xi c x d, noise
+    c x n1 x n2 (or None). The checks and the four terms are one pass over
+    the stack (_gap_terms); the two K routes run per instance, on its spec.
+    One instance is a stack of one, and every item equals, bit for bit, its
+    instance alone.
+    """
+    theta = np.asarray(theta, dtype=np.float64)
+    xi = np.asarray(xi, dtype=np.float64)
+    if theta.ndim == 1:
+        return curvature_gap_decomposition(
+            [spec], theta[None], xi[None],
+            None if noise is None else np.asarray(noise)[None])[0]
+    specs, param = spec, spec[0].param
+    x, y = x_of(param, theta), y_of(param, theta)
+    u, v = x_of(param, xi), y_of(param, xi)
+    dx, dy = x - u, y - v
+    terms = _gap_terms(specs, x, y, u, v, dx, dy, noise)
+    delta = theta - xi
+    return [GapReport(param_curvature_gap(s, theta[i], delta[i]),
+                      factor_curvature_gap(x[i], y[i], dx[i], dy[i], s),
+                      *map(float, terms[:, i]))
+            for i, s in enumerate(specs)]
+
+
+def _gap_terms(specs, x, y, u, v, dx, dy, noise):
+    """The checks of curvature_gap_decomposition on a stack of instances
+    and the four terms of their bounds, a 4 x c array (quartic, sampling,
+    penalty, noise), from the stacked factors at theta (x, y), at xi (u, v)
+    and their differences. The masks and observations are stacked
+    c x n1 x n2; the stack's n1 x n2 arrays are freed on return, before the
+    K routes run."""
+    m_star = u @ _mT(v)
+    scale = np.maximum(_norms(m_star), 1e-300)
+    uu, vv = _mT(u) @ u, _mT(v) @ v
+    if np.any(_norms(uu - vv) > 1e-6 * scale):
         raise ValueError("xi is not balanced; curvature decomposition needs "
                          "a witness")
+    masks = np.array([s.mask.matrix for s in specs])
+    observed = np.array([s.observed for s in specs])
+    if noise is not None and np.shape(noise) != masks.shape:
+        raise ValueError(f"noise has shape {np.shape(noise)}, expected "
+                         f"{masks.shape}")
+    # np.where writes project_observed's values
     expect = m_star if noise is None else m_star + noise
-    drift = np.linalg.norm(project_observed(expect, spec.mask) - spec.observed)
-    if drift > 1e-8 * max(1.0, float(np.linalg.norm(spec.observed))):
+    drift = _norms(np.where(masks, expect, 0.0) - observed)
+    if np.any(drift > 1e-8 * np.maximum(1.0, _norms(observed))):
         raise ValueError("spec.observed is not the masked ground truth plus "
                          "the given noise")
-
-    dx, dy = x - u, y - v
-    p = spec.p_hat
+    p = np.array([s.p_hat for s in specs])
 
     # quartic factor term, via r x r Gram identities
-    zz = x.T @ x + y.T @ y
-    ww = u.T @ u + v.T @ v
-    zw = x.T @ u + y.T @ v
-    dd = dx.T @ dx + dy.T @ dy
-    norm_ddt = float(np.vdot(dd, dd))
-    norm_gram_gap = (float(np.vdot(zz, zz)) + float(np.vdot(ww, ww))
-                     - 2.0 * float(np.vdot(zw, zw)))
-    k1 = 0.25 * (norm_ddt - 3.0 * norm_gram_gap)
+    zz = _mT(x) @ x + _mT(y) @ y
+    ww = uu + vv
+    zw = _mT(x) @ u + _mT(y) @ v
+    dd = _mT(dx) @ dx + _mT(dy) @ dy
+    norm_gram_gap = (_item_dots(zz, zz) + _item_dots(ww, ww)
+                     - 2.0 * _item_dots(zw, zw))
+    k1 = 0.25 * (_item_dots(dd, dd) - 3.0 * norm_gram_gap)
 
     # sampling deviation term
-    cross = dx @ dy.T
-    fitgap = x @ y.T - m_star
-    pc = project_observed(cross, spec.mask)
-    pf = project_observed(fitgap, spec.mask)
-    k2 = ((float(np.vdot(pc, pc)) / p - float(np.vdot(cross, cross)))
-          - (3.0 * float(np.vdot(pf, pf)) / p
-             - 3.0 * float(np.vdot(fitgap, fitgap))))
+    cross = dx @ _mT(dy)
+    fitgap = x @ _mT(y) - m_star
+    pc = np.where(masks, cross, 0.0)
+    pf = np.where(masks, fitgap, 0.0)
+    k2 = ((_item_dots(pc, pc) / p - _item_dots(cross, cross))
+          - (3.0 * _item_dots(pf, pf) / p
+             - 3.0 * _item_dots(fitgap, fitgap)))
 
-    # penalty term: the curvature gap of G at the factors
-    k3 = 0.0
-    if spec.lam:
-        k3 = spec.lam * (
-            row_hinge_penalty_curvature(x, dx, spec.alpha)
-            - 4.0 * float(np.vdot(row_hinge_penalty_grad(x, spec.alpha), dx))
-            + row_hinge_penalty_curvature(y, dy, spec.alpha)
-            - 4.0 * float(np.vdot(row_hinge_penalty_grad(y, spec.alpha), dy)))
+    # penalty term: the curvature gap of G at the factors, 0 for an
+    # instance whose Frobenius tests put every row within alpha (G and its
+    # derivatives vanish there) and otherwise that instance's row passes
+    k3 = np.zeros(len(specs))
+    frob_x, frob_y = _item_dots(x, x), _item_dots(y, y)
+    for i, s in enumerate(specs):
+        if not s.lam or (_inside_alpha(frob_x[i], s.alpha)
+                         and _inside_alpha(frob_y[i], s.alpha)):
+            continue
+        k3[i] = s.lam * (
+            row_hinge_penalty_curvature(x[i], dx[i], s.alpha)
+            - 4.0 * float(np.vdot(row_hinge_penalty_grad(x[i], s.alpha),
+                                  dx[i]))
+            + row_hinge_penalty_curvature(y[i], dy[i], s.alpha)
+            - 4.0 * float(np.vdot(row_hinge_penalty_grad(y[i], s.alpha),
+                                  dy[i])))
 
     # noise term
-    k4 = 0.0
+    k4 = np.zeros(len(specs))
     if noise is not None:
-        pn = project_observed(noise, spec.mask)
-        k4 = (6.0 / p * float(np.vdot(cross, pn))
-              + 4.0 / p * float(np.vdot(u @ dy.T + dx @ v.T, pn)))
-
-    delta = np.asarray(theta, dtype=np.float64) - np.asarray(xi, dtype=np.float64)
-    return GapReport(
-        gap_theta=param_curvature_gap(spec, theta, delta),
-        gap_factor=factor_curvature_gap(x, y, dx, dy, spec),
-        term_quartic=k1, term_sampling=k2, term_penalty=k3, term_noise=k4)
+        pn = np.where(masks, noise, 0.0)
+        k4 = (6.0 / p * _item_dots(cross, pn)
+              + 4.0 / p * _item_dots(u @ _mT(dy) + dx @ _mT(v), pn))
+    return np.array([k1, k2, k3, k4])
 
 
 @dataclass(frozen=True)
@@ -350,16 +396,22 @@ def sampled_deviation_check(mask, a, b, c, d):
 
 def _deviation_check(g, gap_norm, a, b, c, d):
     """sampled_deviation_check from the centered indicator g of the mask,
-    which many tuples on one mask share."""
-    lhs = abs(float(np.vdot(g * (a @ c.T), b @ d.T)))
-    rows_ab = float(np.sum(np.einsum("ij,ij->i", a, a)
-                           * np.einsum("ij,ij->i", b, b)))
-    rows_cd = float(np.sum(np.einsum("ij,ij->i", c, c)
-                           * np.einsum("ij,ij->i", d, d)))
-    factor = gap_norm * math.sqrt(rows_ab) * math.sqrt(rows_cd)
-    return DeviationCheck(lhs=lhs, factor_bound=factor,
-                          sum_bound=0.5 * gap_norm * (rows_ab + rows_cd),
-                          gap_norm=gap_norm)
+    which many tuples on one mask share; at stacks of A, B, C and D (leading
+    axis c) a list of the c tuples' checks, each its tuple's own."""
+    if a.ndim == 2:
+        return _deviation_check(g, gap_norm, a[None], b[None], c[None],
+                                d[None])[0]
+    sampled = a @ _mT(c)
+    sampled *= g                   # in place: no second stack of n1 x n2
+    lhs = np.abs(_item_dots(sampled, b @ _mT(d)))
+    rows_ab = np.sum(np.einsum("...ij,...ij->...i", a, a)
+                     * np.einsum("...ij,...ij->...i", b, b), axis=-1)
+    rows_cd = np.sum(np.einsum("...ij,...ij->...i", c, c)
+                     * np.einsum("...ij,...ij->...i", d, d), axis=-1)
+    factor = gap_norm * np.sqrt(rows_ab) * np.sqrt(rows_cd)
+    sum_bound = 0.5 * gap_norm * (rows_ab + rows_cd)
+    return [DeviationCheck(*bounds, gap_norm) for bounds in
+            zip(lhs.tolist(), factor.tolist(), sum_bound.tolist())]
 
 
 @dataclass(frozen=True)
@@ -412,35 +464,52 @@ class ConcentrationReport:
         return max(abs(q - 1.0) for q in self.energy_ratios)
 
 
+def _draws(gen, count, *shapes):
+    """count draws from gen, each a standard normal array of every shape in
+    turn, as one stack per shape: one block of the stream, the numbers
+    count such draws one by one take."""
+    sizes = [math.prod(shape) for shape in shapes]
+    block = gen.standard_normal((count, sum(sizes)))
+    stacks, lo = [], 0
+    for shape, size in zip(shapes, sizes):
+        stacks.append(block[:, lo:lo + size].reshape((count,) + shape))
+        lo += size
+    return stacks
+
+
 def concentration_report(mask, rng):
     """Spot-check the deviation inequality on 10 random factor tuples of
     width r = 3 and report the mask spectral gap, count concentration, and
     sampled-energy ratios (1/p)||P_Omega(M)||^2 / ||M||^2 over 10 random
     rank-2r tangent matrices M = U G^T + H V^T of a random rank-r frame
-    pair, with p = mask.nominal_p."""
+    pair, with p = mask.nominal_p.
+
+    The tuples, then the frames, then the energy draws come from one
+    stream. The tuples and the energy draws are stacks, in _groups of n1 n2
+    entries an item, each drawn as one block and checked in one pass."""
     tuples, r = 10, 3
+    n1, n2 = mask.rows, mask.cols
     p = mask.nominal_p
     centered = _centered_indicator(mask)
     gap = spectral_norm(centered)
     gen = rng.generator()
+    counts = [len(range(tuples)[group])
+              for group in _groups(tuples, n1 * n2)]
     checks = []
-    for _ in range(tuples):
-        a = gen.standard_normal((mask.rows, r))
-        b = gen.standard_normal((mask.rows, r))
-        c = gen.standard_normal((mask.cols, r))
-        d = gen.standard_normal((mask.cols, r))
-        checks.append(_deviation_check(centered, gap, a, b, c, d))
+    for count in counts:
+        checks += _deviation_check(centered, gap, *_draws(
+            gen, count, (n1, r), (n1, r), (n2, r), (n2, r)))
     ratios = []
     if p > 0.0:
-        uf, _ = np.linalg.qr(gen.standard_normal((mask.rows, r)))
-        vf, _ = np.linalg.qr(gen.standard_normal((mask.cols, r)))
-        for _ in range(tuples):
-            m = (uf @ gen.standard_normal((r, mask.cols))
-                 + gen.standard_normal((mask.rows, r)) @ vf.T)
-            pm = project_observed(m, mask)
-            ratios.append(float(np.vdot(pm, pm))
-                          / (p * float(np.vdot(m, m))))
-    n_max = max(mask.rows, mask.cols)
+        uf, _ = np.linalg.qr(gen.standard_normal((n1, r)))
+        vf, _ = np.linalg.qr(gen.standard_normal((n2, r)))
+        for count in counts:
+            g, h = _draws(gen, count, (r, n2), (n1, r))
+            m = uf @ g
+            m += h @ vf.T
+            pm = np.where(mask.matrix, m, 0.0)
+            ratios += (_item_dots(pm, pm) / (p * _item_dots(m, m))).tolist()
+    n_max = max(n1, n2)
     return ConcentrationReport(
         gap_norm=gap, gap_ratio=gap / math.sqrt(n_max * p) if p > 0 else 0.0,
         count=mask_count_check(mask), checks=tuple(checks),

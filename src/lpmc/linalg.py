@@ -1,6 +1,8 @@
 """Dense linear-algebra kernels: reduced SVD, Youla pairing for skew-symmetric
 matrices by one Hermitian eigenproblem, LAPACK spectral norm, row-norm
-maximum, randomized range finder.
+maximum, randomized range finder; and the stack helpers: the transpose and
+inner products of stacked matrices, and _groups, the one size bound of a
+stacked call.
 
 RANK_FLOOR is the one relative rank floor: reduced_svd and youla_decompose
 keep the values above RANK_FLOOR times the largest, and so do the balanced
@@ -15,6 +17,16 @@ import numpy as np
 SKETCH_EXTRA = 10       # randomized_range columns beyond r
 POWER_PASSES = 2        # randomized_range passes through a^T and a
 RANK_FLOOR = 1e-10      # the double-precision noise floor, with a wide margin
+
+# Entries of one dense array of a stacked call in the diagnostics report: a
+# stack of items with `entries` dense entries each runs in groups of
+# _STACK_ENTRIES // entries items (_groups), so each array holds about 2 MB.
+# A certificate draw counts 5 n1 n2, 5 for its stencil points (n = 24: one
+# group of 10 draws, 28,800 entries). Peak RSS of a default-seed report,
+# fresh process, one BLAS thread: n = 300 78 MB in whole stacks, 57 MB with
+# only the stencils and factor gaps split, 52 MB in these groups, 51 MB
+# point by point; n = 500 89 MB split, 74 MB grouped, at the same wall time.
+_STACK_ENTRIES = 2 ** 18
 
 
 def as_matrix(a, name="a"):
@@ -50,6 +62,13 @@ def _item_dots(a, b):
     bits; one np.vdot over the whole stack would sum in another order."""
     k, n = len(a), math.prod(a.shape[1:])
     return (a.reshape(k, 1, n) @ b.reshape(k, n, 1))[:, 0, 0]
+
+
+def _groups(count, entries):
+    """Slices that split count items of entries dense entries each into
+    groups of _STACK_ENTRIES // entries items, one at least."""
+    step = max(1, _STACK_ENTRIES // entries)
+    return [slice(i, i + step) for i in range(0, count, step)]
 
 
 def two_inf_norm(a):

@@ -286,12 +286,13 @@ class SkewParam(LinearParam):
         rc = _mT(bh.conj()) @ _mT(a.conj())   # unitary, h @ rc Hermitian PSD
         r1, r2 = rc.real, rc.imag
         emb = np.block([[r1, -r2], [r2, r1]])
-        gap = _mT(emb) @ emb - np.eye(self.r)
-        for item, e in zip(gap.reshape(-1, self.r, self.r),
-                           emb.reshape(-1, self.r, self.r)):
-            if np.linalg.norm(item) > 1e-8:
-                raise NumericError("rotation lost unitarity",
-                                   best_estimate=e)
+        # one norm test over the stack; the first failing item raises
+        gap = (_mT(emb) @ emb - np.eye(self.r)).reshape(-1, self.r, self.r)
+        lost = np.flatnonzero(_norms(gap) > 1e-8)
+        if lost.size:
+            raise NumericError("rotation lost unitarity",
+                               best_estimate=emb.reshape(
+                                   -1, self.r, self.r)[lost[0]])
         return pack_blocks(self, xi_a @ r1 - xi_b @ r2, xi_a @ r2 + xi_b @ r1)
 
     def spectral_start(self, observed, p_hat, theta, gen):

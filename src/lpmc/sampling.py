@@ -14,8 +14,21 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .linalg import as_matrix
+
+
+class _KeyWords(ISeedSequence):
+    """The seed sequence of a Philox key: its two 64-bit words, low word
+    first, as Philox(key=k) splits k. Philox asks a seed sequence for two
+    uint64 words and takes them as its key, with the counter at 0."""
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
 
 
 @dataclass(frozen=True)
@@ -32,7 +45,12 @@ class RngState:
         return int.from_bytes(hashlib.sha256(raw).digest()[:16], "big")
 
     def generator(self):
-        return np.random.Generator(np.random.Philox(key=self._key()))
+        """np.random.Generator(np.random.Philox(key=self._key())), built
+        from the key's words: Philox(key=k) also builds a SeedSequence(),
+        whose entropy pull is most of its cost."""
+        hi, lo = divmod(self._key(), 2 ** 64)
+        words = np.array([lo, hi], dtype=np.uint64)
+        return np.random.Generator(np.random.Philox(_KeyWords(words)))
 
     @property
     def token(self):

@@ -66,6 +66,15 @@ MUTANTS = (
      "        theta = initial_theta(spec, config)\n",
      "    theta = initial_theta(spec, config)\n"
      '    with np.errstate(over="ignore", invalid="ignore"):\n'),
+    ("energy-blocks-swapped", "src/lpmc/landscape.py",
+     "g, h = _draws(gen, count, (r, n2), (n1, r))",
+     "h, g = _draws(gen, count, (n1, r), (r, n2))"),
+    ("gap-stack-item-0-mask", "src/lpmc/landscape.py",
+     "masks = np.array([s.mask.matrix for s in specs])",
+     "masks = np.array([specs[0].mask.matrix for s in specs])"),
+    ("key-words-swapped", "src/lpmc/sampling.py",
+     "words = np.array([lo, hi], dtype=np.uint64)",
+     "words = np.array([hi, lo], dtype=np.uint64)"),
 )
 
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import lpmc.experiments as experiments
+import lpmc.linalg as linalg
 from lpmc.errors import NumericError
 from lpmc.experiments import (CellSummary, TrialRecord, default_config,
                               render_csv, run_diagnostics, run_experiment,
@@ -560,10 +561,11 @@ def test_diagnostics_noiseless_noise_lines_vanish():
 
 
 def test_diagnostics_report_is_the_same_in_any_groups(monkeypatch):
-    # each kind's draws, and the gap section's witnesses, are stacked in
-    # groups bounded by _STACK_ENTRIES; every stacked item is its point's
-    # own value and the worst values fold in draw order, so the grouping
-    # leaves the report's bytes as they are
+    # each kind's draws, the gap section's witnesses and decompositions
+    # and the concentration tuples are stacked in groups bounded by
+    # linalg._STACK_ENTRIES; every stacked item is its point's own value
+    # and the worst values fold in draw order, so the grouping leaves the
+    # report's bytes as they are
     sizes = []
 
     def witness(param, thetas, *args):
@@ -571,10 +573,10 @@ def test_diagnostics_report_is_the_same_in_any_groups(monkeypatch):
         return balanced_witness(param, thetas, *args)
 
     monkeypatch.setattr(experiments, "balanced_witness", witness)
-    default = experiments._STACK_ENTRIES
+    default = linalg._STACK_ENTRIES
 
     def report(n, entries):
-        monkeypatch.setattr(experiments, "_STACK_ENTRIES", entries)
+        monkeypatch.setattr(linalg, "_STACK_ENTRIES", entries)
         sizes.clear()
         config = default_config("diagnostics", n1=n, n2=n, master_seed=6)
         return run_diagnostics(config)[0], list(sizes)

@@ -6,9 +6,11 @@ import math
 import numpy as np
 import pytest
 
+import lpmc.linalg as linalg
 from lpmc.instances import (assemble, psd_instance, rectangular_instance,
                             skew_instance, subspace_instance)
-from lpmc.landscape import (FLOOR_C1, DeviationCheck, GroundTruthProfile,
+from lpmc.landscape import (FLOOR_C1, DeviationCheck, GapReport,
+                            GroundTruthProfile,
                             concentration_report, curvature_gap_decomposition,
                             factor_curvature_gap, ground_truth_profile,
                             mask_count_check, mask_gap_norm,
@@ -257,6 +259,65 @@ def test_quartic_term_matches_stacked_expansion():
     assert report.term_quartic == pytest.approx(direct, rel=1e-10)
 
 
+def gap_stack(seed, lam=None, alpha=None, sigma=0.05,
+              scales=(1.0, 1.0, 1.0, 1.0)):
+    """A stack of gap instances on one subspace truth: per item its own
+    mask, noise (None when sigma is 0) and theta, scaled, with its
+    witness."""
+    rng = RngState(seed).derive("gap-stack")
+    param, m_star = subspace_instance(20, 18, 2, 5, 4, rng.derive("i"))
+    specs, thetas, noises = [], [], []
+    for t, scale in enumerate(scales):
+        cell = rng.derive("t", t)
+        mask = bernoulli_mask(20, 18, 0.5, cell.derive("m"))
+        noise = None
+        if sigma:
+            noise = gaussian_noise(20, 18, sigma, cell.derive("n"))
+        specs.append(assemble(param, m_star, mask, noise, lam, alpha))
+        thetas.append(scale * cell.derive("theta").generator()
+                      .standard_normal(param.d))
+        noises.append(noise)
+    thetas = np.array(thetas)
+    xis = balanced_witness(param, thetas, m_star).xi
+    return specs, thetas, xis, np.array(noises) if sigma else None
+
+
+@pytest.mark.parametrize("setting", [
+    dict(),                                  # standard tuning, noisy
+    dict(sigma=0.0),                         # noise-free
+    # in window: the first item's Frobenius tests put every row within
+    # alpha, the second takes the row passes and finds every row within
+    # it, the last two have rows beyond it
+    dict(lam=20.0, alpha=1.7, scales=(0.05, 1.0, 2.0, 3.0)),
+])
+def test_decomposition_stack_items_equal_single_calls(setting):
+    specs, thetas, xis, noises = gap_stack(80, **setting)
+    stacked = curvature_gap_decomposition(specs, thetas, xis, noises)
+    assert len(stacked) == len(specs)
+    for i, report in enumerate(stacked):
+        alone = curvature_gap_decomposition(
+            specs[i], thetas[i], xis[i], None if noises is None else noises[i])
+        assert isinstance(report, GapReport)
+        assert report == alone, i
+        assert report.holds()
+    if "lam" in setting:
+        assert [r.term_penalty == 0.0 for r in stacked] == [True, True,
+                                                            False, False]
+    if setting.get("sigma") == 0.0:
+        assert all(r.term_noise == 0.0 for r in stacked)
+
+
+def test_decomposition_stack_checks_every_item():
+    specs, thetas, xis, noises = gap_stack(81)
+    bad = xis.copy()
+    bad[2] = thetas[2]                       # not a witness
+    with pytest.raises(ValueError, match="not balanced"):
+        curvature_gap_decomposition(specs, thetas, bad, noises)
+    # item 3's observations hold another draw's noise
+    with pytest.raises(ValueError, match="masked ground truth"):
+        curvature_gap_decomposition(specs, thetas, xis, noises[[0, 1, 2, 0]])
+
+
 def test_decomposition_rejects_non_witness():
     param, m_star, mask = make_instance("subspace", 51)
     spec = assemble(param, m_star, mask)
@@ -442,6 +503,71 @@ def test_mask_count_check():
     chk = mask_count_check(sym)
     assert chk.expected == pytest.approx(0.4 * 30 * 29)
     assert chk.within
+
+
+def reference_concentration(mask, rng):
+    """concentration_report tuple by tuple and draw by draw: the checks,
+    the energy ratios and the gap norm."""
+    tuples, r = 10, 3
+    p = mask.nominal_p
+    g = mask.matrix.astype(np.float64) - p
+    if mask.model == "symmetric-offdiag":
+        np.fill_diagonal(g, 0.0)
+    gap = float(np.linalg.norm(g, 2))
+    gen = rng.generator()
+    checks = []
+    for _ in range(tuples):
+        a = gen.standard_normal((mask.rows, r))
+        b = gen.standard_normal((mask.rows, r))
+        c = gen.standard_normal((mask.cols, r))
+        d = gen.standard_normal((mask.cols, r))
+        rows_ab = float(np.sum(np.einsum("ij,ij->i", a, a)
+                               * np.einsum("ij,ij->i", b, b)))
+        rows_cd = float(np.sum(np.einsum("ij,ij->i", c, c)
+                               * np.einsum("ij,ij->i", d, d)))
+        checks.append(DeviationCheck(
+            lhs=abs(float(np.vdot(g * (a @ c.T), b @ d.T))),
+            factor_bound=gap * math.sqrt(rows_ab) * math.sqrt(rows_cd),
+            sum_bound=0.5 * gap * (rows_ab + rows_cd), gap_norm=gap))
+    ratios = []
+    if p > 0.0:
+        uf = np.linalg.qr(gen.standard_normal((mask.rows, r)))[0]
+        vf = np.linalg.qr(gen.standard_normal((mask.cols, r)))[0]
+        for _ in range(tuples):
+            m = (uf @ gen.standard_normal((r, mask.cols))
+                 + gen.standard_normal((mask.rows, r)) @ vf.T)
+            pm = project_observed(m, mask)
+            ratios.append(float(np.vdot(pm, pm))
+                          / (p * float(np.vdot(m, m))))
+    return tuple(checks), tuple(ratios), gap
+
+
+CONCENTRATION_MASKS = {
+    "square": lambda rng: bernoulli_mask(20, 20, 0.5, rng),
+    "rectangular": lambda rng: bernoulli_mask(17, 29, 0.3, rng),
+    "symmetric": lambda rng: symmetric_offdiag_mask(21, 0.4, rng),
+    "empty": lambda rng: bernoulli_mask(9, 12, 0.0, rng),
+}
+
+
+@pytest.mark.parametrize("grouped", [False, True])
+@pytest.mark.parametrize("name", list(CONCENTRATION_MASKS))
+def test_concentration_report_equals_tuple_by_tuple(name, grouped,
+                                                    monkeypatch):
+    for seed in range(6):
+        rng = RngState(900 + seed).derive("conc", name)
+        mask = CONCENTRATION_MASKS[name](rng.derive("m"))
+        if grouped:
+            # groups of 3 tuples: 3, 3, 3, 1
+            monkeypatch.setattr(linalg, "_STACK_ENTRIES",
+                                3 * mask.rows * mask.cols)
+            assert len(linalg._groups(10, mask.rows * mask.cols)) == 4
+        rep = concentration_report(mask, rng.derive("r"))
+        checks, ratios, gap = reference_concentration(mask, rng.derive("r"))
+        assert rep.checks == checks
+        assert rep.energy_ratios == ratios
+        assert len(ratios) == (0 if name == "empty" else 10)
+        assert rep.gap_norm == gap
 
 
 def test_concentration_report_fields():

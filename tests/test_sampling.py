@@ -34,6 +34,26 @@ def test_rng_derivation_separates_streams():
     assert base.derive("a", "b").token != base.derive("b", "a").token
 
 
+@pytest.mark.parametrize("seed, path", [
+    (0, ()), (7, ("x", 3)), (42, ("trial", 0)),
+    (20200330, ("diagnostics", "gap", 4, "mask")), (2 ** 40 + 3, ("conc",))])
+def test_rng_generator_is_philox_of_the_key(seed, path):
+    # generator() builds Philox from the key's two words, not from key=;
+    # the stream must stay the one Philox(key=...) gives
+    state = RngState(seed).derive(*path)
+    got = state.generator()
+    want = np.random.Generator(np.random.Philox(key=state._key()))
+    for side in (got, want):
+        assert side.bit_generator.state["state"]["counter"].tolist() == [0] * 4
+    assert (got.bit_generator.state["state"]["key"].tolist()
+            == want.bit_generator.state["state"]["key"].tolist())
+    assert np.array_equal(got.standard_normal(1000),
+                          want.standard_normal(1000))
+    assert np.array_equal(got.random(7), want.random(7))
+    assert np.array_equal(got.integers(0, 2 ** 62, 5),
+                          want.integers(0, 2 ** 62, 5))
+
+
 def test_rng_token_is_stable():
     s = RngState(42).derive("trial", 0)
     assert s.token == RngState(42).derive("trial", 0).token
