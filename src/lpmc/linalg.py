@@ -166,7 +166,7 @@ def spectral_norm(a):
     m = as_matrix(a)
     if m.size == 0:
         return 0.0
-    return float(np.linalg.norm(m, 2))
+    return float(np.linalg.svd(m, compute_uv=False)[0])
 
 
 def randomized_range(a, r, gen):

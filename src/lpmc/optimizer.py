@@ -18,23 +18,25 @@ candidates are t = 0..33 for c = 1 and t = 0..32 for c = 2 (2^-34 < 1e-10);
 if none of them gives non-increase the clamp step MIN_STEP is taken
 unconditionally, which may increase the objective.
 
-solve computes the gradient at the start and after each step: it stops
-once ||grad||^2 <= GRAD_TOL_SQ ("grad-tol") or after max_iters steps
-("iter-cap", unless that last gradient also meets the tolerance), so a
-solve of k steps takes k + 1 gradients. Each point is evaluated once: the
-line search hands back the Evaluation of the candidate it accepts, and the
-gradient there reads its residual, balance matrix and row hinges, so the
-arithmetic (and every output) is that of a fresh gradient at each iterate.
-On the dense kernel every candidate's residual, and at the end the estimate
-m_hat, is written into one buffer per solve. A candidate whose fit term
-alone exceeds f(theta) is rejected there, unevaluated beyond it; the other
-terms of f are nonnegative, so the search decides as full evaluations
-would. solve counts its value evaluations, those candidates included, and
-the fully evaluated values at which the row penalty was active.
+descend(spec, theta) yields the start and then each iterate, and ends after
+the first point with ||grad||^2 <= GRAD_TOL_SQ ("grad-tol"); solve takes at
+most max_iters steps of it ("iter-cap", unless that last gradient also
+meets the tolerance), so a solve of k steps takes k + 1 gradients. Each
+point is evaluated once: the line search hands back the Evaluation of the
+candidate it accepts, whose residual, balance matrix and row hinges the
+gradient there reads, so every output is that of fresh evaluations. On the
+dense kernel every residual, and at the end solve's estimate m_hat, is
+written into one buffer per solve. A candidate whose fit term alone
+exceeds f(theta) is rejected there, unevaluated beyond it; the other terms
+of f are nonnegative, so the search decides as full evaluations would.
+solve counts its value evaluations, those candidates included, and the
+fully evaluated values at which the row penalty was active.
 """
 
 import time
 from dataclasses import dataclass
+from itertools import islice
+from typing import NamedTuple
 
 import numpy as np
 
@@ -130,56 +132,74 @@ def initial_theta(spec, config):
     return theta
 
 
-def solve(spec, config):
-    """Run gradient descent on the theta-level objective from
-    initial_theta(spec, config).
+class Point(NamedTuple):
+    """A point of descend: the start, or the iterate after one step."""
+    theta: np.ndarray
+    value: float
+    grad_sq: float            # ||grad||^2 at theta
+    step: float               # the accepted step; 0.0 at the start
+    candidates: int           # values evaluated to reach theta, 1 at the start
+    hinged: int               # of them, fully evaluated ones with a hinge
 
-    Stops when ||grad||^2 <= GRAD_TOL_SQ or after max_iters gradient steps.
-    Raises NumericError (trace attached) if the objective turns non-finite;
-    at the start, where data far beyond unit scale overflow, the start's
-    construction runs without numpy's warnings, and f and ||grad||^2 are
-    checked instead.
-    """
-    started = time.perf_counter()
-    with np.errstate(over="ignore", invalid="ignore"):
-        theta = initial_theta(spec, config)
-        ev = objective_value(spec, theta, keep=True)
-        grad = objective_grad(spec, theta, ev)
-        grad_sq = float(grad @ grad)
+
+def descend(spec, theta, out=None):
+    """Gradient descent from theta as an iterator of Points: the start,
+    then each iterate (see the module docstring). out, when given, is the
+    n1 x n2 buffer that every dense residual is written into. Raises
+    NumericError (trace attached) if f or ||grad||^2 at the start, or f at
+    an iterate, is not finite."""
+    ev = objective_value(spec, theta, keep=True, out=out)
     value = ev.value
+    grad = objective_grad(spec, theta, ev)
+    grad_sq = float(grad @ grad)
     if not (np.isfinite(value) and np.isfinite(grad_sq)):
         raise NumericError("non-finite objective or gradient at the initial "
                            "point", best_estimate=[value])
     trace = [value]
-    clamped = iterations = 0
-    value_evals, hinge_evals = 1, int(ev.hinged)
-    # on the dense kernel every candidate's residual, and the estimate, is
-    # written into the start's residual, so a solve allocates one
-    buf = None if spec.entry_kernel else ev.resid
+    step, candidates, hinged = 0.0, 1, int(ev.hinged)
     ev = None
-    while grad_sq > GRAD_TOL_SQ and iterations < config.max_iters:
+    while True:
+        yield Point(theta, value, grad_sq, step, candidates, hinged)
+        if grad_sq <= GRAD_TOL_SQ:
+            return
         step, theta, ev, candidates, hinged = (
-            halving_line_search(spec, theta, grad, value, buf))
+            halving_line_search(spec, theta, grad, value, out))
         value = ev.value
         if not np.isfinite(value):
             raise NumericError("objective became non-finite",
                                best_estimate=trace + [value])
-        clamped += step == MIN_STEP
-        value_evals += candidates
-        hinge_evals += hinged
-        iterations += 1
         trace.append(value)
         grad = objective_grad(spec, theta, ev)
         ev = None
         grad_sq = float(grad @ grad)
 
+
+def solve(spec, config):
+    """descend from initial_theta(spec, config), for at most max_iters
+    steps. The start is built and evaluated without numpy's warnings, as
+    data far beyond unit scale overflow there; descend raises instead."""
+    started = time.perf_counter()
+    with np.errstate(over="ignore", invalid="ignore"):
+        theta = initial_theta(spec, config)
+        # the dense kernel's residuals and the estimate share one buffer
+        buf = None if spec.entry_kernel else np.empty(spec.observed.shape)
+        points = descend(spec, theta, buf)
+        point = next(points)
+    trace, clamped = [point.value], 0
+    value_evals, hinge_evals = point.candidates, point.hinged
+    for point in islice(points, config.max_iters):
+        theta = point.theta
+        trace.append(point.value)
+        clamped += point.step == MIN_STEP
+        value_evals += point.candidates
+        hinge_evals += point.hinged
     x, y = factors(spec.param, theta)
     m_hat = np.matmul(x, y.T, out=buf)
     return SolveResult(
         theta_hat=theta, m_hat=m_hat,
         objective_trace=np.asarray(trace),
-        grad_norm_sq_final=grad_sq, iterations=iterations,
-        termination="grad-tol" if grad_sq <= GRAD_TOL_SQ else "iter-cap",
+        grad_norm_sq_final=point.grad_sq, iterations=len(trace) - 1,
+        termination="grad-tol" if point.grad_sq <= GRAD_TOL_SQ else "iter-cap",
         clamped_steps=clamped,
         value_evals=value_evals, hinge_evals=hinge_evals,
         wall_time=time.perf_counter() - started)

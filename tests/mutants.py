@@ -75,6 +75,14 @@ MUTANTS = (
     ("key-words-swapped", "src/lpmc/sampling.py",
      "words = np.array([lo, hi], dtype=np.uint64)",
      "words = np.array([hi, lo], dtype=np.uint64)"),
+    ("descend-skips-the-start", "src/lpmc/optimizer.py",
+     "        yield Point(theta, value, grad_sq, step, candidates, hinged)\n",
+     "        if step:\n"
+     "            yield Point(theta, value, grad_sq, step, candidates, "
+     "hinged)\n"),
+    ("solve-one-step-short", "src/lpmc/optimizer.py",
+     "islice(points, config.max_iters)",
+     "islice(points, config.max_iters - 1)"),
 )
 
 

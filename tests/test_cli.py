@@ -176,6 +176,15 @@ def test_subspace_width_outside_one_to_n_is_one_line_error(argv):
     assert "subspace widths must lie in" in proc.stderr
 
 
+@pytest.mark.parametrize("experiment", ["single-solve", "diagnostics"])
+def test_zero_rank_is_one_line_error(experiment):
+    # the parameterization rejects it before any draw divides by r or
+    # indexes its r-th singular value
+    proc = run_lpmc(experiment, "--n", "24", "--r", "0", "--p-grid", "0.8")
+    assert_one_line_error(proc)
+    assert "dimensions must be positive" in proc.stderr
+
+
 def test_negative_sigma_is_one_line_error():
     proc = run_lpmc("subspace-phase", "--n", "12", "--s", "4", "--p-grid",
                     "0.5", "--trials", "1", "--sigma", "-1")

@@ -7,14 +7,17 @@ import types
 import numpy as np
 import pytest
 
+import lpmc.cli as cli
 import lpmc.experiments as experiments
 import lpmc.linalg as linalg
 from lpmc.errors import NumericError
 from lpmc.experiments import (CellSummary, TrialRecord, default_config,
                               render_csv, run_diagnostics, run_experiment,
                               summarize, write_csv)
+from lpmc.instances import rectangular_instance
 from lpmc.optimizer import SolveConfig
-from lpmc.parameterization import balanced_witness
+from lpmc.parameterization import RectangularParam, balanced_witness
+from lpmc.sampling import RngState
 
 
 def tiny_phase(**overrides):
@@ -544,6 +547,46 @@ def test_diagnostics_battery_passes():
         assert key in text
 
 
+def test_diagnostics_report_keys_in_order():
+    text, _ = run_diagnostics(default_config("diagnostics"))
+    per_kind = [f"{section}.{kind}.{name}"
+                for kind in ("subspace", "rectangular", "psd", "skew")
+                for section, name in (("witness", "passes"),
+                                      ("witness", "worst_fit"),
+                                      ("witness", "worst_balance"),
+                                      ("witness", "worst_corr_eig"),
+                                      ("curvature", "two_route_residual"))]
+    assert [line.split(": ", 1)[0] for line in text.splitlines()] == [
+        "report", "master_seed", *per_kind,
+        "gap.instances", "gap.holds", "gap.min_margin", "gap.noise_terms",
+        "profile.sigma_top", "profile.sigma_bottom", "profile.cond",
+        "profile.incoherence", "tuning.p", "tuning.lam", "tuning.alpha",
+        "noise.surrogate", "concentration.gap_norm",
+        "concentration.gap_ratio", "concentration.count",
+        "concentration.checks", "concentration.energy_max_deviation",
+        "result"]
+
+
+def test_failing_witness_fails_the_report(monkeypatch, capsys):
+    # the rectangular witnesses align the root of another truth of the same
+    # shape, which balanced_witness documents as failing the certificate;
+    # the gap and concentration sections still hold
+    config = default_config("diagnostics")
+    _, other = rectangular_instance(config.n1, config.n2, config.r,
+                                    RngState(1).derive("other"))
+    root = RectangularParam.witness_root
+    monkeypatch.setattr(RectangularParam, "witness_root",
+                        lambda self, m: root(self, other))
+    text, ok = run_diagnostics(config)
+    fields = dict(line.split(": ", 1) for line in text.splitlines())
+    assert not ok and fields["result"] == "FAIL"
+    assert fields["witness.rectangular.passes"] == "0/10"
+    assert fields["witness.psd.passes"] == "10/10"
+    assert fields["gap.holds"] == "5/5"
+    assert cli.main(["diagnostics"]) == 2
+    assert capsys.readouterr().out == text
+
+
 def test_diagnostics_report_is_stable():
     cfg = default_config("diagnostics", master_seed=4)
     a, _ = run_diagnostics(cfg)
@@ -556,7 +599,9 @@ def test_diagnostics_noiseless_noise_lines_vanish():
     text, ok = run_diagnostics(cfg)
     assert ok
     fields = dict(l.split(": ", 1) for l in text.splitlines())
-    assert all(float(v) == 0.0 for v in fields["gap.noise_terms"].split())
+    terms = fields["gap.noise_terms"].split()
+    assert len(terms) == int(fields["gap.instances"]) > 0
+    assert all(float(v) == 0.0 for v in terms)
     assert fields["noise.surrogate"].startswith("0.000000e+00")
 
 

@@ -2,11 +2,13 @@
 decomposition, and the sampling concentration checks."""
 
 import math
+from itertools import islice
 
 import numpy as np
 import pytest
 
 import lpmc.linalg as linalg
+from lpmc.experiments import _diag_instances, _mask, default_config
 from lpmc.instances import (assemble, psd_instance, rectangular_instance,
                             skew_instance, subspace_instance)
 from lpmc.landscape import (FLOOR_C1, DeviationCheck, GapReport,
@@ -17,7 +19,7 @@ from lpmc.landscape import (FLOOR_C1, DeviationCheck, GapReport,
                             noise_spectral_surrogate, param_curvature_gap,
                             sampled_deviation_check, tuning_conditions)
 from lpmc.objective import objective_value
-from lpmc.optimizer import SolveConfig, solve
+from lpmc.optimizer import INITS, SolveConfig, descend, initial_theta, solve
 from lpmc.parameterization import balanced_witness, pack_blocks, x_of, y_of
 from lpmc.sampling import (RngState, bernoulli_mask, gaussian_noise,
                            project_observed, symmetric_offdiag_mask)
@@ -257,6 +259,68 @@ def test_quartic_term_matches_stacked_expansion():
     direct = 0.25 * (np.linalg.norm(d.T @ d, "fro") ** 2
                      - 3 * np.linalg.norm(z @ z.T - w @ w.T, "fro") ** 2)
     assert report.term_quartic == pytest.approx(direct, rel=1e-10)
+
+
+# Where descent goes: the diagnostics' four truths (master seed 0, n = 24)
+# at p = 0.6, noise-free, at the standard tuning, solved from both starts
+# with seeds 1 and 2, each seed with its own mask; the points are descend's
+# iterates after these many steps (those a solve reaches). Fixed before the
+# tests first ran.
+ITERATES = (0, 1, 2, 5, 10, 20, 50, 100)
+
+
+@pytest.fixture(scope="module", params=range(4),
+                ids=["subspace", "rectangular", "psd", "skew"])
+def desk_path(request):
+    """(param, m_star, root, specs, thetas): one kind's truth and its
+    witness root, and the points at ITERATES of its four desk solves, each
+    with its solve's spec."""
+    config = default_config("diagnostics", n1=24, n2=24, p_grid=(0.6,))
+    param, m_star = _diag_instances(config, RngState(0))[request.param]
+    specs, thetas = [], []
+    for seed in (1, 2):
+        mask = _mask(param, 0.6, RngState(seed).derive("iterates", "mask"))
+        spec = assemble(param, m_star, mask)
+        for init in INITS:
+            start = initial_theta(spec, SolveConfig(seed=seed, init=init))
+            points = islice(descend(spec, start), ITERATES[-1] + 1)
+            for k, point in enumerate(points):
+                if k in ITERATES:
+                    specs.append(spec)
+                    thetas.append(point.theta)
+    return param, m_star, param.witness_root(m_star), specs, np.array(thetas)
+
+
+def test_gap_bound_holds_at_descent_iterates(desk_path):
+    param, m_star, root, specs, thetas = desk_path
+    assert len(thetas) > 4 * 4      # some solve runs past iterate 5
+    cert = balanced_witness(param, thetas, m_star, root)
+    assert cert.passes.all()
+    reports = curvature_gap_decomposition(specs, thetas, cert.xi)
+    assert all(report.holds() for report in reports)
+
+
+def assert_quartic_lemma(param, thetas, xis):
+    """||Delta Delta^T||_F^2 <= 2 ||ZZ^T - WW^T||_F^2 at each point (Ge, Jin
+    & Zheng 2017), Z = [X; Y] the factors at theta, W those of its witness
+    and Delta = Z - W; the slack is rounding at the scale of W."""
+    z = np.concatenate([x_of(param, thetas), y_of(param, thetas)], axis=1)
+    w = np.concatenate([x_of(param, xis), y_of(param, xis)], axis=1)
+    for zi, wi in zip(z, w):
+        d = zi - wi
+        lhs = np.linalg.norm(d @ d.T) ** 2
+        rhs = np.linalg.norm(zi @ zi.T - wi @ wi.T) ** 2
+        assert lhs <= 2.0 * rhs + 1e-12 * np.linalg.norm(wi.T @ wi) ** 2
+
+
+def test_quartic_lemma_at_iterates_and_draws(desk_path):
+    # the quartic term's lemma; a wrongly aligned witness can break it
+    # while the four-term bound still holds
+    param, m_star, root, _, thetas = desk_path
+    draws = RngState(0).derive("lemma", param.kind).generator()
+    for points in (thetas, draws.standard_normal((10, param.d))):
+        xis = balanced_witness(param, points, m_star, root).xi
+        assert_quartic_lemma(param, points, xis)
 
 
 def gap_stack(seed, lam=None, alpha=None, sigma=0.05,

@@ -216,6 +216,17 @@ def test_spectral_norm_near_degenerate_top():
     assert spectral_norm(g) == pytest.approx(np.linalg.svd(g, compute_uv=False)[0], rel=1e-8)
 
 
+@pytest.mark.parametrize("shape", [(1, 5), (5, 1), (7, 3), (24, 24),
+                                   (40, 13), (100, 60), (300, 300)])
+def test_spectral_norm_is_the_two_norm_bit_for_bit(shape):
+    # the top singular value that np.linalg.norm(m, 2) reduces to, without
+    # its axis and reduction wrappers: Gaussian matrices, and centred
+    # sampling indicators as the report's mask gap norm reads them
+    gen = np.random.default_rng(31)
+    for a in (gen.standard_normal(shape), (gen.random(shape) < 0.3) - 0.3):
+        assert spectral_norm(a) == float(np.linalg.norm(a, 2))
+
+
 def test_spectral_norm_deterministic():
     gen = np.random.default_rng(29)
     a = gen.standard_normal((15, 12))

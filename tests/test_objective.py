@@ -749,6 +749,15 @@ def test_spec_entries_equal_the_nonzero_route():
         assert np.array_equal(made.observed, observed)
 
 
+@pytest.mark.parametrize("density", [DENSE, SPARSE],
+                         ids=["dense", "entry"])
+def test_spec_observed_is_read_only(density):
+    # the solves of one cell share their spec's observed array
+    spec, _ = noiseless_spec("rectangular", 79, **density)
+    with pytest.raises(ValueError):
+        spec.observed[0, 0] = 1.0
+
+
 def test_spec_rejects_off_support_and_non_finite_observed():
     spec, _ = noiseless_spec("rectangular", 73)
     param, mask = spec.param, spec.mask

@@ -429,6 +429,64 @@ def test_cap_at_the_converging_step_reports_grad_tol(density):
     assert below.grad_norm_sq_final > GRAD_TOL_SQ
 
 
+@pytest.mark.parametrize("density", [DENSE, SPARSE],
+                         ids=["dense", "entry"])
+@pytest.mark.parametrize("kind, tuning", [
+    ("subspace", {}), ("rectangular", dict(lam=0.5, alpha=0.5))],
+    ids=["subspace", "rectangular-hinged"])
+def test_descend_yields_the_start_then_each_iterate_of_solve(kind, tuning,
+                                                              density):
+    # solve keeps only the last of descend's first max_iters + 1 points, and
+    # its counts are their sums; descend without a buffer gives the same
+    # bits. The points end at the first gradient within tolerance (the
+    # hinged rectangular solve on the entry kernel reaches the cap)
+    spec, _ = noiseless_spec(kind, 53, **density, **tuning)
+    config = SolveConfig(seed=1, max_iters=400, init="random")
+    result = solve(spec, config)
+    start = initial_theta(spec, config)
+    points = list(itertools.islice(optimizer.descend(spec, start),
+                                   config.max_iters + 1))
+    assert len(points) == result.iterations + 1
+    assert points[0].theta.tobytes() == start.tobytes()
+    assert (points[0].step, points[0].candidates) == (0.0, 1)
+    assert all(p.step > 0.0 for p in points[1:])
+    assert (np.array([p.value for p in points]).tobytes()
+            == result.objective_trace.tobytes())
+    assert points[-1].theta.tobytes() == result.theta_hat.tobytes()
+    assert points[-1].grad_sq == result.grad_norm_sq_final
+    assert ((points[-1].grad_sq <= GRAD_TOL_SQ)
+            == (result.termination == "grad-tol"))
+    assert all(p.grad_sq > GRAD_TOL_SQ for p in points[:-1])
+    assert sum(p.candidates for p in points) == result.value_evals
+    assert sum(p.hinged for p in points) == result.hinge_evals
+    assert (sum(p.step == MIN_STEP for p in points)
+            == result.clamped_steps)
+    if tuning:
+        assert result.hinge_evals > 0
+
+
+def test_descend_raises_with_the_trace_on_a_nonfinite_iterate(monkeypatch):
+    # the third iterate's value is made infinite: the error carries the
+    # values before it and that one
+    def search(*args):
+        step, theta, ev, candidates, hinged = line_search(*args)
+        calls.append(ev.value)
+        if len(calls) == 3:
+            ev = ev._replace(value=np.inf)
+        return step, theta, ev, candidates, hinged
+
+    calls = []
+    line_search = optimizer.halving_line_search
+    monkeypatch.setattr(optimizer, "halving_line_search", search)
+    spec, _ = small_problem(14)
+    points = optimizer.descend(spec, initial_theta(spec, SolveConfig()))
+    values = [next(points).value for _ in range(3)]
+    with pytest.raises(NumericError, match="became non-finite") as exc:
+        next(points)
+    assert exc.value.best_estimate == values + [np.inf]
+    assert values[1:] == calls[:2]
+
+
 def test_config_validation():
     for max_iters in (0, -3):
         with pytest.raises(ValueError, match="max_iters must be positive"):

@@ -161,6 +161,9 @@ def test_mask_entries_are_read_only_and_give_the_count():
         with pytest.raises(ValueError):
             e[...] = 0
         assert mask.count == mask.matrix.sum() == e.size
+        # what the solves of one cell share stays read-only
+        with pytest.raises(ValueError):
+            mask.matrix[0, 0] = True
 
 
 def test_projection_zeros_are_positive_off_the_mask():
