@@ -26,10 +26,11 @@ factor_curvature_gap takes c x n x r stacks of factors; each returns an
 array of the c gaps (parameterization.balanced_witness takes a stack of
 theta too). curvature_gap_decomposition takes a stack of instances of one
 parameterization (their specs, theta, xi and noise) and computes the checks
-and the four terms for all of them at once, on their masks and
-observations stacked c x n1 x n2, and the two K routes instance by
-instance. concentration_report draws its 10 deviation tuples, and its 10
-energy draws, as blocks of its stream and checks each block as one stack.
+and the quartic, sampling and noise terms for all of them at once, on their
+masks and observations stacked c x n1 x n2, and the two K routes and the
+penalty term instance by instance. concentration_report draws its 10
+deviation tuples, and its 10 energy draws, as blocks of its stream and
+checks each block as one stack.
 Numpy runs a stacked matmul, svd or eigvalsh as the routine of one matrix
 on each item, so each item's products equal its point's own. The inner
 products (values, curvature forms, terms, Frobenius norms and tests) are
@@ -41,9 +42,9 @@ products and scatter, which one call would sum in another order, run only
 at points: by the one stack rule, objective._one_pass, a stack of factors
 takes one pass on the dense kernel with no row beyond alpha (or lam = 0)
 and otherwise goes point by point, for the value, the gradient, the
-curvature and the gap alike, and the gap bound's penalty term takes the
-row passes only for an instance whose Frobenius tests let a row reach
-alpha. So a stacked gap, term or check equals, bit for bit, that of its
+curvature and the gap alike, and the gap bound's penalty term reads the
+row hinges of the one Evaluation it shares with its instance's factor
+route. So a stacked gap, term or check equals, bit for bit, that of its
 point alone, and the diagnostics report is the same text however its
 points are grouped. The certificate functions and the decomposition take
 the whole stack they are given, and their caller bounds its size, as the
@@ -59,11 +60,10 @@ import numpy as np
 from .linalg import (RANK_FLOOR, _dots, _groups, _item_dots, _mT, as_matrix,
                      reduced_svd, spectral_norm, two_inf_norm)
 # _evaluate: the one Evaluation a factor-level gap shares between its
-# gradient and its curvature; _one_pass: the stack rule; _inside_alpha: the
-# Frobenius test of a factor's rows
-from .objective import (_evaluate, _inside_alpha, _one_pass, factor_curvature,
-                        factor_grad, objective_value,
-                        row_hinge_penalty_curvature, row_hinge_penalty_grad)
+# gradient, its curvature and the gap bound's penalty term; _one_pass: the
+# stack rule; _hinge_grad, _hinge_curvature: G's derivatives from a row hinge
+from .objective import (_evaluate, _hinge_curvature, _hinge_grad, _one_pass,
+                        factor_curvature, factor_grad, objective_value)
 from .parameterization import _norms, x_of, y_of
 from .sampling import project_observed
 
@@ -101,15 +101,16 @@ def ground_truth_profile(m_star, r):
     return GroundTruthProfile(n1, n2, r, s1, sr, s1 / sr, float(mu))
 
 
-def factor_curvature_gap(x, y, dx, dy, spec):
+def factor_curvature_gap(x, y, dx, dy, spec, ev=None):
     """K at the factor level, from the closed-form Hessian quadratic form;
     at stacked factors an array of the items' gaps (by the stack rule,
     objective._one_pass). The gradient and the curvature read one
-    Evaluation at (X, Y), so the masked residual is formed once."""
-    if x.ndim > 2 and not _one_pass(x, y, spec):
-        return np.array([factor_curvature_gap(*item, spec)
-                         for item in zip(x, y, dx, dy)])
-    ev = _evaluate(x, y, spec)
+    Evaluation at (X, Y), ev when given, so the residual is formed once."""
+    if ev is None:
+        if x.ndim > 2 and not _one_pass(x, y, spec):
+            return np.array([factor_curvature_gap(*item, spec)
+                             for item in zip(x, y, dx, dy)])
+        ev = _evaluate(x, y, spec)
     gx, gy = factor_grad(x, y, spec, ev)
     quad = factor_curvature(x, y, dx, dy, spec, ev)
     return quad - 4.0 * (_dots(gx, dx) + _dots(gy, dy))
@@ -182,10 +183,11 @@ def curvature_gap_decomposition(spec, theta, xi, noise=None):
 
     A stack of c instances of one parameterization gives a list of the c
     GapReports: spec a sequence of c specs, theta and xi c x d, noise
-    c x n1 x n2 (or None). The checks and the four terms are one pass over
-    the stack (_gap_terms); the two K routes run per instance, on its spec.
-    One instance is a stack of one, and every item equals, bit for bit, its
-    instance alone.
+    c x n1 x n2 (or None). The checks and the quartic, sampling and noise
+    terms are one pass over the stack (_gap_terms); the two K routes and
+    the penalty term run per instance, on its spec, the factor route and
+    the penalty term on one Evaluation. One instance is a stack of one,
+    and every item equals, bit for bit, its instance alone.
     """
     theta = np.asarray(theta, dtype=np.float64)
     xi = np.asarray(xi, dtype=np.float64)
@@ -199,17 +201,34 @@ def curvature_gap_decomposition(spec, theta, xi, noise=None):
     dx, dy = x - u, y - v
     terms = _gap_terms(specs, x, y, u, v, dx, dy, noise)
     delta = theta - xi
-    return [GapReport(param_curvature_gap(s, theta[i], delta[i]),
-                      factor_curvature_gap(x[i], y[i], dx[i], dy[i], s),
-                      *map(float, terms[:, i]))
-            for i, s in enumerate(specs)]
+    reports = []
+    for i, s in enumerate(specs):
+        ev = _evaluate(x[i], y[i], s)
+        quartic, sampling, noise_term = map(float, terms[:, i])
+        reports.append(GapReport(
+            param_curvature_gap(s, theta[i], delta[i]),
+            factor_curvature_gap(x[i], y[i], dx[i], dy[i], s, ev),
+            quartic, sampling, _penalty_term(ev, dx[i], dy[i], s.lam),
+            noise_term))
+    return reports
+
+
+def _penalty_term(ev, dx, dy, lam):
+    """The gap bound's penalty term, lam times the curvature gap of G at
+    the factors of ev, from its row hinges; 0.0 with no row beyond alpha,
+    where G's gradient and curvature are zero."""
+    (hx, hy), x, y = ev.hinges, ev.x, ev.y
+    return lam * (_hinge_curvature(x, dx, hx)
+                  - 4.0 * float(np.vdot(_hinge_grad(x, hx), dx))
+                  + _hinge_curvature(y, dy, hy)
+                  - 4.0 * float(np.vdot(_hinge_grad(y, hy), dy)))
 
 
 def _gap_terms(specs, x, y, u, v, dx, dy, noise):
     """The checks of curvature_gap_decomposition on a stack of instances
-    and the four terms of their bounds, a 4 x c array (quartic, sampling,
-    penalty, noise), from the stacked factors at theta (x, y), at xi (u, v)
-    and their differences. The masks and observations are stacked
+    and three terms of their bounds, a 3 x c array (quartic, sampling,
+    noise), from the stacked factors at theta (x, y), at xi (u, v) and
+    their differences. The masks and observations are stacked
     c x n1 x n2; the stack's n1 x n2 arrays are freed on return, before the
     K routes run."""
     m_star = u @ _mT(v)
@@ -249,30 +268,13 @@ def _gap_terms(specs, x, y, u, v, dx, dy, noise):
           - (3.0 * _item_dots(pf, pf) / p
              - 3.0 * _item_dots(fitgap, fitgap)))
 
-    # penalty term: the curvature gap of G at the factors, 0 for an
-    # instance whose Frobenius tests put every row within alpha (G and its
-    # derivatives vanish there) and otherwise that instance's row passes
-    k3 = np.zeros(len(specs))
-    frob_x, frob_y = _item_dots(x, x), _item_dots(y, y)
-    for i, s in enumerate(specs):
-        if not s.lam or (_inside_alpha(frob_x[i], s.alpha)
-                         and _inside_alpha(frob_y[i], s.alpha)):
-            continue
-        k3[i] = s.lam * (
-            row_hinge_penalty_curvature(x[i], dx[i], s.alpha)
-            - 4.0 * float(np.vdot(row_hinge_penalty_grad(x[i], s.alpha),
-                                  dx[i]))
-            + row_hinge_penalty_curvature(y[i], dy[i], s.alpha)
-            - 4.0 * float(np.vdot(row_hinge_penalty_grad(y[i], s.alpha),
-                                  dy[i])))
-
     # noise term
-    k4 = np.zeros(len(specs))
+    k3 = np.zeros(len(specs))
     if noise is not None:
         pn = np.where(masks, noise, 0.0)
-        k4 = (6.0 / p * _item_dots(cross, pn)
+        k3 = (6.0 / p * _item_dots(cross, pn)
               + 4.0 / p * _item_dots(u @ _mT(dy) + dx @ _mT(v), pn))
-    return np.array([k1, k2, k3, k4])
+    return np.array([k1, k2, k3])
 
 
 @dataclass(frozen=True)

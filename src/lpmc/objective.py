@@ -39,9 +39,9 @@ most ||X||_F, so while ||X||_F^2 lies below alpha^2 by a relative margin of
 1e-8 (room for the rounding of both sums up to n r of about 1e7), G and its
 derivatives vanish and no row pass runs; at alpha = 100 that is almost every
 evaluation of the benchmark's sweeps. Otherwise one pass finds the rows
-beyond alpha and keeps their norms and excesses, which the gradient and the
-curvature read. The value, gradient and curvature, and the public
-row_hinge_penalty functions, all share that one implementation.
+beyond alpha and keeps their norms and excesses (a _RowHinge), which the
+gradient and the curvature read. The value, the gradient, the curvature and
+the landscape's gap bound all read that one _RowHinge per factor and point.
 
 Every value is an Evaluation (objective_value(..., keep=True) hands it
 back): the factors (in block coordinates, the blocks and their Gram
@@ -212,7 +212,8 @@ def _inside_alpha(frob_sq, alpha):
 
 
 def _row_hinge(x, alpha):
-    """G at x, from one row-norm pass at most."""
+    """G(x) = sum_i max(||x_i|| - alpha, 0)^4 as a _RowHinge, from one
+    row-norm pass at most."""
     if _inside_alpha(np.vdot(x, x), alpha):
         return _NO_HINGE
     norms = np.sqrt(np.einsum("ij,ij->i", x, x))
@@ -225,7 +226,8 @@ def _row_hinge(x, alpha):
 
 
 def _hinge_grad(x, hinge):
-    """The gradient of G at x from its _RowHinge."""
+    """The gradient of G at x from its _RowHinge: row i is
+    4 max(||x_i|| - alpha, 0)^3 x_i / ||x_i||."""
     coef = np.zeros(x.shape[0])
     if hinge.rows is not None:
         coef[hinge.rows] = 4.0 * hinge.excess ** 3 / hinge.norms
@@ -233,7 +235,8 @@ def _hinge_grad(x, hinge):
 
 
 def _hinge_curvature(x, dx, hinge):
-    """The Hessian quadratic form of G at x along dx from its _RowHinge."""
+    """The Hessian quadratic form of G at x along dx from its _RowHinge
+    (exact; G is C^2)."""
     if hinge.rows is None:
         return 0.0
     xa, da = x[hinge.rows], dx[hinge.rows]
@@ -256,21 +259,6 @@ def _one_pass(x, y, spec):
         return False
     return not spec.lam or all(
         np.all(_inside_alpha(_item_dots(f, f), spec.alpha)) for f in (x, y))
-
-
-def row_hinge_penalty(x, alpha):
-    """G(x) = sum_i max(||x_i|| - alpha, 0)^4."""
-    return _row_hinge(x, alpha).value
-
-
-def row_hinge_penalty_grad(x, alpha):
-    """Row i of the gradient: 4 max(||x_i|| - alpha, 0)^3 x_i / ||x_i||."""
-    return _hinge_grad(x, _row_hinge(x, alpha))
-
-
-def row_hinge_penalty_curvature(x, dx, alpha):
-    """Hessian quadratic form of G at x along dx (exact; G is C^2)."""
-    return _hinge_curvature(x, dx, _row_hinge(x, alpha))
 
 
 def _row_dots(a, b):

@@ -23,6 +23,8 @@ from lpmc.optimizer import INITS, SolveConfig, descend, initial_theta, solve
 from lpmc.parameterization import balanced_witness, pack_blocks, x_of, y_of
 from lpmc.sampling import (RngState, bernoulli_mask, gaussian_noise,
                            project_observed, symmetric_offdiag_mask)
+from specialized_forms import (reference_row_hinge_penalty_curvature,
+                               reference_row_hinge_penalty_grad)
 
 
 def make_instance(kind, seed, p=0.8):
@@ -364,11 +366,72 @@ def test_decomposition_stack_items_equal_single_calls(setting):
         assert isinstance(report, GapReport)
         assert report == alone, i
         assert report.holds()
+    # theta and xi may be sequences of floats
+    assert curvature_gap_decomposition(
+        specs[0], thetas[0].tolist(), xis[0].tolist(),
+        None if noises is None else noises[0]) == stacked[0]
     if "lam" in setting:
         assert [r.term_penalty == 0.0 for r in stacked] == [True, True,
                                                             False, False]
     if setting.get("sigma") == 0.0:
         assert all(r.term_noise == 0.0 for r in stacked)
+
+
+def reference_penalty_term(param, theta, xi, lam, alpha):
+    """lam times the curvature gap of G at the factors of theta along
+    theta - xi, from the reference row penalty, in the bound's order."""
+    x, y = x_of(param, theta), y_of(param, theta)
+    dx, dy = x - x_of(param, xi), y - y_of(param, xi)
+    return lam * (
+        reference_row_hinge_penalty_curvature(x, dx, alpha)
+        - 4.0 * float(np.vdot(reference_row_hinge_penalty_grad(x, alpha), dx))
+        + reference_row_hinge_penalty_curvature(y, dy, alpha)
+        - 4.0 * float(np.vdot(reference_row_hinge_penalty_grad(y, alpha), dy)))
+
+
+def penalty_stack(kind, scales=(1.0, 2.0, 3.0)):
+    """A kind's truth and mask, and theta at each scale with its witness."""
+    param, m_star, mask = make_instance(kind, 90)
+    gen = np.random.default_rng(91)
+    thetas = np.array([scale * gen.standard_normal(param.d)
+                       for scale in scales])
+    return param, m_star, mask, thetas, balanced_witness(param, thetas,
+                                                         m_star).xi
+
+
+@pytest.mark.parametrize("kind", ["subspace", "rectangular", "psd", "skew"])
+@pytest.mark.parametrize("lam, alpha", [(20.0, 1.7), (1.0, 0.5)])
+def test_penalty_term_matches_reference_bitwise(kind, lam, alpha):
+    param, m_star, mask, thetas, xis = penalty_stack(kind)
+    spec = assemble(param, m_star, mask, lam=lam, alpha=alpha)
+    reports = curvature_gap_decomposition([spec] * len(thetas), thetas, xis)
+    expect = [reference_penalty_term(param, theta, xi, lam, alpha)
+              for theta, xi in zip(thetas, xis)]
+    # hex, so a zero term must be +0.0 too
+    assert [r.term_penalty.hex() for r in reports] == [e.hex() for e in expect]
+    assert sum(e != 0.0 for e in expect) >= 2
+
+
+@pytest.mark.parametrize("kind", ["subspace", "rectangular", "psd", "skew"])
+def test_penalty_term_is_zero_without_a_row_beyond_alpha(kind):
+    param, m_star, mask, thetas, xis = penalty_stack(kind, (0.05, 1.0, 3.0))
+    # lam = 0 at rows beyond alpha
+    spec = assemble(param, m_star, mask, lam=0.0, alpha=0.5)
+    reports = curvature_gap_decomposition([spec] * 3, thetas, xis)
+    assert [r.term_penalty.hex() for r in reports] == ["0x0.0p+0"] * 3
+    # alpha above every row: by the Frobenius test at the smallest scale,
+    # by the row pass at the others, whose Frobenius norms exceed alpha
+    specs = []
+    for i, theta in enumerate(thetas):
+        x, y = x_of(param, theta), y_of(param, theta)
+        top = max(np.linalg.norm(x, axis=1).max(),
+                  np.linalg.norm(y, axis=1).max())
+        alpha = max(1.01 * top, 1.7)
+        frob = max(np.linalg.norm(x), np.linalg.norm(y))
+        assert (frob > alpha) == (i > 0)
+        specs.append(assemble(param, m_star, mask, lam=20.0, alpha=alpha))
+    reports = curvature_gap_decomposition(specs, thetas, xis)
+    assert [r.term_penalty.hex() for r in reports] == ["0x0.0p+0"] * 3
 
 
 def test_decomposition_stack_checks_every_item():
@@ -380,6 +443,8 @@ def test_decomposition_stack_checks_every_item():
     # item 3's observations hold another draw's noise
     with pytest.raises(ValueError, match="masked ground truth"):
         curvature_gap_decomposition(specs, thetas, xis, noises[[0, 1, 2, 0]])
+    with pytest.raises(ValueError, match="noise has shape"):
+        curvature_gap_decomposition(specs, thetas, xis, noises[:, :-1])
 
 
 def test_decomposition_rejects_non_witness():

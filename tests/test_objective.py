@@ -10,11 +10,10 @@ import lpmc.objective as objective
 from lpmc.instances import rectangular_instance
 from lpmc.landscape import (PARAM_GAP_STEP, factor_curvature_gap,
                             param_curvature_gap)
-from lpmc.objective import (ObjectiveSpec, default_tuning, factor_curvature,
-                            factor_grad, make_spec,
-                            objective_grad, objective_value,
-                            row_hinge_penalty, row_hinge_penalty_curvature,
-                            row_hinge_penalty_grad)
+from lpmc.objective import (ObjectiveSpec, _hinge_curvature, _hinge_grad,
+                            _row_hinge, default_tuning, factor_curvature,
+                            factor_grad, make_spec, objective_grad,
+                            objective_value)
 from lpmc.parameterization import (SubspaceParam, adjoint, balanced_witness,
                                    factors, rectangular_param, x_of, y_of)
 from lpmc.sampling import (ObservationMask, RngState, bernoulli_mask,
@@ -48,53 +47,54 @@ def test_penalty_zero_inside_ball():
     gen = np.random.default_rng(0)
     x = gen.standard_normal((6, 3))
     alpha = np.linalg.norm(x, axis=1).max() + 0.1
-    assert row_hinge_penalty(x, alpha) == 0.0
-    assert not row_hinge_penalty_grad(x, alpha).any()
+    assert _row_hinge(x, alpha).value == 0.0
+    assert not _hinge_grad(x, _row_hinge(x, alpha)).any()
 
 
 def test_penalty_single_protruding_row():
     alpha = 0.8
     x = np.zeros((4, 3))
     x[2, 0] = 2 * alpha
-    assert row_hinge_penalty(x, alpha) == pytest.approx(alpha ** 4, rel=1e-14)
+    assert _row_hinge(x, alpha).value == pytest.approx(alpha ** 4, rel=1e-14)
 
 
 def test_penalty_alpha_zero_is_quartic_row_sum():
     gen = np.random.default_rng(1)
     x = gen.standard_normal((7, 4))
     expected = sum(np.linalg.norm(row) ** 4 for row in x)
-    assert row_hinge_penalty(x, 0.0) == pytest.approx(expected, rel=1e-12)
+    assert _row_hinge(x, 0.0).value == pytest.approx(expected, rel=1e-12)
 
 
 def test_penalty_infinite_alpha_vanishes():
     gen = np.random.default_rng(2)
     x = 1e6 * gen.standard_normal((5, 2))
-    assert row_hinge_penalty(x, np.inf) == 0.0
-    assert not row_hinge_penalty_grad(x, np.inf).any()
+    assert _row_hinge(x, np.inf).value == 0.0
+    assert not _hinge_grad(x, _row_hinge(x, np.inf)).any()
 
 
 def test_penalty_grad_zero_matrix():
-    assert not row_hinge_penalty_grad(np.zeros((4, 2)), 0.5).any()
+    x = np.zeros((4, 2))
+    assert not _hinge_grad(x, _row_hinge(x, 0.5)).any()
 
 
 def test_penalty_grad_matches_finite_differences():
     gen = np.random.default_rng(3)
     x = 2.0 * gen.standard_normal((6, 3))
     alpha = 1.0
-    grad = row_hinge_penalty_grad(x, alpha)
+    grad = _hinge_grad(x, _row_hinge(x, alpha))
     h = 1e-5 * (1 + np.linalg.norm(x))
     for trial in range(20):
         d = gen.standard_normal(x.shape)
-        fd = (row_hinge_penalty(x + h * d, alpha)
-              - row_hinge_penalty(x - h * d, alpha)) / (2 * h)
+        fd = (_row_hinge(x + h * d, alpha).value
+              - _row_hinge(x - h * d, alpha).value) / (2 * h)
         assert np.vdot(grad, d) == pytest.approx(fd, rel=1e-6, abs=1e-10)
 
 
 def test_penalty_continuous_at_hinge():
     # fourth-power hinge: value and gradient stay tiny just past the kink
     x = np.array([[1.0 + 1e-9, 0.0]])
-    assert row_hinge_penalty(x, 1.0) <= 1e-30
-    assert np.linalg.norm(row_hinge_penalty_grad(x, 1.0)) <= 1e-20
+    assert _row_hinge(x, 1.0).value <= 1e-30
+    assert np.linalg.norm(_hinge_grad(x, _row_hinge(x, 1.0))) <= 1e-20
 
 
 def _rounding_inversion():
@@ -149,15 +149,15 @@ def _hinge_cases():
 
 def _assert_hinge_matches_reference(x, alpha):
     dx = np.random.default_rng(41).standard_normal(x.shape)
-    value = row_hinge_penalty(x, alpha)
+    value = _row_hinge(x, alpha).value
     ref = reference_row_hinge_penalty(x, alpha)
     assert type(value) is type(ref) and value == ref
-    grad = row_hinge_penalty_grad(x, alpha)
+    grad = _hinge_grad(x, _row_hinge(x, alpha))
     ref = reference_row_hinge_penalty_grad(x, alpha)
     # bytes, so the signed zeros of rows inside the ball must agree too
     assert grad.dtype == ref.dtype and grad.shape == ref.shape
     assert grad.tobytes() == ref.tobytes()
-    curv = row_hinge_penalty_curvature(x, dx, alpha)
+    curv = _hinge_curvature(x, dx, _row_hinge(x, alpha))
     ref = reference_row_hinge_penalty_curvature(x, dx, alpha)
     assert curv == ref
 
@@ -671,8 +671,8 @@ def test_skew_penalty_stacking_identity():
     spec, _ = noiseless_spec("skew", 23, lam=1.0, alpha=0.3)
     theta = gen.standard_normal(spec.param.d)
     x, y = x_of(spec.param, theta), y_of(spec.param, theta)
-    a = row_hinge_penalty(x, spec.alpha)
-    b = row_hinge_penalty(y, spec.alpha)
+    a = _row_hinge(x, spec.alpha).value
+    b = _row_hinge(y, spec.alpha).value
     assert a == pytest.approx(b, rel=1e-12)
 
 

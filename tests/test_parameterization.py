@@ -10,11 +10,11 @@ from lpmc.instances import (orthonormal_vectors, psd_instance,
                             rectangular_instance, skew_instance,
                             subspace_instance)
 from lpmc.parameterization import (FIT_TOL, KINDS, PARAM_CLASSES, PsdParam,
-                                   RectangularParam, SkewParam, adjoint,
-                                   balanced_witness, certify, factors,
-                                   pack_blocks, psd_param, rectangular_param,
-                                   skew_param, subspace_param, theta_blocks,
-                                   x_of, y_of)
+                                   RectangularParam, SkewParam, SubspaceParam,
+                                   adjoint, balanced_witness, certify,
+                                   factors, pack_blocks, psd_param,
+                                   rectangular_param, skew_param,
+                                   subspace_param, theta_blocks, x_of, y_of)
 from lpmc.sampling import RngState
 
 
@@ -253,6 +253,14 @@ def test_subspace_rejects_dependent_columns():
         subspace_param(b, np.eye(5)[:, :2], 1)
 
 
+@pytest.mark.parametrize("n1, n2", [(9, 7), (8, 6)])
+def test_subspace_rejects_a_basis_of_another_row_count(n1, n2):
+    # bases of 8 and 7 rows: one of them misses its dimension each time
+    bu, bv = np.eye(8)[:, :3], np.eye(7)[:, :3]
+    with pytest.raises(ValueError, match="basis row counts must match n1, n2"):
+        SubspaceParam(n1, n2, 2, bu, bv)
+
+
 # ------------------------------------------------------------------ witnesses
 
 def relative_fit(param, xi, m_star):
@@ -374,6 +382,22 @@ def test_witness_errors():
     sym = np.diag([2.0, 1.0, -0.5] + [0.0] * 5)
     with pytest.raises(ValueError, match="eigenvalue"):
         balanced_witness(psd_param(8, 3), np.zeros(24), sym)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_witness_rejects_a_truth_of_another_shape(kind):
+    # one row too many, and a transposed truth where n1 != n2
+    param = next(p for p in every_param(n=6) if p.kind == kind)
+    if kind == "rectangular":
+        param = rectangular_param(6, 5, 2)
+    wrong = [np.ones((param.n1 + 1, param.n2))]
+    if param.n1 != param.n2:
+        wrong.append(np.ones((param.n2, param.n1)))
+    for m_star in wrong:
+        with pytest.raises(ValueError,
+                           match="m_star shape does not match "
+                                 "parameterization"):
+            balanced_witness(param, np.zeros(param.d), m_star)
 
 
 def tail_truth(kind, tail):
