@@ -4,11 +4,12 @@ run_experiment is the one sweep loop: p, then trial, then sweep value, then
 solver. A per-experiment plan gives the ground truth of each sweep value
 (subspace width s, skew rank r; a single-solve of a kind without bases has
 the one value r, the rank it solves at) and its solvers, each a (label,
-init-stream tags, parameterization) triple. The solvers of one sweep value
-(skew-compare's two) run on threads when BLAS is pinned to fewer threads
-than there are usable CPUs and the matrix is large enough to gain
-(_solve_workers); records and errors keep the serial loop's order. Streams
-derive from the master seed:
+init-stream tags, parameterization) triple. The solves of one (p, trial)
+cell, every sweep value and every solver, run on forked lanes when BLAS is
+pinned to fewer threads than there are usable CPUs and the matrix is large
+enough (_solve_workers, _lane_map), the widest sweep value first; records
+and errors keep the serial loop's order. Streams derive from the master
+seed:
 
   cell     (experiment, "p", repr(p), "t", t); its "mask" and "noise"
            children draw the data of every sweep value and solver of (p, t)
@@ -37,10 +38,12 @@ row per trial, then a summary section whose lines are prefixed '#summary'
 parsing them back is lossless.
 """
 
-import contextlib
 import functools
 import math
 import os
+import pickle
+import signal
+import threading
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -224,9 +227,10 @@ class TrialRecord:
     success: int
     iterations: int
     termination: str
-    wall_time: float        # in-memory only, see module docstring; with
-                            # the cell's solvers on threads it includes the
-                            # contention with the sibling solve
+    wall_time: float        # in-memory only, see module docstring; taken
+                            # in the lane that ran the solve, so on lanes
+                            # it includes the contention with the other
+                            # lanes
     value_evals: int        # objective values of the solve, in-memory only
 
 
@@ -327,11 +331,11 @@ def summarize(records):
     return out
 
 
-def _trial(config, cell, t, p, value, data, m_star, solver):
-    """One solve of a sweep cell by solver, a (label, init-stream tags,
-    parameterization) triple; data is the cell's spec for the truth, None
-    when the mask is empty."""
-    label, tags, param = solver
+def _trial(config, cell, t, p, job):
+    """One solve of a sweep cell: job is (sweep value, data, m_star,
+    solver), solver a (label, init-stream tags, parameterization) triple and
+    data the cell's spec for the truth, None when the mask is empty."""
+    value, data, m_star, (label, tags, param) = job
     stream = cell.derive(*tags)
     if data is None:
         # nothing observed: the objective is undefined, the estimate is 0,
@@ -340,7 +344,8 @@ def _trial(config, cell, t, p, value, data, m_star, solver):
                                                       0.0, 0)
     else:
         # another parameterization of the same shape (skew-compare's free
-        # solver) shares the cell's mask, observed array and tuning
+        # solver, a later width of a subspace sweep) shares the cell's mask,
+        # observed array and tuning
         spec = data if param is data.param else replace(data, param=param)
         result = solve(spec, SolveConfig(seed=stream,
                                          max_iters=config.max_iters,
@@ -359,26 +364,42 @@ def _trial(config, cell, t, p, value, data, m_star, solver):
         value_evals=values)
 
 
-# the fewest matrix entries at which a cell's solves run on threads: below
-# it each numpy call is too short for two solves to overlap more than they
-# trade the GIL (BLAS pinned, in-process, serial then threaded: n = 200
-# 1.38 -> 1.52 s, n = 300 0.98 -> 0.83 s, n = 500 1.59 -> 0.98 s)
-THREADS_FROM_ENTRIES = 300 * 300
+# the fewest matrix entries at which a cell's solves run on forked lanes.
+# Lanes gained at every size measured (BLAS pinned, in-process, two lanes
+# against the serial loop: subspace-phase ratio 0.73 at n = 60 and
+# 0.57-0.64 at n = 100-300, skew-compare 0.60 at n = 100 and 0.55 at 200),
+# but the spans a child lane records never reach a tracer installed in the
+# parent. So the benchmark's desk-size rounds, the traced tier-1 tests and
+# the digest configs must stay below the cut-off, on the serial loop.
+LANES_FROM_ENTRIES = 300 * 300
 
 
-def _solve_workers(solvers, entries):
-    """Threads for the solves of one sweep value of an n1 x n2 problem with
-    n1 * n2 = entries: min(solvers, usable CPUs // BLAS threads), at least
-    1, and 1 below THREADS_FROM_ENTRIES.
+def _threads():
+    """This process's threads: the kernel's count where /proc lists them, a
+    BLAS pool included (Python 3.12 warns at a fork by the same count), else
+    the threads the threading module knows."""
+    try:
+        return len(os.listdir("/proc/self/task"))
+    except OSError:
+        return threading.active_count()
+
+
+def _solve_workers(jobs, entries):
+    """Lanes for the jobs solves of one cell of an n1 x n2 problem with
+    n1 * n2 = entries: min(jobs, usable CPUs // BLAS threads), at least 1;
+    and 1 below LANES_FROM_ENTRIES, without os.fork, or while the process
+    runs more than one thread (a forked child keeps only the forking thread,
+    and any lock another thread held stays taken in it).
 
     BLAS threads are read as OpenBLAS reads them: OPENBLAS_NUM_THREADS, else
     OMP_NUM_THREADS, a value that is not a positive integer counting as
     unset, and unset meaning every CPU. So only a run with BLAS pinned below
-    the CPU count solves concurrently; an unpinned one gives 1 worker, since
+    the CPU count solves concurrently; an unpinned one gives 1 lane, since
     two solves that each spread over every CPU ran 1.5x slower side by side
     than one after the other.
     """
-    if entries < THREADS_FROM_ENTRIES:
+    if (entries < LANES_FROM_ENTRIES or not hasattr(os, "fork")
+            or _threads() > 1):
         return 1
     try:
         cpus = len(os.sched_getaffinity(0))
@@ -392,21 +413,87 @@ def _solve_workers(solvers, entries):
         if value.isascii() and value.isdigit() and int(value) > 0:
             blas = int(value)
             break
-    return max(1, min(solvers, cpus // blas))
+    return max(1, min(jobs, cpus // blas))
 
 
-@contextlib.contextmanager
-def _solver_map(workers):
-    """The map that runs a cell's solves: the builtin for one worker, else a
-    thread pool's, which gives the results in item order and raises the
-    first error in item order. The pool is joined on exit, also when a solve
-    raised, and imported only here, as its import takes about 5 ms."""
-    if workers == 1:
-        yield map
-        return
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(workers) as pool:
-        yield pool.map
+def _lane(fn, items, order, take, put):
+    """One lane's share of _lane_map: {item index: (raised, fn's result or
+    its exception)} for each item it takes from the pipe (read end take,
+    write end put)."""
+    done = {}
+    while True:
+        # the pipe holds one 8-byte count of the items taken: the lane that
+        # reads it has it alone until it writes back the count plus one
+        k = int.from_bytes(os.read(take, 8), "little")
+        os.write(put, (k + 1).to_bytes(8, "little"))
+        if k >= len(order):
+            return done
+        i = order[k]
+        try:
+            done[i] = (False, fn(items[i]))
+        except Exception as exc:
+            done[i] = (True, exc)
+
+
+def _lane_map(fn, items, lanes, key=None):
+    """[fn(item) for item in items] on this process and lanes - 1 forked
+    children, which inherit fn and the items through the fork.
+
+    Every lane takes the next item from one pipe, in ascending order of key
+    (item order without one), until none is left; a child then sends back
+    only its results or exceptions, pickled, and leaves by os._exit. The
+    results come back in item order, and once every item has run the first
+    error in item order is raised; a child that ended without sending its
+    results raises RuntimeError. One lane is the serial loop, in item order.
+    Every child is reaped before this returns or raises, and killed first
+    when this process raised or was interrupted.
+    """
+    if lanes == 1:
+        return [fn(item) for item in items]
+    order = range(len(items))
+    if key:
+        order = sorted(order, key=lambda i: key(items[i]))
+    take, put = os.pipe()
+    fds, sends, reaped = [take, put], {}, set()  # sends: pid -> read end
+    try:
+        os.write(put, (0).to_bytes(8, "little"))
+        for _ in range(lanes - 1):
+            read, write = os.pipe()
+            fds += (read, write)
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    with open(write, "wb", closefd=False) as out:
+                        pickle.dump(_lane(fn, items, order, take, put), out)
+                except BaseException:
+                    # a forked child never returns into its parent's stack
+                    os._exit(1)
+                os._exit(0)
+            os.close(fds.pop())     # the child's end: EOF when it ends
+            sends[pid] = read
+        done = _lane(fn, items, order, take, put)
+        for pid, read in sends.items():
+            with open(read, "rb", closefd=False) as sent:
+                data = sent.read()
+            status = os.waitpid(pid, 0)[1]
+            reaped.add(pid)
+            if status:
+                raise RuntimeError(
+                    f"solver lane {pid} ended with exit code "
+                    f"{os.waitstatus_to_exitcode(status)} before sending its "
+                    "results")
+            done.update(pickle.loads(data))
+    finally:
+        for fd in fds:
+            os.close(fd)
+        for pid in sends.keys() - reaped:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    outcomes = [done[i] for i in range(len(items))]
+    for raised, value in outcomes:
+        if raised:
+            raise value
+    return [value for _, value in outcomes]
 
 
 def _mask(param, p, rng):
@@ -460,6 +547,23 @@ def _plan(config, master):
     return plan
 
 
+def _jobs(config, plan, mask, noise):
+    """The solves of one cell, in the serial loop's order: (sweep value,
+    data, m_star, solver) each, data None when the mask is empty. The cell's
+    data live only as long as the list, so they are gone before the next
+    cell draws its mask."""
+    jobs, data, last = [], None, None
+    for value, truth, m_star, solvers in plan:
+        # the widths of a subspace sweep share one truth, so their solves
+        # share one spec, which _trial gives each width's parameterization
+        if m_star is not last and mask.count:
+            data = assemble(truth, m_star, mask, noise, config.lam,
+                            config.alpha)
+        last = m_star
+        jobs += [(value, data, m_star, solver) for solver in solvers]
+    return jobs
+
+
 def run_experiment(config):
     """The sweep loop (see the module docstring); returns (records,
     summaries)."""
@@ -469,25 +573,20 @@ def run_experiment(config):
     exp = config.experiment
     plan = _plan(config, master)
     model = plan[0][1]       # every truth of a sweep has one kind and size
-    workers = _solve_workers(max(len(step[3]) for step in plan),
-                             model.n1 * model.n2)
+    lanes = _solve_workers(sum(len(step[3]) for step in plan),
+                           model.n1 * model.n2)
     records = []
-    with _solver_map(workers) as solve_all:
-        for p in config.p_grid:
-            for t in range(config.trials):
-                cell = master.derive(exp, "p", repr(p), "t", t)
-                mask = _mask(model, p, cell.derive("mask"))
-                noise = None
-                if config.sigma > 0.0:
-                    noise = _noise(model, config.sigma, cell.derive("noise"))
-                for value, truth, m_star, solvers in plan:
-                    data = None
-                    if mask.count:
-                        data = assemble(truth, m_star, mask, noise,
-                                        config.lam, config.alpha)
-                    records.extend(solve_all(functools.partial(
-                        _trial, config, cell, t, p, value, data, m_star),
-                        solvers))
+    for p in config.p_grid:
+        for t in range(config.trials):
+            cell = master.derive(exp, "p", repr(p), "t", t)
+            mask = _mask(model, p, cell.derive("mask"))
+            noise = None
+            if config.sigma > 0.0:
+                noise = _noise(model, config.sigma, cell.derive("noise"))
+            # the widest sweep value's solves are the longest: first
+            records += _lane_map(functools.partial(_trial, config, cell, t, p),
+                                 _jobs(config, plan, mask, noise), lanes,
+                                 key=lambda job: -job[0])
     return records, summarize(records)
 
 

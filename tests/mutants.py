@@ -22,21 +22,27 @@ names. A row is named module:function:line and reported as above:
     python tests/mutants.py src/lpmc/landscape.py src/lpmc/objective.py
 
 A surviving mutant costs a full tier-1 run, about 20 s; a caught one about
-9 s. A change that adds a rule or a constant adds its row.
-tests/test_mutants.py checks in tier-1 that each row's text still occurs
-once. BLAS is pinned to one thread, as output_digests.py pins it. pytest
-does not collect this file.
+9 s. Each run has a session of its own and is killed after RUN_SECONDS: a
+mutant that makes tier-1 wait forever on a forked solver lane counts as
+caught, with the timeout as its last line. A change that adds a rule or a
+constant adds its row. tests/test_mutants.py checks in tier-1 that each
+row's text still occurs once. BLAS is pinned to one thread, as
+output_digests.py pins it. pytest does not collect this file.
 """
 
 import ast
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEEDS = 2
+# a tier-1 run takes about 20 s; a mutant that makes it wait forever on a
+# forked lane is killed after this and counted as caught
+RUN_SECONDS = 300
 
 MUTANTS = (
     ("search-accepts-on-less", "src/lpmc/optimizer.py",
@@ -186,11 +192,32 @@ def generated(tree, path):
 
 
 def run(tree, *argv):
+    """Run python with argv in tree, in a session of its own: a mutant
+    that leaves a forked solver lane behind, or kills its process group,
+    reaches only that session, which is killed after RUN_SECONDS and again
+    once the run is over. A killed run returns a negative code."""
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"),
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                MKL_NUM_THREADS="1")
-    return subprocess.run([sys.executable, *argv], cwd=tree, env=env,
-                          capture_output=True, text=True)
+    proc = subprocess.Popen([sys.executable, *argv], cwd=tree, env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True, start_new_session=True)
+    try:
+        out, err = proc.communicate(timeout=RUN_SECONDS)
+    except subprocess.TimeoutExpired:
+        _kill_session(proc.pid)
+        out, err = proc.communicate()
+        out += f"\ntimed out after {RUN_SECONDS} s"
+    finally:
+        _kill_session(proc.pid)
+    return subprocess.CompletedProcess(proc.args, proc.returncode, out, err)
+
+
+def _kill_session(pid):
+    try:
+        os.killpg(pid, signal.SIGKILL)
+    except ProcessLookupError:      # nothing of the session is left
+        pass
 
 
 def digests(tree):

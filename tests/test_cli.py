@@ -523,21 +523,23 @@ def test_reruns_write_identical_files(tmp_path, capsys, argv, shows):
         assert rates and set(rates) == {"1.0"}
 
 
-def test_serial_and_threaded_cells_write_the_same_csv(tmp_path):
-    # with BLAS on one thread, a skew-compare cell of n >= 300 runs its two
-    # solvers on two threads, and on one usable CPU one after the other
+def test_serial_and_laned_cells_write_the_same_csv(tmp_path):
+    # with BLAS on one thread, a cell of n >= 300 runs its solves on two
+    # forked lanes, and on one usable CPU one after the other
     if (not hasattr(os, "sched_setaffinity")
             or len(os.sched_getaffinity(0)) < 2):
         pytest.skip("needs os.sched_setaffinity and two usable CPUs")
-    argv = ("skew-compare", "--n", "300", "--s", "2,4", "--p-grid", "0.3",
-            "--trials", "2")
-    serial, threaded = tmp_path / "serial.csv", tmp_path / "threaded.csv"
-    for out, cpu in ((serial, min(os.sched_getaffinity(0))),
-                     (threaded, None)):
-        proc = run_lpmc(*argv, "--out", str(out), cpu=cpu,
-                        OPENBLAS_NUM_THREADS="1")
-        assert proc.returncode == 0, proc.stderr
-    assert serial.read_bytes() == threaded.read_bytes()
+    for argv in (("skew-compare", "--n", "300", "--s", "2,4", "--p-grid",
+                  "0.3", "--trials", "2"),
+                 ("subspace-phase", "--n", "300", "--s", "10,20,30,40",
+                  "--p-grid", "0.003")):
+        serial, laned = tmp_path / "serial.csv", tmp_path / "laned.csv"
+        for out, cpu in ((serial, min(os.sched_getaffinity(0))),
+                         (laned, None)):
+            proc = run_lpmc(*argv, "--out", str(out), cpu=cpu,
+                            OPENBLAS_NUM_THREADS="1")
+            assert proc.returncode == 0, proc.stderr
+        assert serial.read_bytes() == laned.read_bytes()
 
 
 def test_diagnostics_stdout_and_file(tmp_path, capsys):

@@ -1,5 +1,8 @@
 """Tests for the sweep driver, CSV emission, and the diagnostics battery."""
 
+import os
+import pickle
+import signal
 import threading
 import time
 import types
@@ -9,11 +12,12 @@ import pytest
 
 import lpmc.cli as cli
 import lpmc.experiments as experiments
+import lpmc.landscape as landscape
 import lpmc.linalg as linalg
 from lpmc.errors import NumericError
-from lpmc.experiments import (CellSummary, TrialRecord, default_config,
-                              render_csv, run_diagnostics, run_experiment,
-                              summarize, write_csv)
+from lpmc.experiments import (CellSummary, ExperimentConfig, TrialRecord,
+                              default_config, render_csv, run_diagnostics,
+                              run_experiment, summarize, write_csv)
 from lpmc.instances import rectangular_instance
 from lpmc.optimizer import SolveConfig
 from lpmc.parameterization import RectangularParam, balanced_witness
@@ -32,6 +36,8 @@ def tiny_phase(**overrides):
 def test_config_validation():
     with pytest.raises(ValueError):
         default_config("no-such-sweep")
+    with pytest.raises(ValueError, match="unknown experiment 'no-such'"):
+        ExperimentConfig("no-such", 8, 8, 2, (4,), (0.5,), 0.0, 1)
     with pytest.raises(ValueError):
         tiny_phase(p_grid=(0.0,))
     with pytest.raises(ValueError):
@@ -290,7 +296,7 @@ def test_skew_compare_solvers_share_the_data(monkeypatch):
     solve = experiments.solve
     monkeypatch.setattr(experiments, "solve", recording_solve)
     # the recording order is the order of the calls, which only the serial
-    # path fixes
+    # path fixes, and the child lanes' calls are not recorded here
     monkeypatch.setattr(experiments, "_solve_workers",
                         lambda solvers, entries: 1)
     cfg = default_config("skew-compare", n1=16, n2=16, sweep=(2, 4),
@@ -310,38 +316,102 @@ def test_skew_compare_solvers_share_the_data(monkeypatch):
     assert not np.array_equal(seen[0][1], seen[4][1])
 
 
-DENSE_SKEW_COMPARE = dict(n1=40, n2=40, sweep=(2, 4), p_grid=(0.5,),
-                          trials=2, master_seed=3)
-
-
-def test_concurrent_solvers_write_the_serial_csv(monkeypatch):
-    # one worker is the serial loop; with two, each cell's skew and free
-    # solves run on pool threads and the records keep the serial order
-    threads = set()
+def test_phase_sweep_widths_share_one_spec_per_cell(monkeypatch):
+    # every width of a subspace cell solves on the first width's spec with
+    # its own parameterization, so a cell holds one observed array
+    seen, built = [], []
 
     def recording_solve(spec, config):
-        threads.add(threading.current_thread())
+        seen.append((spec.param.basis_u.shape[1], spec.observed))
+        return solve(spec, config)
+
+    def counting_assemble(*args, **kwargs):
+        built.append(args[0].basis_u.shape[1])
+        return assemble(*args, **kwargs)
+
+    solve, assemble = experiments.solve, experiments.assemble
+    monkeypatch.setattr(experiments, "solve", recording_solve)
+    monkeypatch.setattr(experiments, "assemble", counting_assemble)
+    run_experiment(tiny_phase(sweep=(4, 8, 6), max_iters=20))
+    assert built == [4, 4]             # one spec per cell, two trials
+    assert [s for s, _ in seen] == [4, 8, 6] * 2
+    cells = [seen[:3], seen[3:]]
+    for cell in cells:
+        assert all(obs is cell[0][1] for _, obs in cell)
+    assert cells[0][0][1] is not cells[1][0][1]
+
+
+DENSE_SKEW_COMPARE = dict(n1=40, n2=40, sweep=(2, 4), p_grid=(0.5,),
+                          trials=2, master_seed=3)
+LANE_PHASE = dict(n1=40, n2=40, sweep=(4, 8, 6), p_grid=(0.1, 0.3),
+                  trials=2, master_seed=3)
+
+
+class LaneDeadline(BaseException):
+    """Raised in the parent lane by deadline's alarm; a BaseException, so a
+    lane does not record it as its solve's error and run on."""
+
+
+@pytest.fixture
+def deadline():
+    # a lane that waits forever fails its test instead of hanging the run;
+    # a forked child inherits the handler but not the alarm
+    def expire(signum, frame):
+        raise LaneDeadline("lanes still running after 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def lanes_at(monkeypatch, lanes):
+    monkeypatch.setattr(experiments, "_solve_workers",
+                        lambda jobs, entries: min(jobs, lanes))
+
+
+def no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.usefixtures("deadline")
+def test_concurrent_solvers_write_the_serial_csv(monkeypatch, tmp_path):
+    # one lane is the serial loop in this process; with two, a cell's solves
+    # run in this process and a forked child, and the records keep the
+    # serial order
+    pids = tmp_path / "pids"
+
+    def recording_solve(spec, config):
+        with open(pids, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        # long enough that the child lane takes a solve of each cell
+        time.sleep(0.02)
         return solve(spec, config)
 
     solve = experiments.solve
     monkeypatch.setattr(experiments, "solve", recording_solve)
-    cfg = default_config("skew-compare", **DENSE_SKEW_COMPARE)
-    texts = []
-    for workers in (1, 2):
-        monkeypatch.setattr(
-            experiments, "_solve_workers",
-            lambda solvers, entries, w=workers: min(solvers, w))
-        threads.clear()
-        texts.append(render_csv(*run_experiment(cfg)))
-        on_main = threads == {threading.main_thread()}
-        assert on_main == (workers == 1)
-    assert texts[0] == texts[1]
+    for experiment, fields in (("skew-compare", DENSE_SKEW_COMPARE),
+                               ("subspace-phase", LANE_PHASE)):
+        cfg = default_config(experiment, **fields)
+        texts = []
+        for lanes in (1, 2):
+            lanes_at(monkeypatch, lanes)
+            pids.write_text("")
+            texts.append(render_csv(*run_experiment(cfg)))
+            seen = set(pids.read_text().split())
+            assert str(os.getpid()) in seen
+            assert (len(seen) > 1) == (lanes == 2)
+            no_child_left()
+        assert texts[0] == texts[1]
 
 
+@pytest.mark.usefixtures("deadline")
 def test_a_solver_error_leaves_the_run_as_in_the_serial_loop(monkeypatch):
     # both solvers of the second rank fail; the free one fails first, yet
-    # the skew solver's error, the first in submission order, is raised, and
-    # no pool thread is left running
+    # the skew solver's error, the first in item order, is raised, and no
+    # child lane is left
     def failing_solve(spec, config):
         if spec.param.r == 4:
             if spec.param.kind == "skew":
@@ -352,24 +422,184 @@ def test_a_solver_error_leaves_the_run_as_in_the_serial_loop(monkeypatch):
     solve = experiments.solve
     monkeypatch.setattr(experiments, "solve", failing_solve)
     cfg = default_config("skew-compare", **DENSE_SKEW_COMPARE)
-    before = set(threading.enumerate())
-    for workers in (1, 2):
-        monkeypatch.setattr(
-            experiments, "_solve_workers",
-            lambda solvers, entries, w=workers: min(solvers, w))
+    for lanes in (1, 2):
+        lanes_at(monkeypatch, lanes)
         with pytest.raises(NumericError, match="^skew failed$"):
             run_experiment(cfg)
-        assert set(threading.enumerate()) == before
+        no_child_left()
 
 
-@pytest.mark.parametrize("cpus, env, solvers, workers", [
+@pytest.mark.usefixtures("deadline")
+def test_a_lane_that_dies_mid_solve_raises(monkeypatch):
+    # a child lane that ends without sending its results fails the run, and
+    # neither hangs it nor stays behind
+    parent = os.getpid()
+
+    def dying_solve(spec, config):
+        if os.getpid() != parent:
+            os._exit(3)
+        time.sleep(0.05)         # the child takes the next solve
+        return solve(spec, config)
+
+    solve = experiments.solve
+    monkeypatch.setattr(experiments, "solve", dying_solve)
+    lanes_at(monkeypatch, 2)
+    cfg = default_config("skew-compare", **dict(DENSE_SKEW_COMPARE, trials=1))
+    with pytest.raises(RuntimeError, match="exit code 3 before sending"):
+        run_experiment(cfg)
+    no_child_left()
+
+
+@pytest.mark.usefixtures("deadline")
+@pytest.mark.parametrize("lanes", [1, 2, 3])
+def test_lane_map_returns_any_number_of_items_in_order(lanes):
+    # more items than one byte can number; the widest-first key only
+    # changes which lane takes which
+    items = list(range(300))
+    fds = os.listdir("/proc/self/fd") if os.path.isdir("/proc/self/fd") else []
+    assert experiments._lane_map(lambda i: i * i, items, lanes,
+                                 key=lambda i: -i) == [i * i for i in items]
+    assert experiments._lane_map(str, items, lanes) == [str(i) for i in items]
+    no_child_left()
+    # and every pipe is closed
+    if fds:
+        assert sorted(os.listdir("/proc/self/fd")) == sorted(fds)
+
+
+@pytest.mark.usefixtures("deadline")
+def test_lanes_take_items_in_key_order(tmp_path):
+    # each lane takes its items in ascending order of the key; of ten items
+    # on two lanes, one lane takes two at least
+    log = tmp_path / "taken"
+
+    def take(i):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {i}\n")
+        return i
+
+    items = list(range(10))
+    assert experiments._lane_map(take, items, 2, key=lambda i: -i) == items
+    taken = {}
+    for line in log.read_text().splitlines():
+        pid, i = line.split()
+        taken.setdefault(pid, []).append(int(i))
+    assert sorted(i for seq in taken.values() for i in seq) == items
+    assert max(len(seq) for seq in taken.values()) > 1
+    for seq in taken.values():
+        assert seq == sorted(seq, reverse=True)
+
+
+@pytest.mark.usefixtures("deadline")
+def test_lanes_that_die_are_all_reaped():
+    # the first dead child raises, and the finally reaps the other
+    parent = os.getpid()
+
+    def die(i):
+        if os.getpid() != parent:
+            os._exit(3)
+        time.sleep(0.05)
+        return i
+
+    with pytest.raises(RuntimeError, match="exit code 3"):
+        experiments._lane_map(die, list(range(6)), 3)
+    no_child_left()
+
+
+@pytest.mark.usefixtures("deadline")
+def test_a_result_a_lane_cannot_send_raises():
+    parent = os.getpid()
+
+    def result(i):
+        if os.getpid() == parent:
+            time.sleep(0.05)        # the child takes the other items
+            return i
+        return lambda: i            # pickle cannot send a lambda
+
+    with pytest.raises(RuntimeError, match="exit code 1 before sending"):
+        experiments._lane_map(result, list(range(6)), 2)
+    no_child_left()
+
+
+@pytest.mark.usefixtures("deadline")
+def test_an_interrupt_kills_the_child_lanes():
+    parent = os.getpid()
+
+    def interrupted(i):
+        if os.getpid() == parent:
+            time.sleep(0.05)        # the children take an item each
+            raise KeyboardInterrupt
+        time.sleep(30)
+
+    started = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        experiments._lane_map(interrupted, list(range(4)), 3)
+    assert time.perf_counter() - started < 10
+    no_child_left()
+
+
+@pytest.mark.usefixtures("deadline")
+def test_lane_map_raises_the_first_error_in_item_order():
+    def check(i):
+        if i in (3, 7):
+            raise ValueError(f"item {i}")
+        return i
+
+    for lanes in (1, 2):
+        # item 7 runs first, so a lane meets its error first
+        with pytest.raises(ValueError, match="^item 3$"):
+            experiments._lane_map(check, list(range(10)), lanes,
+                                  key=lambda i: -i)
+        no_child_left()
+
+
+def test_numeric_error_survives_a_pickle_round_trip():
+    # a child lane sends its solves' errors back pickled
+    estimate = np.arange(6.0).reshape(2, 3)
+    back = pickle.loads(pickle.dumps(NumericError("diverged", estimate)))
+    assert type(back) is NumericError
+    assert str(back) == "diverged"
+    assert np.array_equal(back.best_estimate, estimate)
+    assert pickle.loads(pickle.dumps(NumericError("x"))).best_estimate is None
+
+
+def test_one_lane_without_fork_or_beside_another_thread(monkeypatch):
+    monkeypatch.setattr(experiments.os, "sched_getaffinity",
+                        lambda pid: {0, 1}, raising=False)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    large = experiments.LANES_FROM_ENTRIES
+    # the count sees a thread once it starts (and a BLAS pool, which
+    # numpy may have started before the test)
+    before = experiments._threads()
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        assert experiments._threads() == before + 1
+    finally:
+        release.set()
+        other.join()
+    def no_proc(path):
+        raise FileNotFoundError(path)
+
+    with monkeypatch.context() as m:     # no /proc: Python's own count
+        m.setattr(experiments.os, "listdir", no_proc)
+        assert experiments._threads() == threading.active_count()
+    # a forked child would hold only the forking thread of two
+    for threads, lanes in ((1, 2), (2, 1)):
+        monkeypatch.setattr(experiments, "_threads", lambda t=threads: t)
+        assert experiments._solve_workers(4, large) == lanes
+    monkeypatch.delattr(experiments.os, "fork")
+    assert experiments._solve_workers(4, large) == 1
+
+
+@pytest.mark.parametrize("cpus, env, jobs, lanes", [
     ({0, 1}, {}, 2, 1),                              # BLAS on every CPU
     ({0, 1}, {"OPENBLAS_NUM_THREADS": "1"}, 2, 2),
     ({0, 1}, {"OMP_NUM_THREADS": "1"}, 2, 2),
     ({0, 1}, {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2, 1),
     ({0, 1}, {"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 2, 2),
     ({0, 1}, {"OPENBLAS_NUM_THREADS": "many"}, 2, 1),
-    ({0, 1}, {"OPENBLAS_NUM_THREADS": "1"}, 1, 1),   # one solver per cell
+    ({0, 1}, {"OPENBLAS_NUM_THREADS": "1"}, 1, 1),   # one solve per cell
     ({0}, {"OPENBLAS_NUM_THREADS": "1"}, 2, 1),      # one usable CPU
     ({0, 1, 2, 3}, {"OPENBLAS_NUM_THREADS": "2"}, 2, 2),
     ({0, 1, 2}, {"OPENBLAS_NUM_THREADS": "4"}, 2, 1),
@@ -377,21 +607,23 @@ def test_a_solver_error_leaves_the_run_as_in_the_serial_loop(monkeypatch):
     ({0, 1}, {"OPENBLAS_NUM_THREADS": "²", "OMP_NUM_THREADS": "1"}, 2, 2),
 ])
 def test_solve_workers_fill_the_cpus_blas_leaves(monkeypatch, cpus, env,
-                                                   solvers, workers):
+                                                   jobs, lanes):
     monkeypatch.setattr(experiments.os, "sched_getaffinity",
                         lambda pid: set(cpus), raising=False)
+    # a BLAS pool started at import counts as a thread
+    monkeypatch.setattr(experiments, "_threads", lambda: 1)
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
         monkeypatch.delenv(var, raising=False)
     for var, value in env.items():
         monkeypatch.setenv(var, value)
-    large = experiments.THREADS_FROM_ENTRIES
-    assert experiments._solve_workers(solvers, large) == workers
+    large = experiments.LANES_FROM_ENTRIES
+    assert experiments._solve_workers(jobs, large) == lanes
     # a smaller matrix stays serial under any pin
-    assert experiments._solve_workers(solvers, large - 1) == 1
+    assert experiments._solve_workers(jobs, large - 1) == 1
     # without an affinity call the CPU count stands in
     monkeypatch.delattr(experiments.os, "sched_getaffinity")
     monkeypatch.setattr(experiments.os, "cpu_count", lambda: len(cpus))
-    assert experiments._solve_workers(solvers, large) == workers
+    assert experiments._solve_workers(jobs, large) == lanes
 
 
 def test_skew_compare_produces_paired_solvers():
@@ -506,6 +738,13 @@ def test_trend_residual_zero_for_monotone_rates():
              if l.startswith("#trend,subspace-phase")][0]
     assert float(trend.split(",")[-1]) == pytest.approx(np.sqrt(0.5))
 
+    # the rates are fitted in the order of p, not of the summaries (an
+    # unsorted p_grid lists its cells in grid order)
+    text = render_csv([], [cell(0.3, 1.0), cell(0.1, 0.0), cell(0.2, 0.5)])
+    trend = [l for l in text.splitlines()
+             if l.startswith("#trend,subspace-phase")][0]
+    assert float(trend.split(",")[-1]) == 0.0
+
 
 def test_csv_byte_determinism():
     a = render_csv(*run_experiment(tiny_phase()))
@@ -585,6 +824,29 @@ def test_failing_witness_fails_the_report(monkeypatch, capsys):
     assert fields["gap.holds"] == "5/5"
     assert cli.main(["diagnostics"]) == 2
     assert capsys.readouterr().out == text
+
+
+def test_failing_gap_bound_fails_the_report(monkeypatch):
+    # every gap trial judged as failing fails the report, while the
+    # witnesses and the concentration checks hold
+    monkeypatch.setattr(landscape.GapReport, "holds", lambda self: False)
+    text, ok = run_diagnostics(default_config("diagnostics"))
+    fields = dict(line.split(": ", 1) for line in text.splitlines())
+    assert not ok and fields["result"] == "FAIL"
+    assert fields["gap.holds"] == "0/5"
+    assert fields["witness.rectangular.passes"] == "10/10"
+    assert fields["concentration.checks"].split("/")[0] == (
+        fields["concentration.checks"].split("/")[1])
+
+
+def test_failing_concentration_fails_the_report(monkeypatch):
+    monkeypatch.setattr(landscape.ConcentrationReport, "all_hold",
+                        property(lambda self: False))
+    text, ok = run_diagnostics(default_config("diagnostics"))
+    fields = dict(line.split(": ", 1) for line in text.splitlines())
+    assert not ok and fields["result"] == "FAIL"
+    assert fields["gap.holds"] == "5/5"
+    assert fields["witness.skew.passes"] == "10/10"
 
 
 def test_diagnostics_report_is_stable():

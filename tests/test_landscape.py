@@ -137,6 +137,19 @@ def test_two_route_agreement():
             assert abs(kp - kf) <= 1e-8 * (1 + abs(kf)), kind
 
 
+def test_param_gap_takes_sequences_bit_for_bit():
+    gen = np.random.default_rng(12)
+    for kind in ("subspace", "rectangular", "psd", "skew"):
+        param, m_star, mask = make_instance(kind, 48)
+        spec = assemble(param, m_star, mask)
+        theta = gen.standard_normal((3, param.d))
+        delta = gen.standard_normal((3, param.d))
+        for t, d in ((theta[0], delta[0]), (theta, delta)):
+            want = param_curvature_gap(spec, t, d)
+            got = param_curvature_gap(spec, t.tolist(), d.tolist())
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
 def test_factor_gap_matches_value_stencil():
     # alpha = 0 keeps the penalty a pure quartic, so the 5-point stencil on
     # factor values is exact and serves as an independent route
@@ -490,6 +503,17 @@ def test_surrogate_subspace_never_larger():
     pn = project_observed(noise, mask)
     full = np.linalg.svd(pn, compute_uv=False)[0]
     assert sub.value <= full + 1e-10
+
+
+def test_surrogate_subspace_projects_when_it_is_smaller():
+    param, m_star, mask = make_instance("subspace", 55)
+    noise = gaussian_noise(16, 14, 1.0, RngState(55).derive("n"))
+    sub = noise_spectral_surrogate(param, mask, noise)
+    pn = project_observed(noise, mask)
+    projected = linalg.spectral_norm(param.basis_u.T @ pn @ param.basis_v)
+    assert projected < linalg.spectral_norm(pn)
+    assert sub.value == projected
+    assert sub.formula == "||P_U P_Omega(N) P_V||"
 
 
 # ------------------------------------------------------------------ tuning

@@ -758,6 +758,41 @@ def test_spec_observed_is_read_only(density):
         spec.observed[0, 0] = 1.0
 
 
+def test_spec_stores_a_c_contiguous_read_only_copy():
+    # a Fortran-ordered array, a transposed view and a list each become a
+    # C-contiguous read-only observed array, and the caller's array stays
+    # writable
+    spec, _ = noiseless_spec("rectangular", 83)
+    param, mask = spec.param, spec.mask
+    want = np.array(spec.observed)
+    fortran = np.asfortranarray(want)
+    view = np.ascontiguousarray(want.T).T
+    assert not view.flags.c_contiguous and view.base is not None
+    for given in (fortran, view, want.tolist()):
+        got = ObjectiveSpec(param, given, mask, 1.0, 1.0).observed
+        assert isinstance(got, np.ndarray) and got.flags.c_contiguous
+        assert not got.flags.writeable
+        assert np.array_equal(got, want)
+        if isinstance(given, np.ndarray):
+            assert given.flags.writeable
+
+
+def test_spec_checks_each_shape_alone():
+    rng = RngState(89).derive("shapes")
+    param, m_star = rectangular_instance(6, 5, 1, rng.derive("i"))
+    # observed fits the mask but not the parameterization
+    wide = bernoulli_mask(7, 5, 0.6, rng.derive("w"))
+    with pytest.raises(ValueError, match="does not match parameterization"):
+        ObjectiveSpec(param, np.where(wide.matrix, 1.0, 0.0), wide, 1.0, 1.0)
+    # observed fits the parameterization but not the mask, whose entries
+    # reach past it
+    mask = bernoulli_mask(6, 5, 0.6, rng.derive("m"))
+    observed = m_star * mask.matrix
+    with pytest.raises(ValueError, match="does not match mask"):
+        ObjectiveSpec(param, observed, wide, 1.0, 1.0)
+    ObjectiveSpec(param, observed, mask, 1.0, 1.0)
+
+
 def test_spec_rejects_off_support_and_non_finite_observed():
     spec, _ = noiseless_spec("rectangular", 73)
     param, mask = spec.param, spec.mask
