@@ -54,7 +54,7 @@ def main():
 
     # 3. the gap bound, term by term
     rep = curvature_gap_decomposition(spec, theta, cert.xi, noise)
-    print(f"\ngap bound at (theta, witness): K = {rep.gap_theta:.3e}")
+    print(f"\ngap bound at (theta, witness): K = {rep.gap_factor:.3e}")
     print(f"  quartic {rep.term_quartic:.3e} + sampling "
           f"{rep.term_sampling:.3e} + penalty {rep.term_penalty:.3e} "
           f"+ noise {rep.term_noise:.3e}")

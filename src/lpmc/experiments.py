@@ -609,8 +609,8 @@ def run_diagnostics(config):
     """Run the invariant battery at desk scale and emit a key: value report.
 
     Returns (report text, ok flag); ok is False when a hard invariant
-    (witness certificate, two-route curvature agreement, gap inequality,
-    deviation inequality) fails.
+    (witness certificate, two-route curvature agreement, gap inequality and
+    its two routes' agreement, deviation inequality) fails.
     """
     master = RngState(config.master_seed)
     lines = []
@@ -633,7 +633,8 @@ def run_diagnostics(config):
     for (param, m_star), root in zip(instances, roots):
         tag = param.kind
         gen = master.derive("diagnostics", "theta", tag).generator()
-        worst_fit = worst_bal = worst_corr = worst_id = 0.0
+        worst_fit = worst_bal = worst_id = 0.0
+        worst_corr = float("inf")
         draws, passes = 10, 0
         mask = _mask(param, p, master.derive("diagnostics", "mask", tag))
         spec = assemble(param, m_star, mask)
@@ -667,7 +668,7 @@ def run_diagnostics(config):
     # groups of the certificates: a witness and a decomposition call per
     # group
     param, m_star = instances[0]
-    holds = 0
+    holds = agree = 0
     margin = float("inf")
     noise_terms = []
     trials = 5
@@ -684,14 +685,16 @@ def run_diagnostics(config):
         for report in curvature_gap_decomposition(specs, thetas[group], xis,
                                                   noises):
             holds += report.holds()
-            margin = min(margin, (report.bound_total - report.gap_theta)
+            agree += report.routes_agree()
+            margin = min(margin, (report.bound_total - report.gap_factor)
                          / report.scale)
             noise_terms.append(report.term_noise)
     emit("gap.instances", trials)
     emit("gap.holds", f"{holds}/{trials}")
+    emit("gap.routes_agree", f"{agree}/{trials}")
     emit("gap.min_margin", f"{margin:.3e}")
     emit("gap.noise_terms", " ".join(f"{v:.3e}" for v in noise_terms))
-    if holds < trials:
+    if holds < trials or agree < trials:
         ok = False
 
     # profile, tuning windows, noise surrogate on the subspace instance

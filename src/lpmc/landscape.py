@@ -7,17 +7,23 @@ The central quantity is the curvature gap
 negative K certifies a descent or negative-curvature direction at theta.
 param_curvature_gap evaluates it derivative-free, by one symmetric 5-point
 stencil on objective values along theta + t delta; factor_curvature_gap
-evaluates the same quantity through the closed-form Hessian quadratic form at
-the factor level. For linear parameterizations the two agree identically while
-every factor row stays inside the alpha ball (the stencil is exact there), and
-to the stencil's O(step^4) error at and beyond the hinge, which makes the pair
-a two-route consistency check of the whole objective stack.
+evaluates the same quantity through the closed-form Hessian-vector product
+at the factor level (objective.factor_hvp). For linear parameterizations the
+two agree identically while every factor row stays inside the alpha ball
+(the stencil is exact there), and to the stencil's O(step^4) error at and
+beyond the hinge, which makes the pair a two-route consistency check of the
+whole objective stack.
 
 curvature_gap_decomposition splits an upper bound on K(theta; theta - xi),
 with xi a balanced witness, into a quartic factor term, a sampling deviation
 term, a penalty term and a noise term; the bound holding is the workhorse
 inequality behind the no-spurious-minima argument, and here it is checked
-numerically, instance by instance.
+numerically, instance by instance. GapReport.holds judges the closed-form
+gap_factor against the bound, which is tight for psd; routes_agree judges
+the stencil's gap_theta against gap_factor within twice its Richardson
+error estimate, the stencil at half the step, whose two extra points share
+the stencil's objective_value stack. The penalty term reads G's gradient
+and Hessian product from the row hinges (objective._hinge_grad, _hinge_hvp).
 
 The certificates take a leading stack axis, so a caller with many points
 makes one call: param_curvature_gap takes c x d stacks of theta and delta
@@ -41,8 +47,8 @@ row norms of a row beyond alpha and the observed-entry kernel's row
 products and scatter, which one call would sum in another order, run only
 at points: by the one stack rule, objective._one_pass, a stack of factors
 takes one pass on the dense kernel with no row beyond alpha (or lam = 0)
-and otherwise goes point by point, for the value, the gradient, the
-curvature and the gap alike, and the gap bound's penalty term reads the
+and otherwise goes point by point, for the value, the gradient, the Hessian
+product and the gap alike, and the gap bound's penalty term reads the
 row hinges of the one Evaluation it shares with its instance's factor
 route. So a stacked gap, term or check equals, bit for bit, that of its
 point alone, and the diagnostics report is the same text however its
@@ -61,8 +67,8 @@ from .linalg import (RANK_FLOOR, _dots, _groups, _item_dots, _mT, as_matrix,
                      reduced_svd, spectral_norm, two_inf_norm)
 # _evaluate: the one Evaluation a factor-level gap shares between its
 # gradient, its curvature and the gap bound's penalty term; _one_pass: the
-# stack rule; _hinge_grad, _hinge_curvature: G's derivatives from a row hinge
-from .objective import (_evaluate, _hinge_curvature, _hinge_grad, _one_pass,
+# stack rule; _hinge_grad, _hinge_hvp: G's derivatives from a row hinge
+from .objective import (_evaluate, _hinge_grad, _hinge_hvp, _one_pass,
                         factor_curvature, factor_grad, objective_value)
 from .parameterization import _norms, x_of, y_of
 from .sampling import project_observed
@@ -102,7 +108,7 @@ def ground_truth_profile(m_star, r):
 
 
 def factor_curvature_gap(x, y, dx, dy, spec, ev=None):
-    """K at the factor level, from the closed-form Hessian quadratic form;
+    """K at the factor level, from the closed-form Hessian product's form;
     at stacked factors an array of the items' gaps (by the stack rule,
     objective._one_pass). The gradient and the curvature read one
     Evaluation at (X, Y), ev when given, so the residual is formed once."""
@@ -133,13 +139,27 @@ def param_curvature_gap(spec, theta, delta):
     The five points theta + t delta go to objective_value as one stack, and
     stacked theta and delta (c x d) give the c gaps from one stack of 5c.
     """
+    return _five_point(*_stencil(spec, theta, delta, 5), PARAM_GAP_STEP)
+
+
+# t / PARAM_GAP_STEP at the stencil points: the first five are the stencil
+# at the step, the first three and the last two at half of it
+_STENCIL_T = np.array([0.0, 1.0, -1.0, 2.0, -2.0, 0.5, -0.5])
+
+
+def _stencil(spec, theta, delta, count):
+    """g(t) = f(theta + t delta) at the first count points of _STENCIL_T
+    times the step, from one objective_value stack, one row a point."""
     theta = np.asarray(theta, dtype=np.float64)
     delta = np.asarray(delta, dtype=np.float64)
-    h = PARAM_GAP_STEP
-    t = np.array([0.0, h, -h, 2.0 * h, -2.0 * h])
+    t = PARAM_GAP_STEP * _STENCIL_T[:count]
     points = theta[..., None, :] + t[:, None] * delta[..., None, :]
     g = objective_value(spec, points.reshape(-1, theta.shape[-1]))
-    g0, gp1, gm1, gp2, gm2 = g.reshape(points.shape[:-1]).T
+    return g.reshape(points.shape[:-1]).T
+
+
+def _five_point(g0, gp1, gm1, gp2, gm2, h):
+    """K from g at 0, h, -h, 2h and -2h."""
     d2 = (-gp2 + 16.0 * gp1 - 30.0 * g0 + 16.0 * gm1 - gm2) / (12.0 * h ** 2)
     d1 = (gm2 - 8.0 * gm1 + 8.0 * gp1 - gp2) / (12.0 * h)
     return d2 - 4.0 * d1
@@ -149,8 +169,14 @@ def param_curvature_gap(spec, theta, delta):
 class GapReport:
     """Curvature gap at theta against witness xi, with its upper bound split
     into the four terms of the decomposition. The inequality to check is
-    gap_theta <= bound_total (up to 1e-8 * scale); gap_theta and gap_factor
-    agree up to the stencil error of the parameter-level route."""
+    gap_factor <= bound_total (up to 1e-8 * scale), on the closed-form
+    route; the stencil's gap_theta is checked against gap_factor apart, by
+    routes_agree. stencil_error is |K_h - K_{h/2}|, the stencil at
+    PARAM_GAP_STEP against the stencil at half of it: gap_theta's
+    O(step^4) error is 16/15 of it (Richardson). A row that crosses alpha
+    inside the stencil makes the error fall slower than step^4, and there
+    twice the estimate can fall short (at 15 of 300 draws with a row on
+    the hinge, by up to 8.7x)."""
 
     gap_theta: float
     gap_factor: float
@@ -158,6 +184,7 @@ class GapReport:
     term_sampling: float
     term_penalty: float
     term_noise: float
+    stencil_error: float
 
     @property
     def bound_total(self):
@@ -171,7 +198,13 @@ class GapReport:
                          abs(self.term_noise))
 
     def holds(self):
-        return self.gap_theta <= self.bound_total + 1e-8 * self.scale
+        return self.gap_factor <= self.bound_total + 1e-8 * self.scale
+
+    def routes_agree(self):
+        """Whether gap_theta meets gap_factor within twice stencil_error,
+        plus 1e-8 * scale for rounding."""
+        return (abs(self.gap_theta - self.gap_factor)
+                <= 2.0 * self.stencil_error + 1e-8 * self.scale)
 
 
 def curvature_gap_decomposition(spec, theta, xi, noise=None):
@@ -205,22 +238,26 @@ def curvature_gap_decomposition(spec, theta, xi, noise=None):
     for i, s in enumerate(specs):
         ev = _evaluate(x[i], y[i], s)
         quartic, sampling, noise_term = map(float, terms[:, i])
+        g = _stencil(s, theta[i], delta[i], 7)
+        k_h = _five_point(*g[:5], PARAM_GAP_STEP)
+        k_half = _five_point(*g[[0, 5, 6, 1, 2]], 0.5 * PARAM_GAP_STEP)
         reports.append(GapReport(
-            param_curvature_gap(s, theta[i], delta[i]),
-            factor_curvature_gap(x[i], y[i], dx[i], dy[i], s, ev),
+            k_h, factor_curvature_gap(x[i], y[i], dx[i], dy[i], s, ev),
             quartic, sampling, _penalty_term(ev, dx[i], dy[i], s.lam),
-            noise_term))
+            noise_term, abs(k_h - k_half)))
     return reports
 
 
 def _penalty_term(ev, dx, dy, lam):
     """The gap bound's penalty term, lam times the curvature gap of G at
     the factors of ev, from its row hinges; 0.0 with no row beyond alpha,
-    where G's gradient and curvature are zero."""
+    where G's gradient and Hessian are zero."""
+    if not ev.hinged:
+        return 0.0
     (hx, hy), x, y = ev.hinges, ev.x, ev.y
-    return lam * (_hinge_curvature(x, dx, hx)
+    return lam * (float(np.vdot(_hinge_hvp(x, dx, hx), dx))
                   - 4.0 * float(np.vdot(_hinge_grad(x, hx), dx))
-                  + _hinge_curvature(y, dy, hy)
+                  + float(np.vdot(_hinge_hvp(y, dy, hy), dy))
                   - 4.0 * float(np.vdot(_hinge_grad(y, hy), dy)))
 
 

@@ -12,15 +12,19 @@ observed fraction, and G the row hinge penalty
     G(X) = sum_i max(||x_i|| - alpha, 0)^4.
 
 The theta-level objective composes f with a LinearParam's factor map. The
-factor-level value/gradient/curvature live here so landscape diagnostics can
-use the same closed forms; everything is exact, including the penalty terms
-(G is C^2, its Hessian is continuous across the hinge).
+factor-level value/gradient/Hessian product live here so landscape
+diagnostics can use the same closed forms; everything is exact, including
+the penalty terms (G is C^2, its Hessian is continuous across the hinge).
+There is one second-order closed form, factor_hvp (the Hessian of f applied
+to a direction; G's share is _hinge_hvp), which factor_curvature and the
+landscape's penalty term read.
 
 Below an observed fraction of _ENTRY_KERNEL_BELOW (a spec's entry_kernel)
-the value and gradient evaluate the fit term on the spec's observed entries
-(rows, cols, vals) alone; at or above it they use dense n1 x n2 mask
-arithmetic, with the masked residual built in one buffer. The curvature is
-always dense.
+the value, gradient and Hessian product evaluate the fit term on the spec's
+observed entries (rows, cols, vals) alone and form no n1 x n2 array; at or
+above it they use dense n1 x n2 mask arithmetic, with the masked residual
+built in one buffer. _fit_products is the one kernel split of the
+gradient's and the product's fit term.
 
 On the entry kernel a parameterization whose entry_core gives block
 coordinates (the subspace kind, X = U Theta_A and Y = V Theta_B) is
@@ -40,8 +44,8 @@ most ||X||_F, so while ||X||_F^2 lies below alpha^2 by a relative margin of
 derivatives vanish and no row pass runs; at alpha = 100 that is almost every
 evaluation of the benchmark's sweeps. Otherwise one pass finds the rows
 beyond alpha and keeps their norms and excesses (a _RowHinge), which the
-gradient and the curvature read. The value, the gradient, the curvature and
-the landscape's gap bound all read that one _RowHinge per factor and point.
+gradient and the Hessian product read. The value, the gradient, the product
+and the landscape's gap bound read that one _RowHinge per factor and point.
 
 Every value is an Evaluation (objective_value(..., keep=True) hands it
 back): the factors (in block coordinates, the blocks and their Gram
@@ -64,15 +68,16 @@ base point, so a rejected candidate costs its fit residual and one sum of
 squares, with no Gram product, balance matrix or row pass. A term of f that
 can be negative would break this, and the stop would have to go.
 
-objective_value, factor_grad and factor_curvature also take a stack of
-points, one leading axis of c (theta c x d, factors c x n x r), and return
-c values, gradients or forms, each bit for bit the one its point gives
-alone. One rule, _one_pass, says how: on the dense kernel, with lam = 0 or
-every item's Frobenius test putting its rows within alpha, the stack takes
-one pass, its products and sums of squares on the whole stack and the sums
-as one matmul with each item's np.vdot bits (linalg._item_dots), and no
-row hinge; any other stack goes point by point through the single-point
-code (the landscape module says which reductions and why).
+objective_value, factor_grad, factor_hvp and factor_curvature also take a
+stack of points, one leading axis of c (theta c x d, factors c x n x r),
+and return c values, gradients, products or forms, each bit for bit the one
+its point gives alone. One rule, _one_pass, says how: on the dense kernel,
+with lam = 0 or every item's Frobenius test putting its rows within alpha,
+the stack takes one pass, its products and sums of squares on the whole
+stack and the sums as one matmul with each item's np.vdot bits
+(linalg._item_dots), and no row hinge; any other stack goes point by point
+through the single-point code (the landscape module says which reductions
+and why).
 """
 
 from dataclasses import dataclass, field
@@ -234,18 +239,18 @@ def _hinge_grad(x, hinge):
     return x * coef[:, None]
 
 
-def _hinge_curvature(x, dx, hinge):
-    """The Hessian quadratic form of G at x along dx from its _RowHinge
-    (exact; G is C^2)."""
-    if hinge.rows is None:
-        return 0.0
-    xa, da = x[hinge.rows], dx[hinge.rows]
-    na, s = hinge.norms, hinge.excess
-    cross = np.einsum("ij,ij->i", xa, da)
-    dsq = np.einsum("ij,ij->i", da, da)
-    radial = cross ** 2 / na ** 2
-    return float(np.sum(12.0 * s ** 2 * radial
-                        + 4.0 * s ** 3 * (dsq - radial) / na))
+def _hinge_hvp(x, dx, hinge):
+    """The Hessian of G at x applied to dx, from its _RowHinge (exact; G is
+    C^2): row i is 4 s^3 / n dx_i + (12 s^2 - 4 s^3 / n) <x_i, dx_i> x_i / n^2
+    with n = ||x_i|| and s = n - alpha, where n > alpha, else zero."""
+    out = np.zeros_like(dx)
+    if hinge.rows is not None:
+        xa, da = x[hinge.rows], dx[hinge.rows]
+        na, s = hinge.norms, hinge.excess
+        tangent = 4.0 * s ** 3 / na
+        radial = (12.0 * s ** 2 - tangent) * _row_dots(xa, da) / na ** 2
+        out[hinge.rows] = tangent[:, None] * da + radial[:, None] * xa
+    return out
 
 
 def _one_pass(x, y, spec):
@@ -296,7 +301,7 @@ class Evaluation(NamedTuple):
     and x, y are None unless that factor's hinge formed it. A stack that
     _one_pass lets through gives one Evaluation whose value and arrays are
     stacks and whose hinges are (_NO_HINGE, _NO_HINGE); objective_value
-    keeps no such Evaluation, factor_grad and factor_curvature read one."""
+    keeps no such Evaluation, factor_grad and factor_hvp read one."""
 
     value: float
     x: np.ndarray
@@ -338,7 +343,8 @@ def _evaluate(x, y, spec, out=None, above=None):
         return None
     b = _mT(x) @ x - _mT(y) @ y
     # at lam = 0 the penalty is off (here and in _core_hinge), so the value
-    # and the curvature add lam times 0; a stack has no row beyond alpha
+    # adds lam times 0 and the derivatives nothing; a stack has no row
+    # beyond alpha
     if x.ndim > 2 or not spec.lam:
         hinges = (_NO_HINGE, _NO_HINGE)
     else:
@@ -372,28 +378,48 @@ def _core_evaluate(ta, tb, spec, above=None):
                       (hx, hy), (ta, tb, gta, gtb))
 
 
-def _plus_hinge_grad(g, x, hinge, lam):
-    """g plus lam times the gradient of G at x where a row of x is beyond
-    alpha."""
+def _plus_hinge(g, hinge, lam, term, *args):
+    """g plus lam times term(*args, hinge), G's gradient or Hessian product,
+    where a row is beyond alpha."""
     if hinge.rows is None:
         return g
-    return g + lam * _hinge_grad(x, hinge)
+    return g + lam * term(*args, hinge)
+
+
+def _fit_products(ev, spec, dx=None, dy=None):
+    """(P(R) Y, P(R)^T X), p_hat times the fit term's gradient, for the fit
+    residual R at ev's point; given (DX, DY), its Hessian's products
+    (P(R) DY + P(L) Y, P(R)^T DX + P(L)^T X) with L = P(DX Y^T + X DY^T):
+    by the masked n1 x n2 matrices, or scattered over the observed entries."""
+    x, y = ev.x, ev.y
+    if spec.entry_kernel:
+        resid, xr, yc = ev.resid
+        r = resid[:, None]
+        if dx is None:
+            wx, wy = r * yc, r * xr
+        else:
+            dxr, dyc = dx[spec.rows], dy[spec.cols]
+            lin = (_row_dots(dxr, yc) + _row_dots(xr, dyc))[:, None]
+            wx, wy = r * dyc + lin * yc, r * dxr + lin * xr
+        return (_scatter(spec.rows, wx, x.shape[0]),
+                _scatter(spec.cols, wy, y.shape[0]))
+    if dx is None:
+        return ev.resid @ y, _mT(ev.resid) @ x
+    lin = dx @ _mT(y)
+    lin += x @ _mT(dy)
+    lin *= spec.mask.matrix
+    return (ev.resid @ dy + lin @ y, _mT(ev.resid) @ dx + _mT(lin) @ x)
 
 
 def _factor_grad(ev, spec):
     """Gradients of f with respect to X and Y, from the Evaluation there."""
     x, y, b = ev.x, ev.y, ev.balance
-    if spec.entry_kernel:
-        resid, xr, yc = ev.resid
-        fit_x = _scatter(spec.rows, resid[:, None] * yc, x.shape[0])
-        fit_y = _scatter(spec.cols, resid[:, None] * xr, y.shape[0])
-    else:
-        fit_x, fit_y = ev.resid @ y, _mT(ev.resid) @ x
+    fit_x, fit_y = _fit_products(ev, spec)
     gx = (1.0 / spec.p_hat) * fit_x + 0.5 * (x @ b)
     gy = (1.0 / spec.p_hat) * fit_y - 0.5 * (y @ b)
     hx, hy = ev.hinges
-    return (_plus_hinge_grad(gx, x, hx, spec.lam),
-            _plus_hinge_grad(gy, y, hy, spec.lam))
+    return (_plus_hinge(gx, hx, spec.lam, _hinge_grad, x),
+            _plus_hinge(gy, hy, spec.lam, _hinge_grad, y))
 
 
 def factor_grad(x, y, spec, ev=None):
@@ -424,31 +450,33 @@ def _core_grad(ev, spec):
     return np.concatenate((ga.reshape(-1), gb.reshape(-1)))
 
 
-def factor_curvature(x, y, dx, dy, spec, ev=None):
-    """Hessian quadratic form of f at (X, Y) along (DX, DY), in closed form;
-    at stacked factors an array of the items' forms (by the stack rule,
-    _one_pass). It reads the masked residual, the balance matrix and the
-    row hinges from ev, the Evaluation at (X, Y), built here unless given;
-    the entry kernel's residual lies on the observed entries alone, so
-    there the dense one is formed."""
+def factor_hvp(x, y, dx, dy, spec, ev=None):
+    """The Hessian of f at (X, Y) applied to (DX, DY), as (H_X, H_Y), in
+    closed form; at stacked factors stacks of them (by the stack rule,
+    _one_pass). ev, the Evaluation at (X, Y) when given, lends its residual,
+    balance matrix and row hinges, as to the gradient."""
     if ev is None:
         if x.ndim > 2 and not _one_pass(x, y, spec):
-            return np.array([factor_curvature(*item, spec)
-                             for item in zip(x, y, dx, dy)])
+            hvps = [factor_hvp(*item, spec) for item in zip(x, y, dx, dy)]
+            return tuple(map(np.array, zip(*hvps)))
         ev = _evaluate(x, y, spec)
-    resid = ev.resid
-    if spec.entry_kernel:
-        resid = _masked_residual(x, y, spec)
-    lin = dx @ _mT(y) + x @ _mT(dy)
-    np.multiply(lin, spec.mask.matrix, out=lin)
-    fit = (1.0 / spec.p_hat) * (_dots(lin, lin)
-                                + 2.0 * _dots(resid, dx @ _mT(dy)))
-    c = _mT(dx) @ x + _mT(x) @ dx - _mT(dy) @ y - _mT(y) @ dy
-    e = _mT(dx) @ dx - _mT(dy) @ dy
-    bal = 0.25 * _dots(c, c) + 0.5 * _dots(ev.balance, e)
+    # c, the balance matrix's derivative along (DX, DY), is a + a^T
+    b, a = ev.balance, _mT(dx) @ x - _mT(dy) @ y
+    c = a + _mT(a)
+    fit_x, fit_y = _fit_products(ev, spec, dx, dy)
+    px = (1.0 / spec.p_hat) * fit_x + 0.5 * (dx @ b + x @ c)
+    py = (1.0 / spec.p_hat) * fit_y - 0.5 * (dy @ b + y @ c)
     hx, hy = ev.hinges
-    return fit + bal + spec.lam * (_hinge_curvature(x, dx, hx)
-                                   + _hinge_curvature(y, dy, hy))
+    return (_plus_hinge(px, hx, spec.lam, _hinge_hvp, x, dx),
+            _plus_hinge(py, hy, spec.lam, _hinge_hvp, y, dy))
+
+
+def factor_curvature(x, y, dx, dy, spec, ev=None):
+    """Hessian quadratic form of f at (X, Y) along (DX, DY),
+    <factor_hvp(...), (DX, DY)>; at stacked factors an array of the items'
+    forms."""
+    hx, hy = factor_hvp(x, y, dx, dy, spec, ev)
+    return _dots(hx, dx) + _dots(hy, dy)
 
 
 def objective_value(spec, theta, keep=False, out=None, above=None):

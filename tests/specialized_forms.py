@@ -5,9 +5,8 @@ parameter blocks instead of through the factor map, with dense mask
 arithmetic. Each must agree with objective_value to rounding; the tests use
 them as oracles for both objective kernels.
 
-reference_row_hinge_penalty, _grad and _curvature are the row penalty's
-closed forms, one row-norm pass each; lpmc must give bitwise the same
-arrays.
+reference_row_hinge_penalty, _grad and _hvp are the row penalty's closed
+forms, one row-norm pass each; lpmc must give bitwise the same arrays.
 
 reference_solve is the descent loop that evaluates every point from scratch:
 objective_value at the start and at each line-search candidate (the halvings
@@ -66,19 +65,48 @@ def reference_row_hinge_penalty_grad(x, alpha):
     return x * coef[:, None]
 
 
-def reference_row_hinge_penalty_curvature(x, dx, alpha):
-    """Hessian quadratic form of G at x along dx."""
+def reference_row_hinge_penalty_hvp(x, dx, alpha):
+    """Row i of the Hessian of G at x applied to dx:
+    4 s^3 / n dx_i + (12 s^2 - 4 s^3 / n) <x_i, dx_i> x_i / n^2 with
+    n = ||x_i|| and s = n - alpha where n > alpha, zero elsewhere."""
     norms = np.sqrt(np.einsum("ij,ij->i", x, x))
     act = norms > alpha
-    if not np.any(act):
-        return 0.0
+    out = np.zeros_like(dx)
     xa, da, na = x[act], dx[act], norms[act]
     s = na - alpha
+    tangent = 4.0 * s ** 3 / na
     cross = np.einsum("ij,ij->i", xa, da)
-    dsq = np.einsum("ij,ij->i", da, da)
-    radial = cross ** 2 / na ** 2
-    return float(np.sum(12.0 * s ** 2 * radial
-                        + 4.0 * s ** 3 * (dsq - radial) / na))
+    radial = (12.0 * s ** 2 - tangent) * cross / na ** 2
+    out[act] = tangent[:, None] * da + radial[:, None] * xa
+    return out
+
+
+def reference_factor_curvature(x, y, dx, dy, spec):
+    """The Hessian quadratic form of f at (X, Y) along (DX, DY), term by
+    term with the dense mask:
+    1/p_hat (||P(DX Y^T + X DY^T)||^2 + 2 <P(X Y^T - M), DX DY^T>)
+    + 1/4 ||C||^2 + 1/2 <B, DX^T DX - DY^T DY> with C the derivative of
+    B = X^T X - Y^T Y along (DX, DY), plus lam times each factor's row
+    penalty form sum_i 12 s^2 <x_i, d_i>^2 / n^2
+    + 4 s^3 (||d_i||^2 - <x_i, d_i>^2 / n^2) / n over the rows with
+    n = ||x_i|| > alpha and s = n - alpha."""
+    mask = spec.mask.matrix
+    lin = (dx @ y.T + x @ dy.T) * mask
+    resid = (x @ y.T - spec.observed) * mask
+    fit = (np.vdot(lin, lin) + 2.0 * np.vdot(resid, dx @ dy.T)) / spec.p_hat
+    b = x.T @ x - y.T @ y
+    c = dx.T @ x + x.T @ dx - dy.T @ y - y.T @ dy
+    bal = 0.25 * np.vdot(c, c) + 0.5 * np.vdot(b, dx.T @ dx - dy.T @ dy)
+    pen = 0.0
+    for f, d in ((x, dx), (y, dy)):
+        for row, drow in zip(f, d):
+            n = np.linalg.norm(row)
+            if n > spec.alpha:
+                s = n - spec.alpha
+                radial = (row @ drow) ** 2 / n ** 2
+                pen += (12.0 * s ** 2 * radial
+                        + 4.0 * s ** 3 * (drow @ drow - radial) / n)
+    return float(fit + bal + spec.lam * pen)
 
 
 def subspace_objective_value(spec, theta):

@@ -18,9 +18,12 @@ from lpmc.errors import NumericError
 from lpmc.experiments import (CellSummary, ExperimentConfig, TrialRecord,
                               default_config, render_csv, run_diagnostics,
                               run_experiment, summarize, write_csv)
-from lpmc.instances import rectangular_instance
+from lpmc.instances import assemble, rectangular_instance
+from lpmc.landscape import (curvature_gap_decomposition, factor_curvature_gap,
+                            param_curvature_gap)
 from lpmc.optimizer import SolveConfig
-from lpmc.parameterization import RectangularParam, balanced_witness
+from lpmc.parameterization import (RectangularParam, balanced_witness,
+                                   x_of, y_of)
 from lpmc.sampling import RngState
 
 
@@ -797,7 +800,8 @@ def test_diagnostics_report_keys_in_order():
                                       ("curvature", "two_route_residual"))]
     assert [line.split(": ", 1)[0] for line in text.splitlines()] == [
         "report", "master_seed", *per_kind,
-        "gap.instances", "gap.holds", "gap.min_margin", "gap.noise_terms",
+        "gap.instances", "gap.holds", "gap.routes_agree", "gap.min_margin",
+        "gap.noise_terms",
         "profile.sigma_top", "profile.sigma_bottom", "profile.cond",
         "profile.incoherence", "tuning.p", "tuning.lam", "tuning.alpha",
         "noise.surrogate", "concentration.gap_norm",
@@ -837,6 +841,69 @@ def test_failing_gap_bound_fails_the_report(monkeypatch):
     assert fields["witness.rectangular.passes"] == "10/10"
     assert fields["concentration.checks"].split("/")[0] == (
         fields["concentration.checks"].split("/")[1])
+
+
+def test_disagreeing_gap_routes_fail_the_report(monkeypatch):
+    # a gap trial whose stencil misses its closed form fails the report,
+    # while its bound holds
+    monkeypatch.setattr(landscape.GapReport, "routes_agree",
+                        lambda self: False)
+    text, ok = run_diagnostics(default_config("diagnostics"))
+    fields = dict(line.split(": ", 1) for line in text.splitlines())
+    assert not ok and fields["result"] == "FAIL"
+    assert fields["gap.routes_agree"] == "0/5"
+    assert fields["gap.holds"] == "5/5"
+
+
+def test_diagnostics_folds_equal_the_whole_stacks():
+    # the witness, curvature and margin lines fold the draws of each kind
+    # group by group; the same folds over whole stacks, whose items are
+    # their points' own bits, must print the same text
+    config = default_config("diagnostics", master_seed=3)
+    text, ok = run_diagnostics(config)
+    assert ok
+    fields = dict(line.split(": ", 1) for line in text.splitlines())
+    master = RngState(config.master_seed)
+    p = config.p_grid[0]
+    instances = experiments._diag_instances(config, master)
+    want = {}
+    for param, m_star in instances:
+        tag = param.kind
+        root = param.witness_root(m_star)
+        pairs = master.derive("diagnostics", "theta", tag).generator() \
+            .standard_normal((10, 2, param.d))
+        thetas, deltas = pairs[:, 0], pairs[:, 1]
+        mask = experiments._mask(param, p,
+                                 master.derive("diagnostics", "mask", tag))
+        spec = assemble(param, m_star, mask)
+        cert = balanced_witness(param, thetas, m_star, root)
+        kp = param_curvature_gap(spec, thetas, deltas)
+        kf = factor_curvature_gap(x_of(param, thetas), y_of(param, thetas),
+                                  x_of(param, deltas), y_of(param, deltas),
+                                  spec)
+        want[f"witness.{tag}.worst_fit"] = max(cert.residual_fit)
+        want[f"witness.{tag}.worst_balance"] = max(cert.residual_balance)
+        want[f"witness.{tag}.worst_corr_eig"] = min(cert.min_corr_eig)
+        want[f"curvature.{tag}.two_route_residual"] = max(
+            abs(kp - kf) / (1.0 + abs(kf)))
+    param, m_star = instances[0]
+    cells = [master.derive("diagnostics", "gap", t) for t in range(5)]
+    thetas = np.array([cell.generator().standard_normal(param.d)
+                       for cell in cells])
+    xis = balanced_witness(param, thetas, m_star).xi
+    noises = np.array([experiments._noise(param, config.sigma,
+                                          cell.derive("noise"))
+                       for cell in cells])
+    specs = [assemble(param, m_star,
+                      experiments._mask(param, p, cell.derive("mask")), noise)
+             for cell, noise in zip(cells, noises)]
+    reports = curvature_gap_decomposition(specs, thetas, xis, noises)
+    want["gap.min_margin"] = min((r.bound_total - r.gap_factor) / r.scale
+                                 for r in reports)
+    assert {key: fields[key] for key in want} == {
+        key: f"{value:.3e}" for key, value in want.items()}
+    assert all(value > 0.0 for key, value in want.items()
+               if key.endswith("worst_corr_eig"))
 
 
 def test_failing_concentration_fails_the_report(monkeypatch):

@@ -1,6 +1,7 @@
 """Tests for the landscape diagnostics: profiles, curvature gaps, the gap
 decomposition, and the sampling concentration checks."""
 
+import dataclasses
 import math
 from itertools import islice
 
@@ -23,8 +24,8 @@ from lpmc.optimizer import INITS, SolveConfig, descend, initial_theta, solve
 from lpmc.parameterization import balanced_witness, pack_blocks, x_of, y_of
 from lpmc.sampling import (RngState, bernoulli_mask, gaussian_noise,
                            project_observed, symmetric_offdiag_mask)
-from specialized_forms import (reference_row_hinge_penalty_curvature,
-                               reference_row_hinge_penalty_grad)
+from specialized_forms import (reference_row_hinge_penalty_grad,
+                               reference_row_hinge_penalty_hvp)
 
 
 def make_instance(kind, seed, p=0.8):
@@ -261,6 +262,26 @@ def test_decomposition_holds_on_noisy_instances():
         assert report.holds()
 
 
+def test_bound_judges_the_closed_form_route_at_a_hinged_point():
+    # rows beyond alpha leave the stencil's gap_theta an O(step^4) error
+    # above the bound's rounding slack, where the psd bound is tight; the
+    # closed-form gap_factor meets the bound, and the stencil meets
+    # gap_factor within its Richardson allowance
+    param, m_star, mask = make_instance("psd", 90)
+    spec = assemble(param, m_star, mask, lam=20.0, alpha=1.7)
+    theta = np.random.default_rng(91).standard_normal(param.d)
+    xi = balanced_witness(param, theta, m_star).xi
+    report = curvature_gap_decomposition(spec, theta, xi)
+    assert report.term_penalty != 0.0
+    assert report.gap_theta > report.bound_total + 1e-8 * report.scale
+    assert report.holds() and report.routes_agree()
+    off = 2.0 * report.stencil_error + 2e-8 * report.scale
+    for gap in (report.gap_factor + off, report.gap_factor - off):
+        assert not dataclasses.replace(report, gap_theta=gap).routes_agree()
+    assert not dataclasses.replace(
+        report, gap_factor=report.bound_total + 2e-8 * report.scale).holds()
+
+
 def test_quartic_term_matches_stacked_expansion():
     param, m_star, mask = make_instance("psd", 50)
     spec = assemble(param, m_star, mask)
@@ -396,9 +417,9 @@ def reference_penalty_term(param, theta, xi, lam, alpha):
     x, y = x_of(param, theta), y_of(param, theta)
     dx, dy = x - x_of(param, xi), y - y_of(param, xi)
     return lam * (
-        reference_row_hinge_penalty_curvature(x, dx, alpha)
+        float(np.vdot(reference_row_hinge_penalty_hvp(x, dx, alpha), dx))
         - 4.0 * float(np.vdot(reference_row_hinge_penalty_grad(x, alpha), dx))
-        + reference_row_hinge_penalty_curvature(y, dy, alpha)
+        + float(np.vdot(reference_row_hinge_penalty_hvp(y, dy, alpha), dy))
         - 4.0 * float(np.vdot(reference_row_hinge_penalty_grad(y, alpha), dy)))
 
 

@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from mutants import EQUIVALENT, MUTANTS, ROOT, generated
+from mutants import EQUIVALENT, MUTANTS, ROOT, generated, tier1_files
 
 
 def test_mutant_names_are_unique():
@@ -33,3 +33,12 @@ def test_generated_rows_replace_one_statement_each(tmp_path):
     assert [name for name, _, _ in rows] == ["m:f:6", "m:f:7"]
     assert rows[0][2].splitlines()[5:] == ["    pass", "    return b"]
     assert rows[1][2].splitlines()[6] == "        pass"
+
+
+def test_the_module_own_tests_run_first():
+    files = tier1_files(ROOT, "src/lpmc/landscape.py")
+    assert files[0] == os.path.join("tests", "test_landscape.py")
+    assert sorted(files) == sorted(
+        os.path.join("tests", name) for name in os.listdir(
+            os.path.join(ROOT, "tests"))
+        if name.startswith("test_") and name.endswith(".py"))

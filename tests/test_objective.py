@@ -1,5 +1,6 @@
-"""Tests for the regularized completion objective and its gradient."""
+"""Tests for the regularized completion objective and its derivatives."""
 
+import copy
 import dataclasses
 
 import numpy as np
@@ -10,19 +11,20 @@ import lpmc.objective as objective
 from lpmc.instances import rectangular_instance
 from lpmc.landscape import (PARAM_GAP_STEP, factor_curvature_gap,
                             param_curvature_gap)
-from lpmc.objective import (ObjectiveSpec, _hinge_curvature, _hinge_grad,
+from lpmc.objective import (ObjectiveSpec, _hinge_grad, _hinge_hvp,
                             _row_hinge, default_tuning, factor_curvature,
-                            factor_grad, make_spec, objective_grad,
-                            objective_value)
+                            factor_grad, factor_hvp, make_spec,
+                            objective_grad, objective_value)
 from lpmc.parameterization import (SubspaceParam, adjoint, balanced_witness,
                                    factors, rectangular_param, x_of, y_of)
 from lpmc.sampling import (ObservationMask, RngState, bernoulli_mask,
                            symmetric_offdiag_mask)
 from specialized_forms import (DENSE, SPARSE, noiseless_spec,
                                psd_objective_value,
+                               reference_factor_curvature,
                                reference_row_hinge_penalty,
-                               reference_row_hinge_penalty_curvature,
                                reference_row_hinge_penalty_grad,
+                               reference_row_hinge_penalty_hvp,
                                skew_objective_value, subspace_objective_value)
 
 
@@ -157,9 +159,10 @@ def _assert_hinge_matches_reference(x, alpha):
     # bytes, so the signed zeros of rows inside the ball must agree too
     assert grad.dtype == ref.dtype and grad.shape == ref.shape
     assert grad.tobytes() == ref.tobytes()
-    curv = _hinge_curvature(x, dx, _row_hinge(x, alpha))
-    ref = reference_row_hinge_penalty_curvature(x, dx, alpha)
-    assert curv == ref
+    hvp = _hinge_hvp(x, dx, _row_hinge(x, alpha))
+    ref = reference_row_hinge_penalty_hvp(x, dx, alpha)
+    assert hvp.dtype == ref.dtype and hvp.shape == ref.shape
+    assert hvp.tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("x, alpha", _hinge_cases())
@@ -205,12 +208,14 @@ def test_objective_penalty_terms_match_reference_bitwise():
                     gx, fx + lam * reference_row_hinge_penalty_grad(x, alpha))
                 assert np.array_equal(
                     gy, fy + lam * reference_row_hinge_penalty_grad(y, alpha))
-                assert factor_curvature(x, y, dx, dy, at) == (
-                    factor_curvature(x, y, dx, dy, free)
-                    + lam * (reference_row_hinge_penalty_curvature(x, dx,
-                                                                   alpha)
-                             + reference_row_hinge_penalty_curvature(y, dy,
-                                                                     alpha)))
+                px, py = factor_hvp(x, y, dx, dy, at)
+                fx, fy = factor_hvp(x, y, dx, dy, free)
+                assert np.array_equal(
+                    px, fx + lam * reference_row_hinge_penalty_hvp(x, dx,
+                                                                   alpha))
+                assert np.array_equal(
+                    py, fy + lam * reference_row_hinge_penalty_hvp(y, dy,
+                                                                   alpha))
                 ev = objective_value(at, theta, keep=True)
                 assert ev.hinged == bool(np.any(norms > alpha)), (kind, alpha)
                 assert np.array_equal(objective_grad(at, theta, ev),
@@ -339,8 +344,9 @@ def test_observed_entries_match_the_mask():
 
 def test_two_route_curvature_agrees_on_entry_kernel():
     # the parameter route differences objective values and the factor route
-    # adds the gradient to the dense curvature form, so at a sparse density
-    # the two routes check the entry kernel against the dense arithmetic
+    # adds the gradient to the Hessian product's form, so at a sparse
+    # density the two routes check the entry kernel's value against its
+    # closed-form derivatives
     gen = np.random.default_rng(10)
     for kind in ("subspace", "rectangular", "psd", "skew"):
         spec, _ = noiseless_spec(kind, 37, **SPARSE)
@@ -353,6 +359,82 @@ def test_two_route_curvature_agrees_on_entry_kernel():
                                       spec)
             kp = param_curvature_gap(spec, theta, delta)
             assert abs(kp - kf) <= 1e-8 * (1 + abs(kf)), kind
+
+
+# ---------------------------------------------- Hessian-vector product
+
+# the standard tuning (no row near alpha = 100) and two with rows beyond
+# alpha at theta's scale
+HVP_TUNINGS = ({}, dict(lam=20.0, alpha=1.7), dict(lam=1.0, alpha=0.5))
+
+
+def hvp_cases(seed):
+    """(spec, theta, delta, eta) for every kind, kernel and HVP_TUNINGS."""
+    gen = np.random.default_rng(seed)
+    for density in (DENSE, SPARSE):
+        for kind in ("subspace", "rectangular", "psd", "skew"):
+            for tuning in HVP_TUNINGS:
+                spec, _ = noiseless_spec(kind, seed, **tuning, **density)
+                d = spec.param.d
+                yield (spec, 1.5 * gen.standard_normal(d),
+                       gen.standard_normal(d), gen.standard_normal(d))
+
+
+def theta_hvp(spec, theta, delta):
+    """The theta-level Hessian of f applied to delta, via the adjoint."""
+    x, y = factors(spec.param, theta)
+    return adjoint(spec.param, *factor_hvp(x, y, *factors(spec.param, delta),
+                                           spec))
+
+
+def test_hvp_form_matches_the_reference_quadratic_form():
+    hinged = set()
+    for spec, theta, delta, _ in hvp_cases(60):
+        x, y = factors(spec.param, theta)
+        dx, dy = factors(spec.param, delta)
+        hx, hy = factor_hvp(x, y, dx, dy, spec)
+        form = float(np.vdot(hx, dx) + np.vdot(hy, dy))
+        ref = reference_factor_curvature(x, y, dx, dy, spec)
+        assert abs(form - ref) <= 1e-12 * abs(ref), spec.param.kind
+        assert factor_curvature(x, y, dx, dy, spec) == (
+            objective._dots(hx, dx) + objective._dots(hy, dy))
+        hinged.add((spec.entry_kernel,
+                    objective_value(spec, theta, keep=True).hinged))
+    assert hinged == {(e, h) for e in (False, True) for h in (False, True)}
+
+
+def test_hvp_matches_central_differences_of_the_gradient():
+    h = 1e-5
+    for spec, theta, delta, _ in hvp_cases(61):
+        want = (objective_grad(spec, theta + h * delta)
+                - objective_grad(spec, theta - h * delta)) / (2.0 * h)
+        got = theta_hvp(spec, theta, delta)
+        assert np.linalg.norm(got - want) <= 1e-7 * np.linalg.norm(want), (
+            spec.param.kind, spec.entry_kernel, spec.alpha)
+
+
+def test_hvp_is_symmetric():
+    for spec, theta, delta, eta in hvp_cases(62):
+        a = float(np.vdot(theta_hvp(spec, theta, delta), eta))
+        b = float(np.vdot(theta_hvp(spec, theta, eta), delta))
+        assert abs(a - b) <= 1e-12 * max(abs(a), abs(b)), spec.param.kind
+
+
+def test_entry_kernel_hvp_forms_no_dense_array():
+    # with the mask and the dense observations gone, the entry kernel's
+    # product reads only the observed entries, and gives the same bits
+    for kind in ("subspace", "rectangular", "psd", "skew"):
+        spec, _ = noiseless_spec(kind, 63, lam=1.0, alpha=0.5, **SPARSE)
+        assert spec.entry_kernel and (spec.rows, spec.cols, spec.vals)
+        blind = copy.copy(spec)
+        object.__setattr__(blind, "observed", None)
+        object.__setattr__(blind, "mask", None)
+        gen = np.random.default_rng(64)
+        x, y = factors(spec.param, 1.5 * gen.standard_normal(spec.param.d))
+        dx, dy = factors(spec.param, gen.standard_normal(spec.param.d))
+        for got, want in zip(factor_hvp(x, y, dx, dy, blind),
+                             factor_hvp(x, y, dx, dy, spec)):
+            assert got.tobytes() == want.tobytes()
 
 
 # ------------------------------------------- subspace in block coordinates
@@ -496,11 +578,15 @@ def test_stacked_factor_forms_equal_the_points():
         dx, dy = factors(param, deltas)
         assert x.shape == (5, param.n1, param.r)
         gx, gy = factor_grad(x, y, spec)
+        hx, hy = factor_hvp(x, y, dx, dy, spec)
         quad = factor_curvature(x, y, dx, dy, spec)
         gaps = factor_curvature_gap(x, y, dx, dy, spec)
         for i in range(5):
             gxi, gyi = factor_grad(x[i], y[i], spec)
             assert np.array_equal(gx[i], gxi) and np.array_equal(gy[i], gyi)
+            hxi, hyi = factor_hvp(x[i], y[i], dx[i], dy[i], spec)
+            assert hx[i].tobytes() == hxi.tobytes()
+            assert hy[i].tobytes() == hyi.tobytes()
             assert quad[i] == factor_curvature(x[i], y[i], dx[i], dy[i],
                                                spec), param.kind
             assert gaps[i] == factor_curvature_gap(x[i], y[i], dx[i], dy[i],
@@ -538,6 +624,7 @@ def test_stack_takes_one_pass_or_goes_point_by_point(monkeypatch):
                                                                 point=5)
         for call in (lambda: objective_value(spec, thetas),
                      lambda: factor_grad(x, y, spec),
+                     lambda: factor_hvp(x, y, dx, dy, spec),
                      lambda: factor_curvature(x, y, dx, dy, spec),
                      lambda: factor_curvature_gap(x, y, dx, dy, spec)):
             calls.update(stacked=0, point=0)
